@@ -11,6 +11,7 @@ run-dependent bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -40,7 +41,6 @@ from .graph import (
 from .motifs import KernelConfig, align_embeddings, bootstrap_pvalue, matrix_to_csv, mmd_linear, mmd_statistic
 from .pipeline import (
     PipelineConfig,
-    config_dict,
     config_from_dict,
     detect_hierarchy,
     hierarchy_report,
@@ -313,8 +313,7 @@ def cmd_detect(args) -> int:
         overrides["sphere_projection"] = True
     overrides["seed"] = args.seed
     overrides["threads"] = _threads(args)
-    if overrides:
-        cfg = config_from_dict({**config_dict(cfg), **_normalize_overrides(cfg, overrides)})
+    cfg = dataclasses.replace(cfg, **overrides)
     root = detect_hierarchy(graph, cfg)
     manifest.stage("detect")
 
@@ -328,7 +327,7 @@ def cmd_detect(args) -> int:
     assign_path = out / "assignments.csv"
     with open(assign_path, "w", encoding="utf-8") as fh:
         fh.write("vertex_id,path\n")
-        for vid, path in vertex_assignments(root):
+        for vid, path in vertex_assignments(root, graph):
             fh.write(f"{vid},{path}\n")
     manifest.add_output(str(assign_path))
 
@@ -353,13 +352,6 @@ def cmd_detect(args) -> int:
         f"({len(degenerate)} degenerate) -> {tree_path}"
     )
     return 0
-
-
-def _normalize_overrides(cfg: PipelineConfig, overrides: dict) -> dict:
-    out = dict(overrides)
-    if "kernel" in out:
-        out["bandwidth"] = out.pop("kernel").bandwidth
-    return out
 
 
 def cmd_report(args) -> int:

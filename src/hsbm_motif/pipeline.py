@@ -1,23 +1,30 @@
 """Recursive detect-embed-cluster-test loop over a graph.
 
 Each round embeds the current subgraph, splits it into communities with the
-seeded subspace sweep, re-embeds every community at a lower dimension, fills
-the pairwise two-sample dissimilarity matrix, groups communities into motifs,
-and recurses on one representative per motif.  Errors inside a branch mark
-that node degenerate instead of aborting the run.
+seeded subspace sweep, extracts and re-embeds every community once at a lower
+dimension, fills the pairwise two-sample dissimilarity matrix, groups
+communities into motifs, and recurses on one representative per motif,
+handing it the subgraph and dimension already computed for it.  Tree nodes
+hold vertex indices, not graphs.  A data error inside a branch
+(``GraphError``, ``EmbedError``, ``ClusterError``, ``MotifError``,
+``PipelineError``, ``numpy.linalg.LinAlgError`` or an ARPACK error) marks
+that node degenerate instead of aborting the run; any other exception is a
+bug and propagates.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Literal
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
-from .clustering import estimate_num_subgraphs, seeded_subspace_cluster
-from .embedding import Embedding, ase, project_to_sphere, select_dimension
+from .clustering import ClusterError, estimate_num_subgraphs, seeded_subspace_cluster
+from .embedding import EmbedError, Embedding, ase, project_to_sphere, select_dimension
 from .graph import (
+    GraphError,
     SparseGraph,
     VertexPartition,
     block_density,
@@ -27,6 +34,7 @@ from .motifs import (
     DissimilarityMatrix,
     KernelConfig,
     MotifAssignment,
+    MotifError,
     cluster_motifs,
     dissimilarity_matrix,
 )
@@ -105,15 +113,18 @@ class PipelineConfig:
 class HierarchyNode:
     """One subgraph in the recovered hierarchy.
 
-    ``vertex_indices`` index into the root graph.  When the node was split,
-    ``children`` partition its vertex set, ``motifs`` groups the children,
-    and ``dissimilarity`` holds the pairwise statistics between them.  A
-    node that is not its motif's representative carries the representative's
-    child index in ``structure_from`` instead of its own subtree.
+    ``vertex_indices`` index into the graph passed to
+    :func:`detect_hierarchy`; nodes hold no graph of their own.  When the
+    node was split, ``children`` partition its vertex set, ``motifs`` groups
+    the children, and ``dissimilarity`` holds the pairwise statistics between
+    them.  A node that is not its motif's representative carries the
+    representative's child index in ``structure_from`` instead of its own
+    subtree.  A degenerate node (``error`` set by one of the data errors
+    listed in the module docstring) has no children and no split fields;
+    it keeps ``dim_used`` and ``eigenvalues`` when its embedding succeeded.
     """
 
     vertex_indices: np.ndarray
-    graph: SparseGraph
     depth: int
     path: tuple[int, ...] = ()
     dim_used: int | None = None
@@ -151,18 +162,19 @@ class HierarchyNode:
 
 
 def representative_subgraph(
-    children: list[HierarchyNode], motifs: MotifAssignment
+    child_indices: list[np.ndarray], motifs: MotifAssignment
 ) -> dict[int, int]:
-    """Child index chosen to represent each motif: the largest member,
-    ties toward the lowest child index.  Returns ``{motif: child index}``."""
-    if motifs.labels.size != len(children):
+    """Child index chosen to represent each motif: the member with the most
+    vertices, ties toward the lowest child index.  ``child_indices`` holds
+    each child's vertex indices.  Returns ``{motif: child index}``."""
+    if motifs.labels.size != len(child_indices):
         raise PipelineError("motif assignment does not match the child list")
     chosen: dict[int, int] = {}
     for motif in range(motifs.n_motifs):
         members = motifs.members(motif)
         if members.size == 0:
             raise PipelineError(f"motif {motif} has no members")
-        sizes = np.array([children[int(c)].n_vertices for c in members])
+        sizes = np.array([child_indices[int(c)].size for c in members])
         chosen[motif] = int(members[int(np.argmax(sizes))])
     return chosen
 
@@ -232,48 +244,51 @@ def detect_hierarchy(g: SparseGraph, cfg: PipelineConfig) -> HierarchyNode:
 
     The caller is expected to pass a connected graph (extract the largest
     connected component first if necessary).  Per node: embed; cluster the
-    rows into subgraphs; re-embed every subgraph at the recursion dimension;
-    fill the pairwise dissimilarity matrix; group subgraphs into motifs;
-    recurse on the largest subgraph of each motif.  Any stage failure marks
-    only that node degenerate (with the node path in the message).
+    rows into subgraphs; extract and re-embed every subgraph at the
+    recursion dimension; fill the pairwise dissimilarity matrix; group
+    subgraphs into motifs; recurse on the largest subgraph of each motif.  A
+    data error marks only that node degenerate (with the node path in the
+    message); other exceptions propagate.
 
     The run is a deterministic function of the graph and ``cfg.seed``.
     """
     return _detect_node(g, np.arange(g.n_vertices, dtype=np.int64), cfg, depth=0, path=())
 
 
+# data errors that mark a branch degenerate; anything else is a bug
+_BRANCH_ERRORS = (
+    GraphError,
+    EmbedError,
+    ClusterError,
+    MotifError,
+    PipelineError,
+    np.linalg.LinAlgError,
+    ArpackError,
+)
+
+
 def _detect_node(
-    root_graph: SparseGraph,
+    sub: SparseGraph,
     vertex_indices: np.ndarray,
     cfg: PipelineConfig,
     depth: int,
     path: tuple[int, ...],
+    dim: int | None = None,
 ) -> HierarchyNode:
-    sub = (
-        root_graph
-        if vertex_indices.size == root_graph.n_vertices and depth == 0
-        else induced_subgraph(root_graph, vertex_indices)
-    )
-    node = HierarchyNode(vertex_indices=vertex_indices, graph=sub, depth=depth, path=path)
+    """Node for ``sub``, the subgraph on ``vertex_indices``.  ``dim`` is its
+    embedding dimension when the parent has already resolved it."""
+    node = HierarchyNode(vertex_indices=vertex_indices, depth=depth, path=path)
     try:
-        dim = _resolve_dim(cfg, sub, depth)
-    except Exception as exc:  # tiny or pathological subgraph: keep the leaf
+        if dim is None:
+            dim = _resolve_dim(cfg, sub, depth)
+        if sub.n_vertices > _stop_threshold(cfg, dim) and depth < cfg.max_depth:
+            _split_node(sub, node, cfg, dim)
+    except _BRANCH_ERRORS as exc:
         node.error = f"node {'/'.join(map(str, path)) or 'root'}: {exc}"
-        return node
-    if sub.n_vertices <= _stop_threshold(cfg, dim) or depth >= cfg.max_depth:
-        return node
-    try:
-        _split_node(root_graph, node, cfg, dim)
-    except Exception as exc:
-        node.error = f"node {'/'.join(map(str, path)) or 'root'}: {exc}"
-        node.children = []
     return node
 
 
-def _split_node(
-    root_graph: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, dim: int
-) -> None:
-    sub = node.graph
+def _split_node(sub: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, dim: int) -> None:
     path_key = "/".join(map(str, node.path))
     emb = _embed(cfg, sub, dim)
     node.dim_used = dim
@@ -297,27 +312,27 @@ def _split_node(
     )
     if not part.is_proper():
         # drop empty clusters; keep labels contiguous
-        occupied = np.flatnonzero(part.sizes() > 0)
-        remap = {int(old): new for new, old in enumerate(occupied)}
-        part = VertexPartition(
-            labels=np.array([remap[int(l)] for l in part.labels]),
-            n_clusters=len(occupied),
-        )
+        occupied, labels = np.unique(part.labels, return_inverse=True)
+        part = VertexPartition(labels=labels, n_clusters=occupied.size)
         if part.n_clusters < 2:
             return
-    node.child_partition = part
-    node.block_matrix, node.block_weights = estimate_block_matrix(sub, part)
+    block_matrix, block_weights = estimate_block_matrix(sub, part)
 
-    child_indices = [node.vertex_indices[part.members(c)] for c in range(part.n_clusters)]
-    sub_dim = _child_dim(cfg, root_graph, child_indices)
-    child_embs = []
-    for c, idx in enumerate(child_indices):
-        child_graph = induced_subgraph(root_graph, idx)
-        child_embs.append(_embed(cfg, child_graph, min(sub_dim, child_graph.n_vertices - 1)))
+    members = [part.members(c) for c in range(part.n_clusters)]
+    child_graphs = [induced_subgraph(sub, m) for m in members]
+    # each child's own dimension; a child too small to embed fails at its
+    # re-embed below
+    child_dims = [
+        _resolve_dim(cfg, c, node.depth + 1) if c.n_vertices > 1 else 1 for c in child_graphs
+    ]
+    # children must share an embedding dimension for the pairwise tests;
+    # take the largest per-child dimension so none is under-embedded
+    shared_dim = max(child_dims)
+    child_embs = [_embed(cfg, c, min(shared_dim, c.n_vertices - 1)) for c in child_graphs]
     usable = min(e.dim for e in child_embs)
     child_mats = [e.positions[:, :usable] for e in child_embs]
 
-    node.dissimilarity = dissimilarity_matrix(
+    dissimilarity = dissimilarity_matrix(
         child_mats,
         kernel=cfg.kernel,
         mode=cfg.mode,
@@ -326,64 +341,38 @@ def _split_node(
         align=cfg.align,
         threads=cfg.threads,
     )
-    node.motifs = cluster_motifs(
-        node.dissimilarity,
+    motifs = cluster_motifs(
+        dissimilarity,
         source=cfg.motif_source,
         linkage=cfg.linkage,
         n_motifs=cfg.n_motifs,
         height=cfg.motif_height,
     )
-    reps = representative_subgraph_indices(child_indices, node.motifs)
+    child_indices = [node.vertex_indices[m] for m in members]
+    reps = representative_subgraph(child_indices, motifs)
 
     children: list[HierarchyNode] = []
     for c, idx in enumerate(child_indices):
         child_path = node.path + (c,)
         if c in reps.values():
-            child = _detect_node(root_graph, idx, cfg, node.depth + 1, child_path)
-            child.is_representative = True
+            child = _detect_node(
+                child_graphs[c], idx, cfg, node.depth + 1, child_path, child_dims[c]
+            )
         else:
             child = HierarchyNode(
                 vertex_indices=idx,
-                graph=induced_subgraph(root_graph, idx),
                 depth=node.depth + 1,
                 path=child_path,
                 is_representative=False,
-                structure_from=reps[int(node.motifs.labels[c])],
+                structure_from=reps[int(motifs.labels[c])],
             )
         children.append(child)
+    # set only now, so a node whose split failed keeps no split fields
+    node.child_partition = part
+    node.block_matrix, node.block_weights = block_matrix, block_weights
+    node.dissimilarity = dissimilarity
+    node.motifs = motifs
     node.children = children
-
-
-def representative_subgraph_indices(
-    child_indices: list[np.ndarray], motifs: MotifAssignment
-) -> dict[int, int]:
-    """Like :func:`representative_subgraph` but over raw index arrays."""
-    chosen: dict[int, int] = {}
-    for motif in range(motifs.n_motifs):
-        members = motifs.members(motif)
-        if members.size == 0:
-            raise PipelineError(f"motif {motif} has no members")
-        sizes = np.array([child_indices[int(c)].size for c in members])
-        chosen[motif] = int(members[int(np.argmax(sizes))])
-    return chosen
-
-
-def _child_dim(
-    cfg: PipelineConfig, root_graph: SparseGraph, child_indices: list[np.ndarray]
-) -> int:
-    if cfg.sub_dim != "auto":
-        return int(cfg.sub_dim)
-    # children must share an embedding dimension for the pairwise tests;
-    # take the largest per-child estimate so none is under-embedded
-    dims = []
-    for idx in child_indices:
-        child = induced_subgraph(root_graph, idx)
-        max_dim = min(cfg.max_scree, child.n_vertices - 1)
-        if max_dim < 1:
-            dims.append(1)
-            continue
-        dims.append(select_dimension(child, max_dim))
-    return max(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -435,43 +424,32 @@ def hierarchy_report(root: HierarchyNode, cfg: PipelineConfig) -> dict:
 
 
 def config_dict(cfg: PipelineConfig) -> dict:
-    out = {
-        "top_dim": cfg.top_dim,
-        "sub_dim": cfg.sub_dim,
-        "n_subgraphs": cfg.n_subgraphs,
-        "n_motifs": cfg.n_motifs,
-        "motif_height": cfg.motif_height,
-        "bandwidth": cfg.kernel.bandwidth,
-        "n_bootstrap": cfg.n_bootstrap,
-        "mode": cfg.mode,
-        "sphere_projection": cfg.sphere_projection,
-        "align": cfg.align,
-        "min_cluster_size": cfg.min_cluster_size,
-        "max_depth": cfg.max_depth,
-        "n_mc": cfg.n_mc,
-        "max_scree": cfg.max_scree,
-        "motif_source": cfg.motif_source,
-        "linkage": cfg.linkage,
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-    }
+    """``cfg`` as flat JSON-ready fields, with the kernel as its ``bandwidth``."""
+    out = {}
+    for f in fields(cfg):
+        if f.name == "kernel":
+            out["bandwidth"] = cfg.kernel.bandwidth
+        else:
+            out[f.name] = getattr(cfg, f.name)
     return out
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
+    """Inverse of :func:`config_dict`; omitted keys take their defaults."""
     kwargs = dict(data)
-    bandwidth = kwargs.pop("bandwidth", "median")
-    kwargs["kernel"] = KernelConfig(bandwidth=bandwidth)
-    known = set(PipelineConfig.__dataclass_fields__)
+    known = {f.name for f in fields(PipelineConfig)} - {"kernel"} | {"bandwidth"}
     unknown = set(kwargs) - known
     if unknown:
         raise PipelineError(f"unknown pipeline config keys: {sorted(unknown)}")
+    if "bandwidth" in kwargs:
+        kwargs["kernel"] = KernelConfig(bandwidth=kwargs.pop("bandwidth"))
     return PipelineConfig(**kwargs)
 
 
-def vertex_assignments(root: HierarchyNode) -> list[tuple[str, str]]:
-    """(vertex id, deepest node path) rows for the sidecar CSV."""
-    ids = root.graph.ids_for(root.vertex_indices)
+def vertex_assignments(root: HierarchyNode, graph: SparseGraph) -> list[tuple[str, str]]:
+    """(vertex id, deepest node path) rows for the sidecar CSV; ``graph`` is
+    the graph ``root`` was detected on."""
+    ids = graph.ids_for(root.vertex_indices)
     id_of = {int(v): ids[k] for k, v in enumerate(root.vertex_indices)}
     deepest: dict[int, str] = {int(v): "" for v in root.vertex_indices}
     for node in root.walk():

@@ -36,16 +36,6 @@ def derive_rng(root_seed: int, *labels: str | int) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(root_seed, *labels))
 
 
-def spawn_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split ``count`` child generators off ``rng``, deterministically.
-
-    The children depend only on the state of ``rng`` at call time, so callers
-    may hand them to worker threads in any order.
-    """
-    seeds = rng.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
 def seed_record(root_seed: int, *labels: str | int) -> dict:
     """Manifest entry describing how a stage seed was derived."""
     return {

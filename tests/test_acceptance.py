@@ -93,7 +93,7 @@ def run_bench_trial(spec, trial: int) -> BenchTrial:
             (within if motifs.labels[i] == motifs.labels[j] else across).append(s[i, j])
 
     blocks = []
-    reps = hm.pipeline.representative_subgraph_indices(
+    reps = hm.representative_subgraph(
         [part.members(c) for c in range(8)], motifs
     )
     for motif, child in sorted(reps.items()):

@@ -137,3 +137,41 @@ def test_detect_config_file_with_override(tmp_path, small_spec):
     tree = json.loads((det / "hierarchy.json").read_text())
     assert tree["config"]["top_dim"] == 2
     assert tree["config"]["max_depth"] == 1
+
+
+def test_detect_outputs_independent_of_rerun_and_threads(tmp_path):
+    # two top-level children in one motif: the larger recurses one level,
+    # the other stays a non-representative leaf
+    leaf = {"type": "leaf", "B": [[0.6, 0.15], [0.15, 0.45]], "pi": [0.5, 0.5]}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n": 600, "rho": 1.0,
+        "tree": {"type": "internal", "cross_p": 0.02, "pi": [0.5, 0.5],
+                 "children": [leaf, leaf]},
+    }))
+    gen = tmp_path / "gen"
+    assert main(["generate", str(spec), "--out-dir", str(gen), "--seed", "3"]) == 0
+    runs = {}
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+        out = tmp_path / name
+        assert main(["detect", str(gen / "edges.txt"), "--D", "4", "--d", "2", "--R", "2",
+                     "--M", "1", "--bootstrap", "20", "--min-cluster-size", "100",
+                     "--max-depth", "2", "--threads", threads,
+                     "--out-dir", str(out), "--seed", "3"]) == 0
+        runs[name] = out
+
+    tree = json.loads((runs["a"] / "hierarchy.json").read_text())["tree"]
+    assert [c["is_representative"] for c in tree["children"]].count(False) == 1
+    assert any(c.get("children") for c in tree["children"])
+    tables = sorted(p.name for p in runs["a"].glob("*_*.csv"))
+    assert any(t.endswith("_pvalues.csv") for t in tables)
+    assert any(t.startswith("node_") for t in tables)
+    for name in ("b", "c"):
+        assert sorted(p.name for p in runs[name].glob("*_*.csv")) == tables
+        for table in ["assignments.csv"] + tables:
+            assert (runs[name] / table).read_bytes() == (runs["a"] / table).read_bytes()
+    assert (runs["b"] / "hierarchy.json").read_bytes() == (runs["a"] / "hierarchy.json").read_bytes()
+    one = json.loads((runs["a"] / "hierarchy.json").read_text())
+    two = json.loads((runs["c"] / "hierarchy.json").read_text())
+    assert two["tree"] == one["tree"]
+    assert two["config"] == {**one["config"], "threads": 2}

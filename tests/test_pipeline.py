@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hsbm_motif as hm
+from hsbm_motif import pipeline
 from hsbm_motif.pipeline import (
     PipelineError,
     config_dict,
@@ -51,13 +52,7 @@ class TestConfig:
 
 class TestRepresentativeSubgraph:
     def make_children(self, sizes):
-        nodes = []
-        for k, size in enumerate(sizes):
-            g = hm.graph_from_edges(size, np.array([0]), np.array([1]))
-            nodes.append(hm.HierarchyNode(
-                vertex_indices=np.arange(size), graph=g, depth=1, path=(k,)
-            ))
-        return nodes
+        return [np.arange(size) for size in sizes]
 
     def test_largest_member_wins(self):
         children = self.make_children([100, 200])
@@ -204,6 +199,59 @@ class TestDetectHierarchy:
         walked = list(root.walk())
         assert len(walked) >= 1
 
+    def test_degenerate_node_has_no_split_fields(self):
+        # the root partitions, then fails re-embedding a one-vertex child
+        g, _ = two_group_graph(200, seed=0)
+        cfg = hm.PipelineConfig(top_dim=3, sub_dim=2, n_subgraphs=20, n_motifs=2,
+                                min_cluster_size=4, max_depth=2, seed=0)
+        root = hm.detect_hierarchy(g, cfg)
+        assert root.degenerate and "n=1" in root.error
+        assert root.dim_used == 3 and root.eigenvalues is not None
+        assert root.children == []
+        assert root.child_partition is None and root.block_matrix is None
+        assert root.block_weights is None
+        assert root.dissimilarity is None and root.motifs is None
+        tree = hierarchy_report(root, cfg)["tree"]
+        assert "block_matrix" not in tree and "error" in tree
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a stage")
+
+        monkeypatch.setattr(pipeline, "seeded_subspace_cluster", broken)
+        g, _ = two_group_graph(200)
+        cfg = hm.PipelineConfig(top_dim=2, sub_dim=2, n_subgraphs=2, n_motifs=2,
+                                min_cluster_size=50, max_depth=1, seed=0)
+        with pytest.raises(TypeError, match="bug in a stage"):
+            hm.detect_hierarchy(g, cfg)
+
+    @pytest.mark.parametrize("sub_dim", [2, "auto"])
+    def test_single_pass_per_child(self, monkeypatch, sub_dim):
+        # one extraction per non-root node, and with an automatic recursion
+        # dimension one dimension choice per non-root node
+        calls = {"induced_subgraph": 0, "select_dimension": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        leaves = (
+            hm.LeafNode(block_matrix=np.array([[0.7, 0.1], [0.1, 0.5]]),
+                        weights=np.array([0.5, 0.5])),
+        ) * 2
+        tree = hm.InternalNode(children=leaves, weights=np.array([0.5, 0.5]),
+                               cross_dot=0.02, sizes=(250, 350))
+        g, _ = hm.sample_hsbm(hm.HsbmSpec(tree=tree, n_vertices=600), derive_rng(4, "sp"))
+        cfg = hm.PipelineConfig(top_dim=2, sub_dim=sub_dim, max_scree=8, n_subgraphs=2,
+                                n_motifs=1, min_cluster_size=100, max_depth=2, seed=4)
+        root = hm.detect_hierarchy(g, cfg)
+        nodes = list(root.walk())
+        assert not any(n.degenerate for n in nodes)
+        assert sorted(n.depth for n in nodes if not n.is_representative) == [1, 2]
+        assert calls["induced_subgraph"] == len(nodes) - 1
+        assert calls["select_dimension"] == (0 if sub_dim == 2 else len(nodes) - 1)
+
     def test_auto_dimensions_smoke(self):
         g, _ = two_group_graph(300)
         cfg = hm.PipelineConfig(max_scree=8, n_subgraphs=2, n_motifs=2,
@@ -225,7 +273,7 @@ class TestReport:
         assert len(report["tree"]["children"]) == 2
         assert "dissimilarity" in report["tree"]
         assert "block_matrix" in report["tree"]
-        rows = vertex_assignments(root)
+        rows = vertex_assignments(root, g)
         assert len(rows) == 300
         paths = {path for _, path in rows}
         assert paths == {"0", "1"}
