@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -313,8 +314,12 @@ def cmd_detect(args) -> int:
         overrides["sphere_projection"] = True
     overrides["seed"] = args.seed
     overrides["threads"] = _threads(args)
-    cfg = dataclasses.replace(cfg, **overrides)
-    root = detect_hierarchy(graph, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        cfg = dataclasses.replace(cfg, **overrides)
+        root = detect_hierarchy(graph, cfg)
+    for w in caught:
+        manifest.warn(str(w.message))
     manifest.stage("detect")
 
     report = hierarchy_report(root, cfg)

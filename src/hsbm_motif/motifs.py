@@ -44,7 +44,7 @@ class KernelConfig:
             raise MotifError(f"bandwidth must be positive, got {self.bandwidth}")
 
     def resolve(self, pooled: np.ndarray) -> float:
-        if isinstance(self.bandwidth, float) or isinstance(self.bandwidth, int):
+        if not isinstance(self.bandwidth, str):
             return float(self.bandwidth)
         dists = pdist(pooled)
         if dists.size == 0:
@@ -131,11 +131,51 @@ def mmd_linear(
     return float(h.mean())
 
 
-def _split_statistic(kern: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
-    kxx = kern[np.ix_(ix, ix)]
-    kyy = kern[np.ix_(iy, iy)]
-    kxy = kern[np.ix_(ix, iy)]
-    return _mmd_from_kernel(kxx, kxy, kyy)
+def _permutation_statistics(
+    kern: np.ndarray, n: int, perms: Sequence[np.ndarray]
+) -> tuple[float, np.ndarray]:
+    """Observed and replicate statistics of re-splits of a pooled kernel.
+
+    ``kern`` is the kernel of the pooled rows (the first ``n`` are the
+    observed x sample) and ``perms`` the permutations of the re-splits,
+    whose first ``n`` entries are the x rows.  Every split, the observed one
+    as column 0, is a 0/1 indicator column z of the x rows, and one product
+    ``K @ Z`` per chunk of splits gives them all: ``S_xx = z'Kz``, and from
+    ``K(1 - z) = K1 - Kz`` the y-side sums ``S_xy`` and ``S_yy`` without the
+    cancellation of ``1'K1 - 2 S_xy - S_xx``.  A chunk holds at most N/2
+    splits, so Z and KZ together never take more memory than K.  A replicate
+    that re-draws the observed split (the same x rows, or at n = m the
+    swapped ones) takes the observed value exactly: BLAS may round two equal
+    columns of the product differently.
+    """
+    total = kern.shape[0]
+    m = total - n
+    idx = np.vstack([np.arange(n)] + [p[:n] for p in perms])
+    row_sums = kern.sum(axis=1)[:, None]
+    s_xx, s_xy, s_yy = (np.empty(idx.shape[0]) for _ in range(3))
+    width = total // 2
+    for start in range(0, idx.shape[0], width):
+        cols = idx[start : start + width]
+        done = slice(start, start + cols.shape[0])
+        z = np.zeros((total, cols.shape[0]))
+        z[cols.T, np.arange(cols.shape[0])] = 1.0
+        kz = kern @ z
+        s_xx[done] = np.einsum("ij,ij->j", z, kz)
+        ky = np.subtract(row_sums, kz, out=kz)
+        s_xy[done] = np.einsum("ij,ij->j", z, ky)
+        s_yy[done] = ky.sum(axis=0) - s_xy[done]
+    diag = kern.diagonal()
+    tr_x = diag[idx].sum(axis=1)
+    tr_y = diag.sum() - tr_x
+    term_x = (s_xx - tr_x) / (n * (n - 1))
+    term_y = (s_yy - tr_y) / (m * (m - 1))
+    stats = term_x - 2.0 * (s_xy / (n * m)) + term_y
+    redrawn = (idx[1:] < n).all(axis=1)
+    if n == m:
+        redrawn |= (idx[1:] >= n).all(axis=1)
+    null = stats[1:]
+    null[redrawn] = stats[0]
+    return float(stats[0]), null
 
 
 def bootstrap_pvalue(
@@ -153,9 +193,16 @@ def bootstrap_pvalue(
     times (exchangeable under the null), the statistic is recomputed for
     each re-split, and ``p = (1 + #{T_b >= T_obs}) / (n_boot + 1)``.  The
     median-heuristic bandwidth depends only on the pooled rows, so a single
-    resolved bandwidth (and, in exact mode, a single kernel matrix) serves
-    the observed split and every replicate.  ``mode="linear"`` recomputes
-    the linear-time estimator per re-split instead.
+    resolved bandwidth serves the observed split and every replicate.
+
+    In exact mode one pooled kernel matrix K serves them all, and the whole
+    null comes from matrix products with the 0/1 indicators of the x rows
+    (see :func:`_permutation_statistics`), which BLAS threads on its own.
+    The observed statistic comes from the same formula, and a replicate that
+    re-draws the observed split ties it exactly, so it is always counted.
+    ``mode="linear"`` recomputes the linear-time estimator per re-split
+    instead; ``threads`` runs those replicates in parallel and is unused in
+    exact mode.  Neither changes the result.
     """
     kernel = kernel or KernelConfig()
     x, y = _check_pair(x, y)
@@ -182,17 +229,8 @@ def bootstrap_pvalue(
             null = [replicate_linear(job) for job in jobs]
     else:
         kern = _rbf(pooled, pooled, sigma.bandwidth)
-        t_obs = _split_statistic(kern, np.arange(n), np.arange(n, n + m))
         perms = [rng.permutation(n + m) for _ in range(n_boot)]
-
-        def replicate(perm: np.ndarray) -> float:
-            return _split_statistic(kern, perm[:n], perm[n:])
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                null = list(pool.map(replicate, perms))
-        else:
-            null = [replicate(p) for p in perms]
+        t_obs, null = _permutation_statistics(kern, n, perms)
     exceed = sum(1 for t in null if t >= t_obs)
     return (1 + exceed) / (n_boot + 1)
 

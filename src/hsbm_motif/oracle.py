@@ -107,6 +107,35 @@ def mmd_bruteforce(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
     return term_x / (n * (n - 1)) - 2.0 * term_xy / (m * n) + term_y / (m * (m - 1))
 
 
+def permutation_statistics_loop(
+    kern: np.ndarray, n: int, perms
+) -> tuple[float, np.ndarray]:
+    """Observed and replicate statistics of re-splits of a pooled kernel,
+    one replicate at a time.
+
+    ``kern`` is the kernel matrix of the pooled rows, whose first ``n`` are
+    the observed x sample; each permutation puts its first ``n`` entries on
+    the x side.  Every split gathers its three kernel blocks and evaluates
+    the unbiased statistic on them.
+    """
+    kern = np.asarray(kern, dtype=np.float64)
+    total = kern.shape[0]
+    m = total - n
+    if n < 2 or m < 2:
+        raise OracleError("both sides of a split need at least two rows")
+
+    def split(ix: np.ndarray, iy: np.ndarray) -> float:
+        kxx = kern[np.ix_(ix, ix)]
+        kyy = kern[np.ix_(iy, iy)]
+        kxy = kern[np.ix_(ix, iy)]
+        term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+        term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
+        return float(term_x - 2.0 * kxy.mean() + term_y)
+
+    t_obs = split(np.arange(n), np.arange(n, total))
+    return t_obs, np.array([split(p[:n], p[n:]) for p in perms])
+
+
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Frobenius-norm accounting of an embedding against its exact model."""

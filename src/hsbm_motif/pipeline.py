@@ -311,10 +311,15 @@ def _split_node(sub: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, dim:
         emb.positions, r, derive_rng(cfg.seed, "cluster", path_key)
     )
     if not part.is_proper():
+        sizes = part.sizes().tolist()
         # drop empty clusters; keep labels contiguous
         occupied, labels = np.unique(part.labels, return_inverse=True)
         part = VertexPartition(labels=labels, n_clusters=occupied.size)
         if part.n_clusters < 2:
+            warnings.warn(
+                f"node {path_key or 'root'}: seeded sweep collapsed, requested "
+                f"R={r}, cluster sizes {sizes}; the node stays an unsplit leaf"
+            )
             return
     block_matrix, block_weights = estimate_block_matrix(sub, part)
 

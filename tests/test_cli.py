@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from hsbm_motif import cli
 from hsbm_motif.cli import main
 
 
@@ -175,3 +177,29 @@ def test_detect_outputs_independent_of_rerun_and_threads(tmp_path):
     two = json.loads((runs["c"] / "hierarchy.json").read_text())
     assert two["tree"] == one["tree"]
     assert two["config"] == {**one["config"], "threads": 2}
+
+
+def test_detect_records_library_warnings_in_manifest(tmp_path, small_spec, monkeypatch):
+    real = cli.detect_hierarchy
+
+    def warning_detect(graph, cfg):
+        warnings.warn("node 1: seeded sweep collapsed")
+        return real(graph, cfg)
+
+    monkeypatch.setattr(cli, "detect_hierarchy", warning_detect)
+    gen = tmp_path / "gen"
+    assert main(["generate", str(small_spec), "--out-dir", str(gen), "--seed", "5"]) == 0
+    det = tmp_path / "det"
+    assert main(["detect", str(gen / "edges.txt"), "--D", "2", "--d", "1", "--R", "2",
+                 "--M", "2", "--min-cluster-size", "40", "--max-depth", "1",
+                 "--out-dir", str(det), "--seed", "5"]) == 0
+    manifest = json.loads((det / "manifest.json").read_text())
+    assert "node 1: seeded sweep collapsed" in manifest["warnings"]
+    assert not any("recursion dimension" in w for w in manifest["warnings"])
+
+    det = tmp_path / "det_d_above_D"
+    assert main(["detect", str(gen / "edges.txt"), "--D", "1", "--d", "2", "--R", "2",
+                 "--M", "2", "--min-cluster-size", "40", "--max-depth", "1",
+                 "--out-dir", str(det), "--seed", "5"]) == 0
+    manifest = json.loads((det / "manifest.json").read_text())
+    assert any("recursion dimension exceeds" in w for w in manifest["warnings"])

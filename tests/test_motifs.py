@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
 import hsbm_motif as hm
-from hsbm_motif.motifs import KernelConfig, MotifError, matrix_to_csv
+from hsbm_motif.motifs import KernelConfig, MotifError, _permutation_statistics, _rbf, matrix_to_csv
+from hsbm_motif.oracle import permutation_statistics_loop
 from hsbm_motif.seeding import derive_rng
 
 from conftest import B1, B3, single_leaf_spec
@@ -27,6 +34,12 @@ class TestKernelConfig:
 
     def test_degenerate_pooled_sample(self):
         assert KernelConfig().resolve(np.zeros((5, 2))) == 1.0
+
+    @pytest.mark.parametrize("bandwidth", [np.int64(2), np.float32(2.0)])
+    def test_numpy_scalar_bandwidth_is_used(self, bandwidth):
+        pooled = np.random.default_rng(0).normal(size=(50, 2))
+        resolved = KernelConfig(bandwidth=bandwidth).resolve(pooled)
+        assert resolved == 2.0 and type(resolved) is float
 
 
 class TestMmdStatistic:
@@ -151,10 +164,92 @@ class TestBootstrapPvalue:
         p2 = hm.bootstrap_pvalue(x, y, n_boot=99, rng=derive_rng(3, "t"), threads=4)
         assert p1 == p2
 
+    def test_threads_do_not_change_linear_result(self):
+        x, y = gaussian_pair(60, 50, shift=0.3, seed=1)
+        p1 = hm.bootstrap_pvalue(x, y, n_boot=99, rng=derive_rng(3, "t"), threads=1,
+                                 mode="linear")
+        p2 = hm.bootstrap_pvalue(x, y, n_boot=99, rng=derive_rng(3, "t"), threads=4,
+                                 mode="linear")
+        assert p1 == p2
+
     def test_linear_mode(self):
         x, y = gaussian_pair(80, 80, shift=1.5, seed=2)
         p = hm.bootstrap_pvalue(x, y, n_boot=99, rng=derive_rng(4, "lm"), mode="linear")
         assert p <= 0.05
+
+
+def pooled_kernel(n, m, d, rng):
+    pooled = rng.normal(size=(n + m, d)) * rng.uniform(0.05, 3.0)
+    pooled[n:] += rng.uniform(0.0, 1.0)
+    return _rbf(pooled, pooled, KernelConfig().resolve(pooled))
+
+
+class TestBatchedPermutationNull:
+    def test_matches_replicate_loop(self):
+        rng = np.random.default_rng(2024)
+        chunked = 0
+        for case in range(240):
+            n, m = (int(v) for v in rng.integers(2, 81, size=2))
+            if case % 4 == 0:  # small pools: B + 1 > N, several chunks
+                n, m = (int(v) for v in rng.integers(2, 9, size=2))
+            d = int(rng.integers(1, 4))
+            n_boot = int(rng.integers(1, 201))
+            kern = pooled_kernel(n, m, d, rng)
+            perms = [rng.permutation(n + m) for _ in range(n_boot)]
+            t_loop, null_loop = permutation_statistics_loop(kern, n, perms)
+            t_fast, null_fast = _permutation_statistics(kern, n, perms)
+            chunked += n_boot + 1 > n + m
+            assert abs(t_fast - t_loop) <= 1e-12
+            assert np.abs(null_fast - null_loop).max() <= 1e-12
+            if not np.any(np.abs(null_loop - t_loop) <= 1e-12):
+                assert np.count_nonzero(null_fast >= t_fast) == np.count_nonzero(
+                    null_loop >= t_loop
+                )
+        assert chunked >= 40
+
+    def test_redrawn_observed_split_is_counted(self):
+        # separated samples: only a re-draw of the observed split (x rows,
+        # or at n = m the swapped rows) reaches the observed statistic
+        x = np.array([[0.0], [0.1], [0.25]])
+        y = x + 2.0
+        n_boot = 200
+        draw = derive_rng(7, "tie")
+        perms = [draw.permutation(6) for _ in range(n_boot)]
+        redrawn = sum(set(p[:3]) in ({0, 1, 2}, {3, 4, 5}) for p in perms)
+        assert redrawn >= 5
+        kern = _rbf(np.vstack([x, y]), np.vstack([x, y]), 1.0)
+        t_obs, null = _permutation_statistics(kern, 3, perms)
+        assert np.count_nonzero(null == t_obs) == redrawn
+        assert np.count_nonzero(null >= t_obs) == redrawn
+        p = hm.bootstrap_pvalue(x, y, KernelConfig(bandwidth=1.0), n_boot=n_boot,
+                                rng=derive_rng(7, "tie"))
+        assert p == (1 + redrawn) / (n_boot + 1)
+
+    def test_pvalues_independent_of_blas_threads(self):
+        script = (
+            "import json\n"
+            "import numpy as np\n"
+            "import hsbm_motif as hm\n"
+            "from hsbm_motif.seeding import derive_rng\n"
+            "out = []\n"
+            "for s, (n, m, b) in enumerate([(600, 600, 200), (500, 700, 50), (40, 30, 150),\n"
+            "                               (300, 200, 900), (3, 3, 100), (1000, 200, 99)]):\n"
+            "    rng = np.random.default_rng(s)\n"
+            "    x = rng.normal(size=(n, 3))\n"
+            "    y = rng.normal(size=(m, 3)) + 0.04\n"
+            "    out.append(hm.bootstrap_pvalue(x, y, n_boot=b, rng=derive_rng(s, 'blas')))\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(hm.__file__).resolve().parents[1])
+        results = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True)
+            results.append(json.loads(done.stdout))
+        assert results[0] == results[1]
+        assert len(set(results[0])) > 1
 
 
 class TestAlignEmbeddings:

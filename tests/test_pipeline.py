@@ -252,6 +252,23 @@ class TestDetectHierarchy:
         assert calls["induced_subgraph"] == len(nodes) - 1
         assert calls["select_dimension"] == (0 if sub_dim == 2 else len(nodes) - 1)
 
+    def test_collapsed_sweep_warns(self):
+        # the 356-vertex representative child is swept into sizes [356, 0]
+        leaves = (
+            hm.LeafNode(block_matrix=np.array([[0.7, 0.1], [0.1, 0.5]]),
+                        weights=np.array([0.5, 0.5])),
+        ) * 2
+        tree = hm.InternalNode(children=leaves, weights=np.array([0.5, 0.5]),
+                               cross_dot=0.02, sizes=(250, 350))
+        g, _ = hm.sample_hsbm(hm.HsbmSpec(tree=tree, n_vertices=600), derive_rng(4, "sp"))
+        cfg = hm.PipelineConfig(max_scree=8, n_subgraphs=2, n_motifs=1,
+                                min_cluster_size=100, max_depth=2, seed=4)
+        with pytest.warns(UserWarning, match=r"node 0: .*R=2, cluster sizes \[356, 0\]"):
+            root = hm.detect_hierarchy(g, cfg)
+        child = root.children[0]
+        assert child.is_representative and child.n_vertices == 356
+        assert child.children == [] and child.error is None and child.dim_used == 2
+
     def test_auto_dimensions_smoke(self):
         g, _ = two_group_graph(300)
         cfg = hm.PipelineConfig(max_scree=8, n_subgraphs=2, n_motifs=2,
