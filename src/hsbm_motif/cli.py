@@ -109,9 +109,19 @@ def _out_dir(args) -> Path:
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return args.threads
-    env = os.environ.get("HSBM_MOTIF_THREADS")
-    return int(env) if env else 1
+        source, value = "--threads", args.threads
+    else:
+        text = os.environ.get("HSBM_MOTIF_THREADS")
+        if not text:
+            return 1
+        source = "HSBM_MOTIF_THREADS"
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer >= 1, got {text!r}") from None
+    if value < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {value}")
+    return value
 
 
 def _int_or_auto(text: str):
@@ -228,6 +238,7 @@ def cmd_cluster(args) -> int:
 def cmd_test(args) -> int:
     out = _out_dir(args)
     manifest = Manifest("test", args)
+    threads = _threads(args)
     manifest.add_input(args.embedding_a)
     manifest.add_input(args.embedding_b)
     emb_a, _ = embedding_from_csv(args.embedding_a)
@@ -249,7 +260,7 @@ def cmd_test(args) -> int:
     p_value = None
     if args.bootstrap > 0:
         p_value = bootstrap_pvalue(
-            x, y, fixed, n_boot=args.bootstrap, rng=rng, threads=_threads(args), mode=args.mode
+            x, y, fixed, n_boot=args.bootstrap, rng=rng, threads=threads, mode=args.mode
         )
     manifest.stage("test")
 
@@ -275,6 +286,7 @@ def cmd_test(args) -> int:
 def cmd_detect(args) -> int:
     out = _out_dir(args)
     manifest = Manifest("detect", args)
+    threads = _threads(args)
     manifest.add_input(args.graph)
     graph = load_edge_list(args.graph)
     before = graph.n_vertices
@@ -313,7 +325,7 @@ def cmd_detect(args) -> int:
     if args.sphere:
         overrides["sphere_projection"] = True
     overrides["seed"] = args.seed
-    overrides["threads"] = _threads(args)
+    overrides["threads"] = threads
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         cfg = dataclasses.replace(cfg, **overrides)

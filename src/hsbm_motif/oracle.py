@@ -136,6 +136,22 @@ def permutation_statistics_loop(
     return t_obs, np.array([split(p[:n], p[n:]) for p in perms])
 
 
+def sinkhorn_plan_loop(cost: np.ndarray, reg: float, n_iter: int = 60) -> np.ndarray:
+    """Entropy-regularized transport plan between uniform marginals, by the
+    literal scaling loop: fresh arrays every step and ``@`` products."""
+    n, m = cost.shape
+    k = np.exp(-cost / reg)
+    k = np.maximum(k, 1e-300)
+    u = np.full(n, 1.0 / n)
+    v = np.full(m, 1.0 / m)
+    a = np.full(n, 1.0 / n)
+    b = np.full(m, 1.0 / m)
+    for _ in range(n_iter):
+        u = a / (k @ v)
+        v = b / (k.T @ u)
+    return (u[:, None] * k) * v[None, :]
+
+
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Frobenius-norm accounting of an embedding against its exact model."""

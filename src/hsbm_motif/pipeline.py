@@ -14,6 +14,7 @@ bug and propagates.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Literal
@@ -98,6 +99,9 @@ class PipelineConfig:
             raise PipelineError("n_bootstrap must be >= 0")
         if self.n_mc < 1:
             raise PipelineError("n_mc must be >= 1")
+        threads = self.threads
+        if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+            raise PipelineError(f"threads must be an int >= 1, got {threads!r}")
         if (
             isinstance(self.top_dim, int)
             and isinstance(self.sub_dim, int)

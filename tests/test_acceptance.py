@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The heavy shared work
 (20 benchmark trials) is computed once per session.  Criterion 8 needs a
-user-supplied connectome edge list and is skipped otherwise.
+user-supplied connectome edge list and is skipped otherwise.  Criteria 1,
+4, 6 and 7 each take over 30 s (1 and 6 share the trials) and carry the
+``slow`` marker, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import itertools
@@ -142,6 +144,7 @@ def patterns_match(block_estimates) -> bool:
     return False
 
 
+@pytest.mark.slow
 class TestCriterion1SyntheticReproduction:
     def test_a_perfect_clustering_rate(self, bench_trials):
         perfect = sum(t.misclustering == 0 for t in bench_trials)
@@ -242,6 +245,7 @@ class TestCriterion3ResidualScaling:
         )
 
 
+@pytest.mark.slow
 class TestCriterion4TestCalibrationAndPower:
     @staticmethod
     def embedded_pair(block_a, block_b, seed):
@@ -292,6 +296,7 @@ class TestCriterion5SeedSetCorrectness:
         )
 
 
+@pytest.mark.slow
 class TestCriterion6SubgraphCountSelection:
     def test_r_hat(self, bench_trials):
         hits = [t for t in bench_trials if t.r_hat == 8]
@@ -304,6 +309,7 @@ class TestCriterion6SubgraphCountSelection:
         )
 
 
+@pytest.mark.slow
 class TestCriterion7MultilevelRecovery:
     @staticmethod
     def three_level_spec():

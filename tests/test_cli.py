@@ -118,6 +118,23 @@ def test_error_exit_code(tmp_path):
     assert main(["embed", str(missing), "--out-dir", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("flag, env, message", [
+    (["--threads", "0"], None, "--threads must be an integer >= 1, got 0"),
+    (["--threads", "-4"], None, "--threads must be an integer >= 1, got -4"),
+    ([], "two", "HSBM_MOTIF_THREADS must be an integer >= 1, got 'two'"),
+    ([], "0", "HSBM_MOTIF_THREADS must be an integer >= 1, got 0"),
+], ids=["flag-zero", "flag-negative", "env-word", "env-zero"])
+def test_bad_threads_rejected_before_load(tmp_path, capsys, monkeypatch, flag, env, message):
+    # the graph does not exist: the threads error must come first
+    if env is not None:
+        monkeypatch.setenv("HSBM_MOTIF_THREADS", env)
+    missing = str(tmp_path / "nope.txt")
+    assert main(["detect", missing, "--out-dir", str(tmp_path / "d"), *flag]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert main(["test", missing, missing, "--out-dir", str(tmp_path / "t"), *flag]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_malformed_graph_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\n1 2 3\n")

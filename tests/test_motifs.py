@@ -6,11 +6,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.stats import ortho_group
 
 import hsbm_motif as hm
-from hsbm_motif.motifs import KernelConfig, MotifError, _permutation_statistics, _rbf, matrix_to_csv
-from hsbm_motif.oracle import permutation_statistics_loop
+from hsbm_motif import motifs
+from hsbm_motif.motifs import (
+    KernelConfig,
+    MotifError,
+    _median,
+    _permutation_statistics,
+    _rbf,
+    _sinkhorn_plan,
+    matrix_to_csv,
+)
+from hsbm_motif.oracle import permutation_statistics_loop, sinkhorn_plan_loop
 from hsbm_motif.seeding import derive_rng
 
 from conftest import B1, B3, single_leaf_spec
@@ -252,6 +262,53 @@ class TestBatchedPermutationNull:
         assert len(set(results[0])) > 1
 
 
+class TestSinkhornPlan:
+    def test_matches_scaling_loop(self):
+        rng = np.random.default_rng(77)
+        floored = 0
+        for case in range(210):
+            n, m = (int(v) for v in rng.integers(1, 701, size=2))
+            if case % 5 == 0:
+                n, m = (int(v) for v in rng.integers(1, 9, size=2))
+            d = int(rng.integers(1, 4))
+            cost = cdist(rng.normal(size=(n, d)), rng.normal(size=(m, d)) * 2.0, "sqeuclidean")
+            reg = np.median(cost) * (1e-3, 0.05, 1.0)[case % 3]
+            n_iter = (1, 30, 60)[(case // 3) % 3]
+            floored += bool((np.exp(-cost / reg) < 1e-300).any())
+            fast = _sinkhorn_plan(cost, reg, n_iter)
+            slow = sinkhorn_plan_loop(cost, reg, n_iter)
+            assert fast.tobytes() == slow.tobytes(), (case, n, m, n_iter)
+        assert floored >= 20
+
+
+class TestMedian:
+    @staticmethod
+    def samples(size, rng):
+        yield rng.normal(size=size)
+        yield rng.integers(0, 3, size=size).astype(np.float64)  # ties
+        yield rng.choice([-np.inf, np.inf, -0.0, 0.0, 1.0], size=size)
+        yield np.full(size, -0.0)
+        with_nan = rng.normal(size=size)
+        with_nan[rng.integers(size)] = np.nan
+        yield with_nan
+        yield np.full(size, np.inf)
+
+    @pytest.mark.parametrize("sizes", [range(1, 61), [90000, 90001, 499500]],
+                             ids=["1-60", "large"])
+    def test_equals_numpy_median(self, sizes):
+        rng = np.random.default_rng(5)
+        for size in sizes:
+            for values in self.samples(size, rng):
+                expected = np.median(values)
+                got = _median(values)
+                assert isinstance(got, float)
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes(), size
+
+    def test_two_dimensional_input(self):
+        cost = np.random.default_rng(6).random((300, 300))
+        assert _median(cost) == np.median(cost)
+
+
 class TestAlignEmbeddings:
     def test_recovers_planted_rotation(self):
         spec = single_leaf_spec(B1, 500)
@@ -270,6 +327,29 @@ class TestAlignEmbeddings:
         assert np.allclose(flip @ w, np.eye(2), atol=0.05)
         aligned = x @ flip @ w
         assert hm.mmd_statistic(x, aligned, KernelConfig(bandwidth=1.0)) < 1e-3
+
+    def test_matches_reference_kernels(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        cases = []
+        for case in range(45):
+            d = (1, 2, 3, 4, 7)[case % 5]
+            n, m = (int(v) for v in rng.integers(3, 90, size=2))
+            max_points = 300
+            if case % 9 == 0:  # above the default max_points: thinned
+                n, m = 320, 310
+            elif case % 4 == 0:  # thinned below a smaller cap
+                max_points = 40
+            ref = rng.normal(size=(n, d)) * rng.uniform(0.2, 2.0, size=d)
+            rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            mov = rng.normal(size=(m, d)) @ rotation
+            cases.append((ref, mov, max_points))
+        cases.append((np.zeros((30, 3)), np.zeros((20, 3)), 300))  # every cost 0
+        cases.append((np.ones((25, 2)), np.ones((40, 2)), 300))  # identity cost 0
+        fast = [hm.align_embeddings(ref, mov, max_points=cap) for ref, mov, cap in cases]
+        monkeypatch.setattr(motifs, "_sinkhorn_plan", sinkhorn_plan_loop)
+        monkeypatch.setattr(motifs, "_median", np.median)
+        for (ref, mov, cap), w in zip(cases, fast):
+            assert np.array_equal(w, hm.align_embeddings(ref, mov, max_points=cap))
 
     def test_dimension_check(self):
         with pytest.raises(MotifError):
@@ -314,6 +394,14 @@ class TestDissimilarityMatrix:
         b = hm.dissimilarity_matrix(mats, n_boot=30, rng=derive_rng(4, "d"), threads=3)
         assert np.array_equal(a.statistics, b.statistics)
         assert np.array_equal(a.p_values, b.p_values)
+
+    def test_threads_identical_on_aligned_clouds(self):
+        rng = np.random.default_rng(8)
+        mats = [rng.normal(size=(300 + 17 * k, 3)) * (1.0 + 0.1 * k) for k in range(4)]
+        runs = [hm.dissimilarity_matrix(mats, n_boot=20, rng=derive_rng(9, "d"), align=True,
+                                        threads=threads) for threads in (1, 2)]
+        for field in ("statistics", "p_values", "bandwidths"):
+            assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
 
 
 class TestClusterMotifs:

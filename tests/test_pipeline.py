@@ -39,6 +39,12 @@ class TestConfig:
         with pytest.raises(PipelineError):
             hm.PipelineConfig(sub_dim=4, min_cluster_size=5)
 
+    @pytest.mark.parametrize("threads", [0, -4, 1.5, "2", True])
+    def test_threads_must_be_positive_int(self, threads):
+        with pytest.raises(PipelineError, match="threads"):
+            hm.PipelineConfig(threads=threads)
+        assert hm.PipelineConfig(threads=np.int64(2)).threads == 2
+
     def test_round_trip(self):
         cfg = hm.PipelineConfig(top_dim=8, sub_dim=3, n_subgraphs=4, n_motifs=2,
                                 n_bootstrap=50, seed=11)
