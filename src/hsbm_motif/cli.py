@@ -460,12 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, threads=False):
         p.add_argument("--out-dir", required=True, help="directory for artifacts + manifest")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: $HSBM_MOTIF_THREADS or 1)")
+        p.add_argument("--seed", type=int, default=0)
+        if threads:
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker threads (default: $HSBM_MOTIF_THREADS or 1)")
 
     p = sub.add_parser("generate", help="sample a graph from a model description")
     p.add_argument("spec", help="model JSON path, or builtin:<name>")
@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "linear"], default="exact")
     p.add_argument("--no-align", dest="align", action="store_false",
                    help="skip the orthogonal pre-alignment")
-    common(p)
+    common(p, threads=True)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("detect", help="full recursive hierarchy detection")
@@ -512,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-cluster-size", type=int, default=None)
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--sphere", action="store_true")
-    common(p)
+    common(p, threads=True)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("report", help="render a static HTML summary of a detect run")

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .embedding import profile_likelihood_elbow
 from .graph import VertexPartition
@@ -114,6 +113,9 @@ def misclustering_rate(pred: VertexPartition, truth: VertexPartition) -> int:
         raise ClusterError(
             f"partitions cover {pred.n_vertices} and {truth.n_vertices} vertices"
         )
+    # imported here: the only scipy.optimize user, and no CLI command needs it
+    from scipy.optimize import linear_sum_assignment
+
     r = max(pred.n_clusters, truth.n_clusters)
     confusion = np.zeros((r, r), dtype=np.int64)
     np.add.at(confusion, (pred.labels, truth.labels), 1)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.stats import norm
 
 from .graph import SparseGraph
 
@@ -15,6 +14,8 @@ from .graph import SparseGraph
 _SOLVER_SEED = 7
 # below this size (or when d is too close to n) fall back to a dense solve
 _DENSE_FALLBACK = 16
+# log(sqrt(2 pi)), formed as scipy.stats forms it
+_NORM_LOG_C = np.log(np.sqrt(2 * np.pi))
 
 
 class EmbedError(ValueError):
@@ -130,6 +131,13 @@ def scree(g: SparseGraph, m: int) -> np.ndarray:
     return np.abs(values)
 
 
+def _norm_logpdf(x: np.ndarray, loc: float, scale: float) -> np.ndarray:
+    """Gaussian log-density, bit-identical to ``scipy.stats.norm.logpdf``
+    for a positive ``scale`` (which keeps scipy.stats out of every import)."""
+    z = (x - loc) / scale
+    return (-z**2 / 2.0 - _NORM_LOG_C) - np.log(scale)
+
+
 def profile_likelihood_elbow(values: np.ndarray, n_elbows: int = 1) -> int:
     """Elbow of a descending scree profile via the Zhu & Ghodsi (2006)
     profile likelihood: split the values into a head and a tail group,
@@ -156,8 +164,8 @@ def profile_likelihood_elbow(values: np.ndarray, n_elbows: int = 1) -> int:
             pooled = np.concatenate([head - head.mean(), tail - tail.mean()])
             sigma = np.sqrt((pooled**2).sum() / max(m - 2, 1))
             sigma = max(sigma, 1e-12)
-            ll = norm.logpdf(head, head.mean(), sigma).sum()
-            ll += norm.logpdf(tail, tail.mean(), sigma).sum()
+            ll = _norm_logpdf(head, head.mean(), sigma).sum()
+            ll += _norm_logpdf(tail, tail.mean(), sigma).sum()
             if ll > best_ll:
                 best_ll, best_split = ll, split
         elbow += best_split

@@ -15,6 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+# edges formatted per write by save_edge_list: bounds the text held in memory
+_WRITE_CHUNK_ROWS = 1 << 16
+
 
 class GraphError(ValueError):
     """Raised for malformed graphs or invalid graph operations."""
@@ -87,10 +90,13 @@ class SparseGraph:
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) array with u < v, sorted lexicographically."""
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        edges = np.column_stack([coo.row, coo.col]).astype(np.int64)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        return edges[order]
+        adj = self.adjacency
+        if not adj.has_sorted_indices:
+            adj = adj.sorted_indices()
+        rows = np.repeat(np.arange(self.n_vertices, dtype=np.int64), np.diff(adj.indptr))
+        cols = adj.indices.astype(np.int64)
+        upper = cols > rows
+        return np.column_stack([rows[upper], cols[upper]])
 
     def to_dense(self, limit: int = 4000) -> np.ndarray:
         if self.n_vertices > limit:
@@ -210,21 +216,26 @@ def save_edge_list(g: SparseGraph, sink: IO[str] | str | os.PathLike) -> None:
 
     ids = g.vertex_ids or tuple(str(i) for i in range(g.n_vertices))
     sink.write("# undirected edge list; leading 'v v' lines declare vertices\n")
-    for label in ids:
-        sink.write(f"{label} {label}\n")
-    for u, v in g.edge_array():
-        sink.write(f"{ids[u]} {ids[v]}\n")
+    sink.write("".join(f"{label} {label}\n" for label in ids))
+    labels = np.array(ids, dtype=object)
+    edges = g.edge_array()
+    for start in range(0, len(edges), _WRITE_CHUNK_ROWS):
+        chunk = edges[start : start + _WRITE_CHUNK_ROWS]
+        sink.write("".join(map("{} {}\n".format, labels[chunk[:, 0]], labels[chunk[:, 1]])))
 
 
 def largest_connected_component(g: SparseGraph) -> SparseGraph:
     """Induced subgraph on the largest connected component.
 
     Ties between equally large components break toward the component whose
-    smallest vertex index is smallest.
+    smallest vertex index is smallest.  A connected graph is returned as it
+    is: graphs are immutable, so sharing it is safe.
     """
     if g.n_vertices == 0:
         raise GraphError("empty graph has no connected component")
     n_comp, labels = csgraph.connected_components(g.adjacency, directed=False)
+    if n_comp == 1:
+        return g
     sizes = np.bincount(labels, minlength=n_comp)
     best = sizes.max()
     candidates = np.flatnonzero(sizes == best)

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .embedding import Embedding, _fix_signs, _order_by_magnitude
 from .graph import SparseGraph
@@ -150,6 +151,25 @@ def sinkhorn_plan_loop(cost: np.ndarray, reg: float, n_iter: int = 60) -> np.nda
         u = a / (k @ v)
         v = b / (k.T @ u)
     return (u[:, None] * k) * v[None, :]
+
+
+def edge_array_triu(g: SparseGraph) -> np.ndarray:
+    """Edges as an (m, 2) array with u < v: upper triangle, then a sort."""
+    coo = sp.triu(g.adjacency, k=1).tocoo()
+    edges = np.column_stack([coo.row, coo.col]).astype(np.int64)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    return edges[order]
+
+
+def save_edge_list_loop(g: SparseGraph, sink) -> None:
+    """The edge-list writer one line per ``write``: the ``v v`` vertex
+    block, then every edge of :func:`edge_array_triu`."""
+    ids = g.vertex_ids or tuple(str(i) for i in range(g.n_vertices))
+    sink.write("# undirected edge list; leading 'v v' lines declare vertices\n")
+    for label in ids:
+        sink.write(f"{label} {label}\n")
+    for u, v in edge_array_triu(g):
+        sink.write(f"{ids[u]} {ids[v]}\n")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsbm_motif
 from hsbm_motif import cli
 from hsbm_motif.cli import main
 
@@ -133,6 +138,30 @@ def test_bad_threads_rejected_before_load(tmp_path, capsys, monkeypatch, flag, e
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert main(["test", missing, missing, "--out-dir", str(tmp_path / "t"), *flag]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["generate", "embed", "cluster"])
+def test_threads_flag_rejected_where_unused(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "input", "--out-dir", str(tmp_path / "x"), "--threads", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    # scipy.stats alone added ~0.6 s and ~30 MB to every CLI process
+    script = (
+        "import sys\n"
+        "import hsbm_motif.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))\n"
+    )
+    src = str(Path(hsbm_motif.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_malformed_graph_reports_line(tmp_path, capsys):

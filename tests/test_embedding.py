@@ -7,6 +7,7 @@ from scipy.stats import norm
 import hsbm_motif as hm
 from hsbm_motif.embedding import (
     EmbedError,
+    _norm_logpdf,
     embedding_from_csv,
     embedding_to_csv,
     profile_likelihood_elbow,
@@ -138,6 +139,26 @@ class TestProfileLikelihoodElbow:
         for _ in range(20):
             values = np.sort(rng.uniform(0, 10, size=rng.integers(3, 15)))[::-1]
             assert profile_likelihood_elbow(values) == self.brute_elbow(values)
+
+    def test_norm_logpdf_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        cases = 0
+        for _ in range(500):
+            m = int(rng.integers(2, 41))
+            values = np.sort(rng.uniform(0, 10 ** rng.uniform(-3, 3), size=m))[::-1]
+            if rng.random() < 0.1:
+                values[:] = values[0]  # flat profile: the 1e-12 sigma floor
+            split = int(rng.integers(1, m))
+            head, tail = values[:split], values[split:]
+            pooled = np.concatenate([head - head.mean(), tail - tail.mean()])
+            floored = max(np.sqrt((pooled**2).sum() / max(m - 2, 1)), 1e-12)
+            scales = (floored, 1e-12, float(10 ** rng.uniform(-12, 3)))
+            for part in (head, tail):
+                for sigma in scales:
+                    ours = _norm_logpdf(part, part.mean(), sigma)
+                    assert np.array_equal(ours, norm.logpdf(part, part.mean(), sigma))
+                    cases += 1
+        assert cases == 3000
 
     def test_second_elbow(self):
         values = np.array([20.0, 19.0, 8.0, 7.5, 7.0, 0.5, 0.4, 0.3])

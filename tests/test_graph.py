@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsbm_motif as hm
+from hsbm_motif import graph as graph_module
 from hsbm_motif.graph import (
     EdgeListParseError,
     GraphError,
     partition_from_csv,
     partition_to_csv,
 )
+from hsbm_motif.oracle import edge_array_triu, save_edge_list_loop
 
 
 def load(text: str) -> hm.SparseGraph:
@@ -73,6 +76,85 @@ class TestSaveRoundTrip:
         assert load(buf2.getvalue()) == first == g
 
 
+@st.composite
+def graphs(draw):
+    """Small graphs with isolated vertices, possibly no edges, and ids that
+    are missing, ASCII or non-ASCII."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    style = draw(st.sampled_from(["none", "ascii", "unicode"]))
+    ids = None
+    if style == "ascii":
+        ids = tuple(f"v{i}" for i in range(n))
+    elif style == "unicode":
+        ids = tuple(f"{draw(st.sampled_from(['é', 'ß', '節点', 'ω', 'x']))}{i}" for i in range(n))
+    return hm.graph_from_edges(n, u, v, vertex_ids=ids)
+
+
+class TestBulkWriterMatchesLoop:
+    @staticmethod
+    def both(g):
+        fast, slow = io.StringIO(), io.StringIO()
+        hm.save_edge_list(g, fast)
+        save_edge_list_loop(g, slow)
+        return fast.getvalue(), slow.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(), st.integers(1, 5))
+    def test_same_text_as_per_edge_loop(self, g, chunk_rows):
+        # chunks of 1-5 rows: most drawn graphs span several chunks
+        with mock.patch.object(graph_module, "_WRITE_CHUNK_ROWS", chunk_rows):
+            fast, slow = self.both(g)
+        assert fast == slow
+
+    def test_no_edges(self):
+        g = hm.graph_from_edges(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        fast, slow = self.both(g)
+        assert fast == slow
+        assert fast.splitlines()[1:] == ["0 0", "1 1", "2 2"]
+
+    def test_more_edges_than_one_chunk_on_disk(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 900
+        u, v = np.nonzero(np.triu(rng.random((n, n)) < 0.2, k=1))
+        g = hm.graph_from_edges(n, u, v, vertex_ids=tuple(f"ü{i}" for i in range(n)))
+        assert g.n_edges > 1 << 16  # the default chunk size
+        fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
+        hm.save_edge_list(g, fast)
+        with open(slow, "w", encoding="utf-8") as fh:
+            save_edge_list_loop(g, fh)
+        assert fast.read_bytes() == slow.read_bytes()
+
+
+class TestEdgeArray:
+    @staticmethod
+    def assert_same(g):
+        ours, ref = g.edge_array(), edge_array_triu(g)
+        assert ours.dtype == ref.dtype == np.int64
+        assert ours.shape == ref.shape
+        assert np.array_equal(ours, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs())
+    def test_matches_triu_lexsort_reference(self, g):
+        self.assert_same(g)
+
+    def test_unsorted_csr_indices(self):
+        import scipy.sparse as sp
+
+        # rows 0, 2 and 3 list their neighbours out of order
+        indptr = np.array([0, 3, 4, 6, 8])
+        indices = np.array([3, 1, 2, 0, 3, 0, 2, 0])
+        adj = sp.csr_array((np.ones(8, dtype=np.uint8), indices, indptr), shape=(4, 4))
+        assert not adj.has_sorted_indices
+        g = hm.SparseGraph(adjacency=adj)
+        self.assert_same(g)
+        assert g.edge_array().tolist() == [[0, 1], [0, 2], [0, 3], [2, 3]]
+        assert not g.adjacency.has_sorted_indices  # the graph itself is untouched
+
+
 class TestInvariants:
     def test_rejects_self_loops(self):
         import scipy.sparse as sp
@@ -107,6 +189,7 @@ class TestLargestConnectedComponent:
     def test_connected_graph_unchanged(self):
         g = load("0 1\n1 2\n2 3\n3 4")
         assert hm.largest_connected_component(g) == g
+        assert hm.largest_connected_component(g) is g
 
     def test_empty_graph_errors(self):
         import scipy.sparse as sp
