@@ -72,7 +72,6 @@ from .oracle import (
 from .pipeline import (
     HierarchyNode,
     PipelineConfig,
-    compare_blocks,
     detect_hierarchy,
     estimate_block_matrix,
     representative_subgraph,

@@ -25,12 +25,11 @@ import numpy as np
 from . import __version__
 from .clustering import estimate_num_subgraphs, phi_curve_to_csv, seeded_subspace_cluster
 from .embedding import (
+    _scree_elbow,
     ase,
     embedding_from_csv,
     embedding_to_csv,
     project_to_sphere,
-    scree,
-    select_dimension,
 )
 from .generate import builtin_spec_path, load_spec, sample_hsbm
 from .graph import (
@@ -178,8 +177,13 @@ def cmd_embed(args) -> int:
             )
     manifest.stage("load")
 
+    if args.scree_m < 1:
+        raise ValueError(f"--scree-m must be an integer >= 1, got {args.scree_m}")
     m = min(args.scree_m, graph.n_vertices - 1)
-    mags = scree(graph, m)
+    dim = None if args.dim == "auto" else int(args.dim)
+    # one solve serves both outputs; an out-of-range --dim fails in it with ase's error
+    solve = ase(graph, m if dim is None or 1 <= dim <= m else dim)
+    mags = solve.magnitudes[:m]
     scree_path = out / "scree.csv"
     with open(scree_path, "w", encoding="utf-8") as fh:
         fh.write("index,magnitude\n")
@@ -188,8 +192,9 @@ def cmd_embed(args) -> int:
     manifest.add_output(str(scree_path))
     manifest.stage("scree")
 
-    dim = select_dimension(graph, m) if args.dim == "auto" else int(args.dim)
-    emb = ase(graph, dim)
+    if dim is None:
+        dim = _scree_elbow(mags)
+    emb = solve.leading(dim)
     if args.sphere:
         emb = project_to_sphere(emb)
     emb_path = out / "embedding.csv"

@@ -48,6 +48,13 @@ class Embedding:
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.eigenvalues)
 
+    def leading(self, k: int) -> "Embedding":
+        """The first ``k`` columns, C-contiguous: of an ``ase`` solve, its top-``k`` ASE."""
+        return Embedding(
+            positions=np.ascontiguousarray(self.positions[:, :k]),
+            eigenvalues=self.eigenvalues[:k].copy(),
+        )
+
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so each column's largest-|entry| element is
@@ -86,6 +93,20 @@ def _sparse_eigs(a, d: int):
     return _order_by_magnitude(values, vectors, d)
 
 
+def _top_eigenpairs(g: SparseGraph, k: int, name: str, sym: str):
+    """The ``k`` adjacency eigenpairs of largest magnitude (all zeros for an
+    edgeless graph); ``name`` and ``sym`` name ``k`` in the range error."""
+    n = g.n_vertices
+    if not 1 <= k < n:
+        raise EmbedError(f"{name} must satisfy 1 <= {sym} < n, got {sym}={k}, n={n}")
+    if g.n_edges == 0:
+        return np.zeros(k), np.zeros((n, k))
+    a = g.adjacency.astype(np.float64)
+    if n <= _DENSE_FALLBACK or k > n - 2:
+        return _dense_eigs(a.toarray(), k)
+    return _sparse_eigs(a, k)
+
+
 def ase(g: SparseGraph, d: int) -> Embedding:
     """Adjacency spectral embedding into ``d`` dimensions.
 
@@ -98,37 +119,16 @@ def ase(g: SparseGraph, d: int) -> Embedding:
     An edgeless graph embeds to all zeros (with a warning) rather than
     erroring, so degenerate recursion branches stay recoverable.
     """
-    n = g.n_vertices
-    if not 1 <= d < n:
-        raise EmbedError(f"embedding dimension must satisfy 1 <= d < n, got d={d}, n={n}")
+    values, vectors = _top_eigenpairs(g, d, "embedding dimension", "d")
     if g.n_edges == 0:
         warnings.warn("embedding an edgeless graph: returning all-zero positions")
-        return Embedding(
-            positions=np.zeros((n, d)), eigenvalues=np.zeros(d)
-        )
-    a = g.adjacency.astype(np.float64)
-    if n <= _DENSE_FALLBACK or d > n - 2:
-        values, vectors = _dense_eigs(a.toarray(), d)
-    else:
-        values, vectors = _sparse_eigs(a, d)
-    vectors = _fix_signs(vectors)
-    positions = vectors * np.sqrt(np.abs(values))
+    positions = _fix_signs(vectors) * np.sqrt(np.abs(values))
     return Embedding(positions=positions, eigenvalues=values)
 
 
 def scree(g: SparseGraph, m: int) -> np.ndarray:
     """Top-``m`` adjacency eigenvalue magnitudes, descending."""
-    n = g.n_vertices
-    if not 1 <= m < n:
-        raise EmbedError(f"scree length must satisfy 1 <= m < n, got m={m}, n={n}")
-    if g.n_edges == 0:
-        return np.zeros(m)
-    a = g.adjacency.astype(np.float64)
-    if n <= _DENSE_FALLBACK or m > n - 2:
-        values, _ = _dense_eigs(a.toarray(), m)
-    else:
-        values, _ = _sparse_eigs(a, m)
-    return np.abs(values)
+    return np.abs(_top_eigenpairs(g, m, "scree length", "m")[0])
 
 
 def _norm_logpdf(x: np.ndarray, loc: float, scale: float) -> np.ndarray:
@@ -180,7 +180,11 @@ def select_dimension(g: SparseGraph, max_dim: int, elbow: int = 1) -> int:
     ``elbow=2`` for the second).  A flat spectrum (all magnitudes within
     1e-12 of each other) returns 1 with a warning.
     """
-    mags = scree(g, max_dim)
+    return _scree_elbow(scree(g, max_dim), elbow)
+
+
+def _scree_elbow(mags: np.ndarray, elbow: int = 1) -> int:
+    """:func:`select_dimension`'s rule on a given descending scree."""
     if mags.max() - mags.min() <= 1e-12:
         warnings.warn("flat eigenvalue spectrum: selecting dimension 1")
         return 1

@@ -1,15 +1,17 @@
 """Recursive detect-embed-cluster-test loop over a graph.
 
-Each round embeds the current subgraph, splits it into communities with the
-seeded subspace sweep, extracts and re-embeds every community once at a lower
-dimension, fills the pairwise two-sample dissimilarity matrix, groups
-communities into motifs, and recurses on one representative per motif,
-handing it the subgraph and dimension already computed for it.  Tree nodes
-hold vertex indices, not graphs.  A data error inside a branch
-(``GraphError``, ``EmbedError``, ``ClusterError``, ``MotifError``,
-``PipelineError``, ``numpy.linalg.LinAlgError`` or an ARPACK error) marks
-that node degenerate instead of aborting the run; any other exception is a
-bug and propagates.
+Each round splits the current subgraph into communities with the seeded
+subspace sweep on its embedding, extracts and embeds every community once,
+fills the pairwise two-sample dissimilarity matrix at a shared lower
+dimension, groups communities into motifs, and recurses on one representative
+per motif, handing it the subgraph and embedding already computed for it.
+Every graph gets one eigensolve: an automatic dimension is read from the
+magnitudes of that same solve, and a lower-dimensional embedding is its
+leading columns.  Tree nodes hold vertex indices, not graphs.  A data error
+inside a branch (``GraphError``, ``EmbedError``, ``ClusterError``,
+``MotifError``, ``PipelineError``, ``numpy.linalg.LinAlgError`` or an ARPACK
+error) marks that node degenerate instead of aborting the run; any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError
 
 from .clustering import ClusterError, estimate_num_subgraphs, seeded_subspace_cluster
-from .embedding import EmbedError, Embedding, ase, project_to_sphere, select_dimension
+from .embedding import EmbedError, Embedding, _scree_elbow, ase, project_to_sphere
 from .graph import (
     GraphError,
     SparseGraph,
@@ -84,33 +86,39 @@ class PipelineConfig:
             if isinstance(value, str):
                 if value != "auto":
                     raise PipelineError(f"{name} must be an int or 'auto', got {value!r}")
-            elif value < 1:
-                raise PipelineError(f"{name} must be positive, got {value}")
-        if self.max_depth < 1:
-            raise PipelineError("max_depth must be >= 1")
-        if self.min_cluster_size is not None:
-            if self.min_cluster_size < 1:
-                raise PipelineError("min_cluster_size must be positive")
-            if isinstance(self.sub_dim, int) and self.min_cluster_size < 2 * self.sub_dim:
+            else:
+                _set_int(self, name, 1)
+        for name, low in (("max_depth", 1), ("n_bootstrap", 0), ("n_mc", 1),
+                          ("max_scree", 1), ("seed", 0), ("threads", 1)):
+            _set_int(self, name, low)
+        for name in ("n_motifs", "min_cluster_size"):
+            if getattr(self, name) is not None:
+                _set_int(self, name, 1)
+        for name, allowed in (("mode", ("exact", "linear")),
+                              ("motif_source", ("statistic", "pvalue")),
+                              ("linkage", ("average", "complete", "single"))):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise PipelineError(f"{name} must be one of {allowed}, got {value!r}")
+        if not isinstance(self.sub_dim, str):
+            if self.min_cluster_size is not None and self.min_cluster_size < 2 * self.sub_dim:
                 raise PipelineError(
                     "min_cluster_size must be at least twice the recursion dimension"
                 )
-        if self.n_bootstrap < 0:
-            raise PipelineError("n_bootstrap must be >= 0")
-        if self.n_mc < 1:
-            raise PipelineError("n_mc must be >= 1")
-        threads = self.threads
-        if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
-            raise PipelineError(f"threads must be an int >= 1, got {threads!r}")
-        if (
-            isinstance(self.top_dim, int)
-            and isinstance(self.sub_dim, int)
-            and self.sub_dim > self.top_dim
-        ):
-            warnings.warn(
-                "recursion dimension exceeds the top-level dimension; deeper "
-                "levels are expected to embed into fewer dimensions"
-            )
+            if not isinstance(self.top_dim, str) and self.sub_dim > self.top_dim:
+                warnings.warn(
+                    "recursion dimension exceeds the top-level dimension; deeper "
+                    "levels are expected to embed into fewer dimensions"
+                )
+
+
+def _set_int(cfg: PipelineConfig, name: str, low: int) -> None:
+    """Accept a Python or numpy integer (not a bool) of at least ``low`` and
+    store it as ``int``, so the config stays JSON-serialisable."""
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise PipelineError(f"{name} must be an int >= {low}, got {value!r}")
+    object.__setattr__(cfg, name, int(value))
 
 
 @dataclass(eq=False)
@@ -192,52 +200,26 @@ def estimate_block_matrix(
     return p_hat, pi_hat
 
 
-def compare_blocks(
-    p_a: np.ndarray,
-    pi_a: np.ndarray,
-    p_b: np.ndarray,
-    pi_b: np.ndarray,
-) -> tuple[float, float]:
-    """Frobenius distance between block matrices and Euclidean distance
-    between weight vectors; the smaller operands are zero-padded when block
-    counts differ."""
-    ka, kb = p_a.shape[0], p_b.shape[0]
-    k = max(ka, kb)
-
-    def pad_matrix(p: np.ndarray) -> np.ndarray:
-        out = np.zeros((k, k))
-        out[: p.shape[0], : p.shape[1]] = p
-        return out
-
-    def pad_vector(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(k)
-        out[: v.size] = v
-        return out
-
-    d_p = float(np.linalg.norm(pad_matrix(p_a) - pad_matrix(p_b)))
-    d_pi = float(np.linalg.norm(pad_vector(pi_a) - pad_vector(pi_b)))
-    return d_p, d_pi
-
-
-def _resolve_dim(cfg: PipelineConfig, g: SparseGraph, depth: int) -> int:
+def _solve(cfg: PipelineConfig, g: SparseGraph, depth: int) -> tuple[Embedding, int]:
+    """The graph's one eigensolve and the node's own dimension: ``ase`` at
+    the fixed dimension, or for ``"auto"`` at ``max_scree`` columns, whose
+    magnitudes give the dimension by :func:`select_dimension`'s rule."""
     wanted = cfg.top_dim if depth == 0 else cfg.sub_dim
     n = g.n_vertices
-    if wanted == "auto":
-        max_dim = min(cfg.max_scree, n - 1)
-        if max_dim < 1:
-            raise PipelineError(f"subgraph too small to embed: n={n}")
-        return select_dimension(g, max_dim)
-    return min(int(wanted), n - 1)
+    if wanted != "auto":
+        dim = min(int(wanted), n - 1)
+        return ase(g, dim), dim
+    solve = ase(g, min(cfg.max_scree, n - 1))
+    return solve, _scree_elbow(solve.magnitudes)
 
 
-def _stop_threshold(cfg: PipelineConfig, dim: int) -> int:
-    if cfg.min_cluster_size is not None:
-        return cfg.min_cluster_size
-    return 100 * dim
+def _splits(cfg: PipelineConfig, n: int, dim: int, depth: int) -> bool:
+    threshold = 100 * dim if cfg.min_cluster_size is None else cfg.min_cluster_size
+    return n > threshold and depth < cfg.max_depth
 
 
-def _embed(cfg: PipelineConfig, g: SparseGraph, dim: int) -> Embedding:
-    emb = ase(g, dim)
+def _embedding(cfg: PipelineConfig, solve: Embedding, dim: int) -> Embedding:
+    emb = solve.leading(dim)
     if cfg.sphere_projection:
         emb = project_to_sphere(emb)
     return emb
@@ -247,10 +229,11 @@ def detect_hierarchy(g: SparseGraph, cfg: PipelineConfig) -> HierarchyNode:
     """Recover the hierarchical community structure of ``g``.
 
     The caller is expected to pass a connected graph (extract the largest
-    connected component first if necessary).  Per node: embed; cluster the
-    rows into subgraphs; extract and re-embed every subgraph at the
-    recursion dimension; fill the pairwise dissimilarity matrix; group
-    subgraphs into motifs; recurse on the largest subgraph of each motif.  A
+    connected component first if necessary).  Per node: cluster the rows of
+    its embedding into subgraphs; extract and embed every subgraph once;
+    fill the pairwise dissimilarity matrix at the shared recursion
+    dimension; group subgraphs into motifs; recurse on the largest subgraph
+    of each motif with the embedding already made for it.  A
     data error marks only that node degenerate (with the node path in the
     message); other exceptions propagate.
 
@@ -277,24 +260,32 @@ def _detect_node(
     cfg: PipelineConfig,
     depth: int,
     path: tuple[int, ...],
-    dim: int | None = None,
+    solved: tuple[Embedding, int] | None = None,
 ) -> HierarchyNode:
-    """Node for ``sub``, the subgraph on ``vertex_indices``.  ``dim`` is its
-    embedding dimension when the parent has already resolved it."""
+    """Node for ``sub``, the subgraph on ``vertex_indices``.  ``solved`` is
+    its ``(solve, dim)`` from :func:`_solve`, which the parent has already
+    made for every node but the root; no node is embedded twice."""
     node = HierarchyNode(vertex_indices=vertex_indices, depth=depth, path=path)
+    n = sub.n_vertices
     try:
-        if dim is None:
-            dim = _resolve_dim(cfg, sub, depth)
-        if sub.n_vertices > _stop_threshold(cfg, dim) and depth < cfg.max_depth:
-            _split_node(sub, node, cfg, dim)
+        if solved is None:
+            # a fixed dimension decides whether the root stops before any solve
+            if cfg.top_dim != "auto" and not _splits(cfg, n, min(int(cfg.top_dim), n - 1), 0):
+                return node
+            solved = _solve(cfg, sub, depth)
+        solve, dim = solved
+        if _splits(cfg, n, dim, depth):
+            _split_node(sub, node, cfg, solve, dim)
     except _BRANCH_ERRORS as exc:
         node.error = f"node {'/'.join(map(str, path)) or 'root'}: {exc}"
     return node
 
 
-def _split_node(sub: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, dim: int) -> None:
+def _split_node(
+    sub: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, solve: Embedding, dim: int
+) -> None:
     path_key = "/".join(map(str, node.path))
-    emb = _embed(cfg, sub, dim)
+    emb = _embedding(cfg, solve, dim)
     node.dim_used = dim
     node.eigenvalues = emb.eigenvalues
 
@@ -329,17 +320,16 @@ def _split_node(sub: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, dim:
 
     members = [part.members(c) for c in range(part.n_clusters)]
     child_graphs = [induced_subgraph(sub, m) for m in members]
-    # each child's own dimension; a child too small to embed fails at its
-    # re-embed below
-    child_dims = [
-        _resolve_dim(cfg, c, node.depth + 1) if c.n_vertices > 1 else 1 for c in child_graphs
-    ]
+    # each child's one solve; a child too small to embed fails here
+    child_solves = [_solve(cfg, c, node.depth + 1) for c in child_graphs]
     # children must share an embedding dimension for the pairwise tests;
-    # take the largest per-child dimension so none is under-embedded
-    shared_dim = max(child_dims)
-    child_embs = [_embed(cfg, c, min(shared_dim, c.n_vertices - 1)) for c in child_graphs]
-    usable = min(e.dim for e in child_embs)
-    child_mats = [e.positions[:, :usable] for e in child_embs]
+    # take the largest per-child dimension so none is under-embedded.  Only
+    # those leading columns are kept: a representative's own dimension is
+    # at most the shared one
+    shared_dim = max(d for _, d in child_solves)
+    child_solves = [(s.leading(min(shared_dim, s.dim)), d) for s, d in child_solves]
+    usable = min(s.dim for s, _ in child_solves)
+    child_mats = [_embedding(cfg, s, s.dim).positions[:, :usable] for s, _ in child_solves]
 
     dissimilarity = dissimilarity_matrix(
         child_mats,
@@ -365,7 +355,7 @@ def _split_node(sub: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, dim:
         child_path = node.path + (c,)
         if c in reps.values():
             child = _detect_node(
-                child_graphs[c], idx, cfg, node.depth + 1, child_path, child_dims[c]
+                child_graphs[c], idx, cfg, node.depth + 1, child_path, child_solves[c]
             )
         else:
             child = HierarchyNode(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hsbm_motif as hm
+from hsbm_motif import embedding
 from hsbm_motif.seeding import derive_rng
 
 B1 = np.array([[0.3, 0.25, 0.25], [0.25, 0.3, 0.25], [0.25, 0.25, 0.7]])
@@ -66,3 +67,16 @@ def bench_sample(bench_spec):
     """One benchmark draw shared by the structural tests (seed 0)."""
     graph, latents = hm.sample_hsbm(bench_spec, derive_rng(0, "bench-sample"))
     return graph, latents
+
+
+@pytest.fixture()
+def eigensolve_widths(monkeypatch) -> list[int]:
+    """Width of every adjacency eigensolve, dense or sparse, made during the test."""
+    widths: list[int] = []
+    for name in ("_dense_eigs", "_sparse_eigs"):
+        def solver(a, k, _fn=getattr(embedding, name)):
+            widths.append(k)
+            return _fn(a, k)
+
+        monkeypatch.setattr(embedding, name, solver)
+    return widths

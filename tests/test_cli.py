@@ -118,6 +118,40 @@ def test_builtin_spec_generate(tmp_path):
     assert np.bincount(subgraphs).tolist() == [300, 600, 600, 600, 700, 600, 300, 400]
 
 
+@pytest.fixture()
+def small_edges(tmp_path, small_spec):
+    gen = tmp_path / "gen"
+    assert main(["generate", str(small_spec), "--out-dir", str(gen), "--seed", "5"]) == 0
+    return gen / "edges.txt"
+
+
+@pytest.mark.parametrize("dim, solved_at", [("auto", 8), ("3", 8), ("12", 12)])
+def test_embed_makes_one_eigensolve(tmp_path, small_edges, eigensolve_widths, dim, solved_at):
+    out = tmp_path / "emb"
+    assert main(["embed", str(small_edges), "--dim", dim, "--scree-m", "8",
+                 "--out-dir", str(out)]) == 0
+    assert eigensolve_widths == [solved_at]
+    graph = hsbm_motif.load_edge_list(small_edges)
+    rows = (out / "scree.csv").read_text().splitlines()[1:]
+    mags = np.array([float(row.split(",")[1]) for row in rows])
+    assert np.allclose(mags, hsbm_motif.scree(graph, 8), rtol=1e-12, atol=0)
+    emb, _ = hsbm_motif.embedding.embedding_from_csv(out / "embedding.csv")
+    if dim != "auto":
+        assert emb.dim == int(dim)
+    ref = hsbm_motif.dense_ase_reference(graph, emb.dim)
+    assert hsbm_motif.procrustes_align(emb.positions, ref.positions).frobenius_residual <= 1e-8
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dim", "150"], "embedding dimension must satisfy 1 <= d < n, got d=150, n=150"),
+    (["--dim", "0"], "embedding dimension must satisfy 1 <= d < n, got d=0, n=150"),
+    (["--dim", "2", "--scree-m", "0"], "--scree-m must be an integer >= 1, got 0"),
+])
+def test_embed_bad_width_rejected(tmp_path, small_edges, capsys, flags, message):
+    assert main(["embed", str(small_edges), *flags, "--out-dir", str(tmp_path / "e")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_error_exit_code(tmp_path):
     missing = tmp_path / "nope.txt"
     assert main(["embed", str(missing), "--out-dir", str(tmp_path / "x")]) == 1

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,48 @@ class TestAse:
         assert emb.eigenvalues[0] == pytest.approx(3.0)
         assert np.all(emb.eigenvalues[1:] < 0)
         assert np.all(emb.magnitudes > 0)
+
+
+class TestLeadingColumns:
+    """The leading ``k`` columns of a top-``K`` solve are a top-``k`` ASE,
+    which is what lets one eigensolve per graph serve every dimension."""
+
+    def cases(self):
+        rng = np.random.default_rng(12)
+        for case in range(60):
+            if case % 3 == 0:  # n <= 16: the dense fallback
+                n = int(rng.integers(4, 17))
+            else:
+                n = int(rng.integers(17, 71))
+            g = er_graph(n, float(rng.uniform(0.15, 0.6)), 100 + case)
+            if case % 5 == 0:  # K > n - 2: the dense fallback above 16
+                big = n - 1
+            else:
+                big = int(rng.integers(2, min(n - 2, 12) + 1))
+            yield g, big, int(rng.integers(1, big))
+        for n in (8, 30):
+            yield hm.graph_from_edges(n, np.array([], dtype=int), np.array([], dtype=int)), 5, 2
+
+    def test_match_dense_reference(self):
+        worst, dense, sparse, edgeless = 0.0, 0, 0, 0
+        for g, big, k in self.cases():
+            n = g.n_vertices
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                lead = hm.ase(g, big).leading(k)
+            ref = hm.dense_ase_reference(g, k)
+            assert lead.positions.shape == (n, k) and lead.positions.flags.c_contiguous
+            assert lead.eigenvalues.shape == (k,)
+            assert np.allclose(lead.magnitudes, ref.magnitudes, rtol=0, atol=1e-10)
+            fit = hm.procrustes_align(lead.positions, ref.positions)
+            worst = max(worst, fit.frobenius_residual)
+            edgeless += g.n_edges == 0
+            if g.n_edges and (n <= 16 or big > n - 2):
+                dense += 1
+            elif g.n_edges:
+                sparse += 1
+        assert worst <= 1e-8  # criterion 2's bound
+        assert dense >= 15 and sparse >= 15 and edgeless >= 2
 
 
 class TestScree:

@@ -45,6 +45,27 @@ class TestConfig:
             hm.PipelineConfig(threads=threads)
         assert hm.PipelineConfig(threads=np.int64(2)).threads == 2
 
+    @pytest.mark.parametrize("kwargs", [
+        {"mode": "exactt"}, {"motif_source": "pval"}, {"linkage": "avg"},
+        {"max_scree": 0}, {"n_motifs": 0}, {"top_dim": 2.7}, {"sub_dim": True},
+        {"n_subgraphs": 2.0}, {"n_bootstrap": -1}, {"min_cluster_size": 0},
+        {"seed": -1}, {"seed": 1.5},
+    ])
+    def test_invalid_values_rejected(self, kwargs):
+        with pytest.raises(PipelineError, match=next(iter(kwargs))):
+            hm.PipelineConfig(**kwargs)
+        with pytest.raises(PipelineError, match=next(iter(kwargs))):
+            config_from_dict(kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = hm.PipelineConfig(top_dim=np.int64(8), sub_dim=np.int32(3),
+                                n_subgraphs=np.int64(4), n_motifs=np.int64(2),
+                                max_scree=np.int64(20), min_cluster_size=np.int64(6))
+        assert (cfg.top_dim, cfg.sub_dim, cfg.max_scree) == (8, 3, 20)
+        assert json.loads(json.dumps(config_dict(cfg)))["n_motifs"] == 2
+        with pytest.raises(PipelineError, match="min_cluster_size"):
+            hm.PipelineConfig(sub_dim=np.int64(4), min_cluster_size=5)
+
     def test_round_trip(self):
         cfg = hm.PipelineConfig(top_dim=8, sub_dim=3, n_subgraphs=4, n_motifs=2,
                                 n_bootstrap=50, seed=11)
@@ -100,33 +121,6 @@ class TestEstimateBlockMatrix:
                 pairs = sizes[i] * sizes[j] if i != j else sizes[i] * (sizes[i] - 1) / 2
                 sigma = np.sqrt(expected[i, j] * (1 - expected[i, j]) / pairs)
                 assert abs(p_hat[i, j] - expected[i, j]) <= 3 * sigma
-
-
-class TestCompareBlocks:
-    def test_identical(self):
-        p = np.array([[0.5, 0.2], [0.2, 0.4]])
-        pi = np.array([0.5, 0.5])
-        assert hm.compare_blocks(p, pi, p, pi) == (0.0, 0.0)
-
-    def test_single_entry_perturbation(self):
-        p = np.array([[0.5, 0.2], [0.2, 0.4]])
-        pi = np.array([0.5, 0.5])
-        delta = 0.07
-        off = p.copy()
-        off[0, 1] += delta
-        off[1, 0] += delta
-        d_p, d_pi = hm.compare_blocks(p, pi, off, pi)
-        assert d_p == pytest.approx(np.sqrt(2) * delta)
-        diag = p.copy()
-        diag[0, 0] += delta
-        assert hm.compare_blocks(p, pi, diag, pi)[0] == pytest.approx(delta)
-
-    def test_padding_when_sizes_differ(self):
-        p2 = np.array([[0.5, 0.2], [0.2, 0.4]])
-        p1 = np.array([[0.5]])
-        d_p, d_pi = hm.compare_blocks(p1, np.array([1.0]), p2, np.array([0.6, 0.4]))
-        assert d_p == pytest.approx(np.sqrt(0.2**2 * 2 + 0.4**2))
-        assert d_pi == pytest.approx(np.linalg.norm([1.0 - 0.6, -0.4]))
 
 
 class TestDetectHierarchy:
@@ -232,16 +226,17 @@ class TestDetectHierarchy:
             hm.detect_hierarchy(g, cfg)
 
     @pytest.mark.parametrize("sub_dim", [2, "auto"])
-    def test_single_pass_per_child(self, monkeypatch, sub_dim):
-        # one extraction per non-root node, and with an automatic recursion
-        # dimension one dimension choice per non-root node
-        calls = {"induced_subgraph": 0, "select_dimension": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
+    def test_single_pass_per_child(self, monkeypatch, eigensolve_widths, sub_dim):
+        # one extraction per non-root node, and one eigensolve per node: a
+        # representative splits on the solve its parent made for the
+        # pairwise tests, and an automatic dimension reads that same solve
+        extractions = []
 
-            monkeypatch.setattr(pipeline, name, counted)
+        def counted(*args, _fn=pipeline.induced_subgraph, **kwargs):
+            extractions.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "induced_subgraph", counted)
         leaves = (
             hm.LeafNode(block_matrix=np.array([[0.7, 0.1], [0.1, 0.5]]),
                         weights=np.array([0.5, 0.5])),
@@ -255,8 +250,16 @@ class TestDetectHierarchy:
         nodes = list(root.walk())
         assert not any(n.degenerate for n in nodes)
         assert sorted(n.depth for n in nodes if not n.is_representative) == [1, 2]
-        assert calls["induced_subgraph"] == len(nodes) - 1
-        assert calls["select_dimension"] == (0 if sub_dim == 2 else len(nodes) - 1)
+        assert len(extractions) == len(nodes) - 1
+        assert len(eigensolve_widths) == len(nodes) == 5
+
+    @pytest.mark.parametrize("top_dim", [2, "auto"])
+    def test_root_that_stops_solves_only_for_auto(self, eigensolve_widths, top_dim):
+        g, _ = two_group_graph(60)
+        cfg = hm.PipelineConfig(top_dim=top_dim, max_scree=8, min_cluster_size=100, seed=0)
+        root = hm.detect_hierarchy(g, cfg)
+        assert root.children == [] and not root.degenerate
+        assert eigensolve_widths == ([] if top_dim == 2 else [8])
 
     def test_collapsed_sweep_warns(self):
         # the 356-vertex representative child is swept into sizes [356, 0]
