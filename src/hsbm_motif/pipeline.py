@@ -16,6 +16,7 @@ exception is a bug and propagates.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, fields
@@ -94,6 +95,14 @@ class PipelineConfig:
         for name in ("n_motifs", "min_cluster_size"):
             if getattr(self, name) is not None:
                 _set_int(self, name, 1)
+        height = self.motif_height
+        if height is not None:
+            if (isinstance(height, bool) or not isinstance(height, numbers.Real)
+                    or not math.isfinite(height) or height < 0):
+                raise PipelineError(
+                    f"motif_height must be None or a finite real >= 0, got {height!r}"
+                )
+            object.__setattr__(self, "motif_height", float(height))
         for name, allowed in (("mode", ("exact", "linear")),
                               ("motif_source", ("statistic", "pvalue")),
                               ("linkage", ("average", "complete", "single"))):

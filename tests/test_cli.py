@@ -10,6 +10,7 @@ import pytest
 
 import hsbm_motif
 from hsbm_motif import cli
+from hsbm_motif import graph as graph_module
 from hsbm_motif.cli import main
 
 
@@ -257,6 +258,43 @@ def test_detect_outputs_independent_of_rerun_and_threads(tmp_path):
     two = json.loads((runs["c"] / "hierarchy.json").read_text())
     assert two["tree"] == one["tree"]
     assert two["config"] == {**one["config"], "threads": 2}
+
+
+def test_detect_outputs_independent_of_edge_list_parser(tmp_path, monkeypatch):
+    # a generated edge list loads in bulk; forced onto the per-line parser,
+    # detect must write the same bytes
+    leaf = {"type": "leaf", "B": [[0.6, 0.15], [0.15, 0.45]], "pi": [0.5, 0.5]}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n": 600, "rho": 1.0,
+        "tree": {"type": "internal", "cross_p": 0.02, "pi": [0.5, 0.5],
+                 "children": [leaf, leaf]},
+    }))
+    gen = tmp_path / "gen"
+    assert main(["generate", str(spec), "--out-dir", str(gen), "--seed", "3"]) == 0
+    real_gate = graph_module._canonical_tokens
+    accepted = []
+
+    def spy(data):
+        tokens = real_gate(data)
+        accepted.append(tokens is not None)
+        return tokens
+
+    runs = {}
+    for name, gate in (("bulk", spy), ("lines", lambda data: None)):
+        monkeypatch.setattr(graph_module, "_canonical_tokens", gate)
+        out = tmp_path / name
+        assert main(["detect", str(gen / "edges.txt"), "--D", "4", "--d", "2", "--R", "2",
+                     "--M", "1", "--bootstrap", "20", "--min-cluster-size", "100",
+                     "--max-depth", "2", "--out-dir", str(out), "--seed", "3"]) == 0
+        runs[name] = out
+    assert accepted == [True]
+    tables = sorted(p.name for p in runs["bulk"].glob("*_*.csv"))
+    assert any(t.endswith("_dissimilarity.csv") for t in tables)
+    assert any(t.endswith("_pvalues.csv") for t in tables)
+    assert sorted(p.name for p in runs["lines"].glob("*_*.csv")) == tables
+    for name in ["assignments.csv", "hierarchy.json"] + tables:
+        assert (runs["lines"] / name).read_bytes() == (runs["bulk"] / name).read_bytes()
 
 
 def test_detect_records_library_warnings_in_manifest(tmp_path, small_spec, monkeypatch):

@@ -1,4 +1,6 @@
 import io
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -52,6 +54,166 @@ class TestLoadEdgeList:
     def test_arbitrary_string_tokens(self):
         g = load("alice bob\nbob carol")
         assert g.vertex_ids == ("alice", "bob", "carol")
+
+
+def load_parent_way(path) -> hm.SparseGraph:
+    """The per-line parser on the text stream a path always gave it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return graph_module._load_lines(fh)
+
+
+def assert_same_graph(a: hm.SparseGraph, b: hm.SparseGraph) -> None:
+    assert a == b
+    assert a.vertex_ids == b.vertex_ids
+    assert a.n_loops_dropped == b.n_loops_dropped
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a.adjacency, name), getattr(b.adjacency, name)
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+class BulkSpy:
+    """Wraps the format gate and records whether it accepted each input."""
+
+    def __init__(self):
+        self.accepted: list[bool] = []
+
+    def __enter__(self):
+        real = graph_module._canonical_tokens
+
+        def gate(data):
+            tokens = real(data)
+            self.accepted.append(tokens is not None)
+            return tokens
+
+        self._patch = mock.patch.object(graph_module, "_canonical_tokens", gate)
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+
+
+@pytest.fixture(scope="module")
+def scratch_dir():
+    with tempfile.TemporaryDirectory() as name:
+        yield Path(name)
+
+
+def write_bytes(directory: Path, data: bytes) -> Path:
+    path = directory / "edges.txt"
+    path.write_bytes(data)
+    return path
+
+
+# ids from a small range (duplicates, self-loops) and up to 18 digits
+canonical_ids = st.one_of(st.integers(0, 12), st.integers(0, 10**18 - 1))
+comment_text = st.text(
+    st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from(["\t", "\x0b", "\x0c"]),
+    max_size=12,
+)
+
+
+@st.composite
+def canonical_files(draw):
+    """Canonical edge lists: edges, ``v v`` lines, column-0 comments, and an
+    optional final newline."""
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "loop", "comment"]))
+        if kind == "comment":
+            lines.append("#" + draw(comment_text))
+            continue
+        u = draw(canonical_ids)
+        v = u if kind == "loop" else draw(canonical_ids)
+        lines.append(f"{u} {v}")
+    if all(line.startswith("#") for line in lines):
+        lines.append(f"{draw(canonical_ids)} {draw(canonical_ids)}")
+    text = "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+    return text.encode("ascii")
+
+
+class TestBulkLoaderMatchesLines:
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_files())
+    def test_canonical_files_load_in_bulk(self, scratch_dir, data):
+        path = write_bytes(scratch_dir, data)
+        with BulkSpy() as spy:
+            bulk = hm.load_edge_list(path)
+            stream = hm.load_edge_list(io.StringIO(data.decode("ascii")))
+        assert spy.accepted == [True]  # the text stream never reaches the gate
+        assert_same_graph(bulk, load_parent_way(path))
+        assert_same_graph(stream, bulk)
+
+    @pytest.mark.parametrize("data", [
+        b"007 7\n",  # two vertices: "007" and "7"
+        b"+1 2\n",
+        b"-1 2\n",
+        b"1\t2\n",
+        b"1  2\n",
+        b" 1 2\n",
+        b"1 2 \n",
+        b"1 2\r\n2 3\r\n",
+        b"1 2\r2 3\n",
+        b"# note\r1 2\n3 4\n",  # the carriage return ends the comment
+        b"1 2\n2 3 4\n",
+        b"1 2\n3\n",
+        b"1234567890123456789 2\n",
+        b"123456789012345678 0\n12 1234567890123456789\n",
+        b"# caf\xe9\n1 2\n",
+        b"# caf\xc3\xa9\n1 2\n",
+        b"1\xff 2\n",
+        b"1 2\n\n2 3\n",
+        b"\n1 2\n",
+        b"  # indented\n1 2\n",
+        b"1 2\n#\n 2 3\n",
+        b"1 2 # trailing\n",
+        b"# only a comment\n",
+        b"# one\n#two",
+        b"",
+        b"1 x\n",
+        b"\xef\xbb\xbf1 2\n",
+    ])
+    def test_near_canonical_input_takes_the_line_parser(self, tmp_path, data):
+        path = write_bytes(tmp_path, data)
+        with BulkSpy() as spy:
+            try:
+                got = hm.load_edge_list(path)
+            except Exception as exc:  # the parent's error, with its message
+                with pytest.raises(type(exc)) as ref:
+                    load_parent_way(path)
+                assert str(ref.value) == str(exc)
+            else:
+                assert_same_graph(got, load_parent_way(path))
+        assert spy.accepted == [False]
+
+    def test_near_canonical_results(self, tmp_path):
+        assert hm.load_edge_list(write_bytes(tmp_path, b"007 7\n")).vertex_ids == ("007", "7")
+        with pytest.raises(EdgeListParseError, match="line 2: expected two vertex tokens, got 3"):
+            hm.load_edge_list(write_bytes(tmp_path, b"1 2\n2 3 4\n"))
+        with pytest.raises(EdgeListParseError, match="edge list is empty"):
+            hm.load_edge_list(write_bytes(tmp_path, b"# only a comment\n"))
+        with pytest.raises(UnicodeDecodeError):
+            hm.load_edge_list(write_bytes(tmp_path, b"# caf\xe9\n1 2\n"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 14), st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=40),
+           st.one_of(st.none(), st.lists(st.integers(0, 10**18 - 1), min_size=14, max_size=14, unique=True)))
+    def test_saved_integer_graphs_load_in_bulk(self, scratch_dir, n, pairs, labels):
+        u = np.array([a % n for a, _ in pairs], dtype=np.int64)
+        v = np.array([b % n for _, b in pairs], dtype=np.int64)
+        ids = None if labels is None else tuple(map(str, labels[:n]))
+        g = hm.graph_from_edges(n, u, v, vertex_ids=ids)
+        path = scratch_dir / "saved.txt"
+        hm.save_edge_list(g, path)
+        with BulkSpy() as spy:
+            loaded = hm.load_edge_list(path)
+        assert spy.accepted == [True]
+        expected = g if ids is not None else hm.graph_from_edges(
+            n, u, v, vertex_ids=tuple(map(str, range(n))))
+        assert loaded == expected
+        assert loaded.vertex_ids == expected.vertex_ids
+        assert_same_graph(loaded, load_parent_way(path))
 
 
 class TestSaveRoundTrip:
@@ -156,6 +318,16 @@ class TestEdgeArray:
 
 
 class TestInvariants:
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(), st.data())
+    def test_derived_graphs_pass_public_validation(self, g, data):
+        # graph_from_edges and induced_subgraph skip the content checks;
+        # their graphs must pass them anyway
+        keep = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=1, unique=True))
+        for derived in (g, hm.induced_subgraph(g, keep)):
+            checked = hm.SparseGraph(adjacency=derived.adjacency, vertex_ids=derived.vertex_ids)
+            assert checked == derived
+
     def test_rejects_self_loops(self):
         import scipy.sparse as sp
 

@@ -49,7 +49,8 @@ class TestConfig:
         {"mode": "exactt"}, {"motif_source": "pval"}, {"linkage": "avg"},
         {"max_scree": 0}, {"n_motifs": 0}, {"top_dim": 2.7}, {"sub_dim": True},
         {"n_subgraphs": 2.0}, {"n_bootstrap": -1}, {"min_cluster_size": 0},
-        {"seed": -1}, {"seed": 1.5},
+        {"seed": -1}, {"seed": 1.5}, {"motif_height": "abc"}, {"motif_height": -1.0},
+        {"motif_height": float("nan")}, {"motif_height": float("inf")}, {"motif_height": True},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(PipelineError, match=next(iter(kwargs))):
@@ -63,6 +64,10 @@ class TestConfig:
                                 max_scree=np.int64(20), min_cluster_size=np.int64(6))
         assert (cfg.top_dim, cfg.sub_dim, cfg.max_scree) == (8, 3, 20)
         assert json.loads(json.dumps(config_dict(cfg)))["n_motifs"] == 2
+        for height in (np.float32(0.5), 1):
+            cfg = hm.PipelineConfig(motif_height=height)
+            assert type(cfg.motif_height) is float and cfg.motif_height == height
+            assert json.loads(json.dumps(config_dict(cfg)))["motif_height"] == height
         with pytest.raises(PipelineError, match="min_cluster_size"):
             hm.PipelineConfig(sub_dim=np.int64(4), min_cluster_size=5)
 
