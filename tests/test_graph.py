@@ -161,6 +161,8 @@ class TestBulkLoaderMatchesLines:
         b"1234567890123456789 2\n",
         b"123456789012345678 0\n12 1234567890123456789\n",
         b"# caf\xe9\n1 2\n",
+        b"1 2\n# caf\xe9\n2 3\n",
+        b"1 2\n# note\r3 4\n",
         b"# caf\xc3\xa9\n1 2\n",
         b"1\xff 2\n",
         b"1 2\n\n2 3\n",
@@ -186,6 +188,14 @@ class TestBulkLoaderMatchesLines:
             else:
                 assert_same_graph(got, load_parent_way(path))
         assert spy.accepted == [False]
+
+    def test_refused_at_first_edge_line(self):
+        # a file that is not canonical from its first edge line on is refused
+        # without reading the rest of it
+        head = b"# from a SNAP file\n1\t2\n"
+        fh = io.BytesIO(head + b"2\t3\n" * 1000)
+        assert graph_module._canonical_tokens(fh) is None
+        assert fh.tell() == len(head)
 
     def test_near_canonical_results(self, tmp_path):
         assert hm.load_edge_list(write_bytes(tmp_path, b"007 7\n")).vertex_ids == ("007", "7")
