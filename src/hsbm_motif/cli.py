@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -132,7 +133,10 @@ def _int_or_auto(text: str):
 def _sigma(text: str):
     if text == "median":
         return "median"
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite float or 'median', got {text!r}")
+    return value
 
 
 def cmd_generate(args) -> int:

@@ -158,7 +158,8 @@ def graph_from_edges(
     """Build a graph from endpoint index arrays.
 
     Duplicate edges collapse silently; self-loops are dropped and counted in
-    ``n_loops_dropped``.  The result is symmetrized.
+    ``n_loops_dropped``.  The result is symmetrized, with int32 CSR
+    ``indices`` and ``indptr`` whenever the vertex and entry counts fit.
     """
     if n_vertices <= 0:
         raise GraphError("graph must have at least one vertex")
@@ -171,9 +172,12 @@ def graph_from_edges(
     keep = u != v
     n_loops = int(np.count_nonzero(~keep))
     # each filtered copy is freed as soon as it is concatenated, so fewer
-    # temporaries outlive the adjacency's allocation (see load_edge_list)
-    row = np.concatenate([u[keep], v[keep]])
-    col = np.concatenate([v[keep], u[keep]])
+    # temporaries outlive the adjacency's allocation (see load_edge_list);
+    # scipy keeps the coordinates' index type, so int32 ones give an int32
+    # CSR, whose matvecs stream half the index bytes
+    index = np.int32 if max(n_vertices, 2 * u.size) < 2**31 else np.int64
+    row = np.concatenate([u[keep], v[keep]], dtype=index, casting="same_kind")
+    col = np.concatenate([v[keep], u[keep]], dtype=index, casting="same_kind")
     data = np.ones(row.size, dtype=np.uint8)
     adj = sp.coo_array((data, (row, col)), shape=(n_vertices, n_vertices)).tocsr()
     adj.data = np.ones_like(adj.data)  # collapse duplicates back to 1
@@ -369,7 +373,9 @@ def largest_connected_component(g: SparseGraph) -> SparseGraph:
 def induced_subgraph(g: SparseGraph, vertices: Iterable[int] | np.ndarray) -> SparseGraph:
     """Restrict the adjacency to ``vertices`` (order preserved).
 
-    ``vertex_ids`` of the result map back to the parent graph.
+    ``vertex_ids`` of the result map back to the parent graph.  The CSR
+    ``indices`` and ``indptr`` are int32 whenever the counts fit (the slice
+    keeps the parent's index type, so only an int64 parent is narrowed).
     """
     idx = np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices)
     idx = idx.astype(np.int64)
@@ -382,6 +388,9 @@ def induced_subgraph(g: SparseGraph, vertices: Iterable[int] | np.ndarray) -> Sp
     if np.unique(idx).size != idx.size:
         raise GraphError("vertex set contains duplicates")
     adj = g.adjacency[idx][:, idx].tocsr()
+    if adj.indices.dtype != np.int32 and max(adj.shape[0], adj.nnz) < 2**31:
+        adj.indices = adj.indices.astype(np.int32)
+        adj.indptr = adj.indptr.astype(np.int32)
     ids = None
     if g.vertex_ids is not None:
         ids = tuple(g.vertex_ids[int(i)] for i in idx)

@@ -10,6 +10,7 @@ into motifs.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -29,9 +30,10 @@ class MotifError(ValueError):
 class KernelConfig:
     """Gaussian RBF kernel ``exp(-||a - b||^2 / bandwidth^2)``.
 
-    ``bandwidth`` is either a positive float or the string ``"median"``,
-    which resolves to the median pairwise distance of the pooled sample at
-    test time (scale-adaptive; the resolved value is recorded in outputs).
+    ``bandwidth`` is either a positive finite float or the string
+    ``"median"``, which resolves to the median pairwise distance of the
+    pooled sample at test time (scale-adaptive; the resolved value is
+    recorded in outputs).
     """
 
     bandwidth: float | str = "median"
@@ -40,18 +42,28 @@ class KernelConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "median":
                 raise MotifError(f"bandwidth must be a float or 'median', got {self.bandwidth!r}")
-        elif not self.bandwidth > 0:
-            raise MotifError(f"bandwidth must be positive, got {self.bandwidth}")
+        elif isinstance(self.bandwidth, (bool, np.bool_)) or not (
+            self.bandwidth > 0 and math.isfinite(self.bandwidth)
+        ):
+            raise MotifError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
 
     def resolve(self, pooled: np.ndarray) -> float:
+        """The bandwidth for the pooled rows.
+
+        The median heuristic holds one array, the ``pdist`` distances it
+        owns, and selects their median in place.  Only when that median is
+        0 does it recompute the distances, so that the ``np.mean`` fallback
+        sums them in their original order.
+        """
         if not isinstance(self.bandwidth, str):
             return float(self.bandwidth)
         dists = pdist(pooled)
         if dists.size == 0:
             return 1.0
         sigma = _median(dists)
+        del dists
         if sigma == 0.0:
-            sigma = float(np.mean(dists))
+            sigma = float(np.mean(pdist(pooled)))
         if sigma == 0.0:
             sigma = 1.0  # all rows identical; any bandwidth gives T = 0
         return sigma
@@ -70,16 +82,19 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(-cdist(a, b, "sqeuclidean") / sigma**2)
+    """Gaussian kernel matrix built in the one buffer ``cdist`` returns.
+
+    ``D / -(sigma**2)`` has the bits of ``-D / sigma**2``: IEEE division
+    rounds the magnitude alone and takes the sign from the operands.
+    """
+    kern = cdist(a, b, "sqeuclidean")
+    np.divide(kern, -(sigma**2), out=kern)
+    return np.exp(kern, out=kern)
 
 
-def _mmd_from_kernel(kxx: np.ndarray, kxy: np.ndarray, kyy: np.ndarray) -> float:
-    n = kxx.shape[0]
-    m = kyy.shape[0]
-    term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
-    term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
-    term_xy = 2.0 * kxy.mean()
-    return float(term_x - term_xy + term_y)
+def _off_diagonal_mean(kern: np.ndarray) -> float:
+    n = kern.shape[0]
+    return (kern.sum() - np.trace(kern)) / (n * (n - 1))
 
 
 def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = None) -> float:
@@ -89,13 +104,21 @@ def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = No
     for the squared population discrepancy and may be negative.  The value
     is exactly symmetric in its arguments (the computation is canonicalized
     so ``mmd_statistic(x, y) == mmd_statistic(y, x)`` bit for bit).
+
+    One kernel block is alive at a time: ``kxx``, ``kxy`` and ``kyy`` are
+    each built, reduced to their term and dropped before the next, so the
+    peak is the largest block, not all three.  The terms are combined as
+    ``oracle.mmd_from_kernel`` combines them, with the same bits.
     """
     kernel = kernel or KernelConfig()
     x, y = _check_pair(x, y)
     if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
         x, y = y, x
     sigma = kernel.resolve(np.vstack([x, y]))
-    return _mmd_from_kernel(_rbf(x, x, sigma), _rbf(x, y, sigma), _rbf(y, y, sigma))
+    term_x = _off_diagonal_mean(_rbf(x, x, sigma))
+    term_xy = 2.0 * _rbf(x, y, sigma).mean()
+    term_y = _off_diagonal_mean(_rbf(y, y, sigma))
+    return float(term_x - term_xy + term_y)
 
 
 def mmd_linear(
@@ -241,24 +264,27 @@ def bootstrap_pvalue(
 
 
 def _median(values: np.ndarray) -> float:
-    """``np.median`` of a float array by one selection, bit for bit.
+    """``np.median`` of a float array by one in-place selection, bit for bit.
 
-    One ``np.partition`` at the upper middle index puts the upper middle
-    value in place and every smaller value below it, so for an even size the
-    lower middle value is the largest of the lower half.  The result is
-    formed as ``np.mean`` forms it (a sum from +0.0, then a division): -0.0
-    reads 0.0, -inf and +inf as the two middles give NaN, and a NaN anywhere
-    (NaNs sort to the upper part) gives NaN.  ``np.median`` partitions at
-    both middles and at the end; on a 300 x 300 transport cost it takes
-    about six times as long (1.1 ms vs 0.17 ms on a 2-core x86 VM).
+    The selection reorders ``values`` (a contiguous array is partitioned
+    where it lies, with no copy), so a caller that still needs the order
+    passes a copy.  One partition at the upper middle index puts the upper
+    middle value in place and every smaller value below it, so for an even
+    size the lower middle value is the largest of the lower half.  The
+    result is formed as ``np.mean`` forms it (a sum from +0.0, then a
+    division): -0.0 reads 0.0, -inf and +inf as the two middles give NaN,
+    and a NaN anywhere (NaNs sort to the upper part) gives NaN.
+    ``np.median`` partitions at both middles and at the end; on a 300 x 300
+    transport cost it takes about six times as long (1.1 ms vs 0.17 ms on a
+    2-core x86 VM).
     """
-    flat = np.ravel(values)
-    half = flat.size // 2
-    part = np.partition(flat, half)
+    part = np.ravel(values)
+    half = part.size // 2
+    part.partition(half)
     top = part[half:].max()
     if np.isnan(top):
         return float(top)
-    if flat.size % 2:
+    if part.size % 2:
         return float(0.0 + part[half])
     return float((0.0 + part[:half].max() + part[half]) / 2)
 
@@ -266,21 +292,22 @@ def _median(values: np.ndarray) -> float:
 def _sinkhorn_plan(cost: np.ndarray, reg: float, n_iter: int = 60) -> np.ndarray:
     """Entropy-regularized transport plan between uniform marginals.
 
-    The Gibbs kernel is built in one buffer, and the scaling loop writes
-    into preallocated vectors.  Its matrix-vector products go through
-    ``np.dot``, not ``@``: with numpy 2.4 (OpenBLAS, one BLAS thread, 2-core
-    x86 VM), ``@`` holds the GIL for a 300 x 300 matrix-vector product, so
-    two threads running it took longer than one (speedup 0.81-0.93), while
-    ``np.dot`` calls BLAS with the GIL released (speedup 1.23-1.65), and the
-    pair threads of :func:`dissimilarity_matrix` align in parallel.  A
-    matrix-matrix product through ``@`` does release it (``K @ Z`` of the
-    permutation null scales 1.7-2.0x on two threads), so the null keeps
-    ``@``.  The reference loop, ``oracle.sinkhorn_plan_loop``, gives the
-    same bits.
+    One n x m buffer serves the whole call: the Gibbs kernel is built in it
+    by one division (``cost / -reg`` has the bits of ``-cost / reg``), the
+    scaling loop writes into preallocated vectors, and the plan is scaled
+    in place in the kernel buffer and returned.  The matrix-vector products
+    go through ``np.dot``, not ``@``: with numpy 2.4 (OpenBLAS, one BLAS
+    thread, 2-core x86 VM), ``@`` holds the GIL for a 300 x 300
+    matrix-vector product, so two threads running it took longer than one
+    (speedup 0.81-0.93), while ``np.dot`` calls BLAS with the GIL released
+    (speedup 1.23-1.65), and the pair threads of
+    :func:`dissimilarity_matrix` align in parallel.  A matrix-matrix product
+    through ``@`` does release it (``K @ Z`` of the permutation null scales
+    1.7-2.0x on two threads), so the null keeps ``@``.  The reference loop,
+    ``oracle.sinkhorn_plan_loop``, gives the same bits.
     """
     n, m = cost.shape
-    k = np.negative(cost)
-    k /= reg
+    k = np.divide(cost, -reg)
     np.exp(k, out=k)
     np.maximum(k, 1e-300, out=k)
     u = np.full(n, 1.0 / n)
@@ -294,7 +321,9 @@ def _sinkhorn_plan(cost: np.ndarray, reg: float, n_iter: int = 60) -> np.ndarray
         np.divide(a, kv, out=u)
         np.dot(k.T, u, out=ku)
         np.divide(b, ku, out=v)
-    return (u[:, None] * k) * v[None, :]
+    k *= u[:, None]
+    k *= v[None, :]
+    return k
 
 
 def _ot_procrustes(
@@ -311,11 +340,11 @@ def _ot_procrustes(
     final_cost = np.inf
     for _ in range(max_iter):
         cost = cdist(ra, mo @ w, "sqeuclidean")
-        scale = _median(cost)
+        scale = _median(cost.copy())
         if scale == 0:
             return w, 0.0
         plan = _sinkhorn_plan(cost, reg=0.05 * scale, n_iter=sinkhorn_iter)
-        final_cost = float((plan * cost).sum())
+        final_cost = float(np.multiply(cost, plan, out=cost).sum())
         m_mat = mo.T @ plan.T @ ra
         u, _, vt = np.linalg.svd(m_mat)
         w_new = u @ vt

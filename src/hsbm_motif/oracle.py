@@ -108,6 +108,17 @@ def mmd_bruteforce(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
     return term_x / (n * (n - 1)) - 2.0 * term_xy / (m * n) + term_y / (m * (m - 1))
 
 
+def mmd_from_kernel(kxx: np.ndarray, kxy: np.ndarray, kyy: np.ndarray) -> float:
+    """Unbiased kernel two-sample statistic from its three kernel blocks,
+    all held at once: the within-sample means skip the diagonal."""
+    n = kxx.shape[0]
+    m = kyy.shape[0]
+    term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+    term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
+    term_xy = 2.0 * kxy.mean()
+    return float(term_x - term_xy + term_y)
+
+
 def permutation_statistics_loop(
     kern: np.ndarray, n: int, perms
 ) -> tuple[float, np.ndarray]:

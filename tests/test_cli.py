@@ -175,6 +175,32 @@ def test_bad_threads_rejected_before_load(tmp_path, capsys, monkeypatch, flag, e
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "Infinity"])
+def test_non_finite_sigma_is_a_usage_error(tmp_path, capsys, value):
+    missing = str(tmp_path / "nope.txt")
+    for argv in (["detect", missing], ["test", missing, missing]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--out-dir", str(tmp_path / "x"), f"--sigma={value}"])
+        assert exit_info.value.code == 2
+        assert f"argument --sigma: must be a finite float or 'median', got {value!r}" in (
+            capsys.readouterr().err
+        )
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("bandwidth", ["Infinity", "true"])
+def test_bad_config_bandwidth_rejected(tmp_path, capsys, small_spec, bandwidth):
+    gen = tmp_path / "gen"
+    assert main(["generate", str(small_spec), "--out-dir", str(gen), "--seed", "2"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"max_depth": 1, "bandwidth": %s}' % bandwidth)
+    det = tmp_path / "det"
+    assert main(["detect", str(gen / "edges.txt"), "--config", str(cfg),
+                 "--out-dir", str(det)]) == 1
+    assert "bandwidth must be" in capsys.readouterr().err
+    assert not (det / "hierarchy.json").exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "embed", "cluster"])
 def test_threads_flag_rejected_where_unused(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exit_info:

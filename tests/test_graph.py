@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -443,6 +444,36 @@ class TestInducedSubgraph:
         pairs = m * (m - 1) / 2
         sigma = np.sqrt(expected * (1 - expected) / pairs)
         assert abs(blk.density - expected) < 4 * sigma
+
+
+def int32_csr(g: hm.SparseGraph) -> bool:
+    return g.adjacency.indices.dtype == np.int32 and g.adjacency.indptr.dtype == np.int32
+
+
+class TestInt32Indices:
+    def test_built_loaded_and_sampled_graphs(self, tmp_path, bench_sample):
+        graph, _ = bench_sample
+        assert int32_csr(graph)
+        assert int32_csr(load("a b\nb c\nc a\n"))
+        path = tmp_path / "edges.txt"
+        hm.save_edge_list(graph, path)
+        loaded = hm.load_edge_list(path)
+        assert int32_csr(loaded)
+        assert loaded.edge_array().tobytes() == graph.edge_array().tobytes()
+
+    def test_subgraph_of_int64_parent_is_narrowed(self):
+        g = load("0 1\n1 2\n2 0\n3 0\n3 4")
+        adj = g.adjacency
+        wide = hm.SparseGraph(sp.csr_array(
+            (adj.data, adj.indices.astype(np.int64), adj.indptr.astype(np.int64)),
+            shape=adj.shape,
+        ), vertex_ids=g.vertex_ids)
+        assert wide.adjacency.indices.dtype == np.int64
+        for vertices in ([4, 3, 0, 1], np.arange(5), [2]):
+            sub = hm.induced_subgraph(wide, vertices)
+            assert int32_csr(sub)
+            assert sub == hm.induced_subgraph(g, vertices)
+            assert int32_csr(hm.induced_subgraph(g, vertices))
 
 
 class TestBlockDensity:

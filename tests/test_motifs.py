@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 from scipy.stats import ortho_group
 
 import hsbm_motif as hm
@@ -20,7 +21,7 @@ from hsbm_motif.motifs import (
     _sinkhorn_plan,
     matrix_to_csv,
 )
-from hsbm_motif.oracle import permutation_statistics_loop, sinkhorn_plan_loop
+from hsbm_motif.oracle import mmd_from_kernel, permutation_statistics_loop, sinkhorn_plan_loop
 from hsbm_motif.seeding import derive_rng
 
 from conftest import B1, B3, single_leaf_spec
@@ -44,6 +45,12 @@ class TestKernelConfig:
 
     def test_degenerate_pooled_sample(self):
         assert KernelConfig().resolve(np.zeros((5, 2))) == 1.0
+
+    @pytest.mark.parametrize("bandwidth", [True, False, np.bool_(True), np.inf, -np.inf,
+                                           np.nan, float("inf")])
+    def test_bool_and_non_finite_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(MotifError):
+            KernelConfig(bandwidth=bandwidth)
 
     @pytest.mark.parametrize("bandwidth", [np.int64(2), np.float32(2.0)])
     def test_numpy_scalar_bandwidth_is_used(self, bandwidth):
@@ -115,6 +122,104 @@ class TestMmdStatistic:
             near.append(np.median(ne))
         assert far[1] > far[0] * 0.9 and far[1] > 0.01
         assert near[1] < near[0]
+
+
+def three_kernel_statistic(x, y, bandwidth):
+    """The statistic from all three kernel blocks at once, canonical order
+    first, with the kernel formula written out."""
+    if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
+        x, y = y, x
+
+    def kern(a, b):
+        return np.exp(-cdist(a, b, "sqeuclidean") / bandwidth**2)
+
+    return mmd_from_kernel(kern(x, x), kern(x, y), kern(y, y))
+
+
+def traced_peak(fn):
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneKernelAtATime:
+    """The statistic and the median heuristic keep one n x m array alive
+    and give the bits of the references that hold them all."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(8)
+        for case in range(40):
+            n, m = (int(v) for v in rng.integers(2, 120, size=2))
+            d = int(rng.integers(1, 5))
+            x = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0)
+            y = rng.normal(size=(m, d)) + rng.normal()
+            yield x, y
+        yield np.zeros((2, 1)), np.full((2, 1), 0.7)  # n = m = 2
+        yield rng.normal(size=(2, 3)), rng.normal(size=(5, 3))
+        dup = rng.normal(size=(30, 2))
+        yield dup[rng.integers(0, 3, size=30)], dup[rng.integers(0, 4, size=25)]
+        same = rng.normal(size=(12, 2))
+        yield same, same.copy()
+
+    def test_statistic_equals_three_kernel_formula(self):
+        for x, y in self.pairs():
+            sigma = float(np.median(pdist(np.vstack([x, y]))))
+            if sigma == 0.0:
+                sigma = 1.0
+            for bandwidth in (sigma, 1.0):
+                expected = np.float64(three_kernel_statistic(x, y, bandwidth)).tobytes()
+                kernel = KernelConfig(bandwidth=bandwidth)
+                assert np.float64(hm.mmd_statistic(x, y, kernel)).tobytes() == expected
+                assert np.float64(hm.mmd_statistic(y, x, kernel)).tobytes() == expected
+
+    def test_rbf_equals_kernel_formula(self):
+        for x, y in self.pairs():
+            for sigma in (1.0, 0.3, 7.5):
+                expected = np.exp(-cdist(x, y, "sqeuclidean") / sigma**2)
+                assert _rbf(x, y, sigma).tobytes() == expected.tobytes()
+
+    def test_resolve_equals_numpy_median(self):
+        for x, y in self.pairs():
+            pooled = np.vstack([x, y])
+            dists = pdist(pooled)
+            expected = np.median(dists)
+            if expected == 0.0:
+                expected = np.mean(dists)
+            if expected == 0.0:
+                expected = 1.0
+            got = KernelConfig().resolve(pooled)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_zero_median_falls_back_to_mean_in_original_order(self):
+        rng = np.random.default_rng(9)
+        for size in (10, 57, 400):
+            pooled = rng.normal(size=(size, 3)) * 1e3
+            pooled[: int(0.8 * size)] = rng.normal(size=3)  # 80% of rows identical
+            pooled = pooled[rng.permutation(size)]
+            dists = pdist(pooled)
+            assert np.median(dists) == 0.0
+            expected = np.mean(dists)
+            assert expected != np.mean(np.sort(dists))  # the summation order shows
+            got = KernelConfig().resolve(pooled)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_statistic_peak_is_one_kernel(self):
+        x, y = gaussian_pair(800, 800, d=3, seed=4)
+        kernel = KernelConfig(bandwidth=1.0)
+        one_kernel = 800 * 800 * 8
+        peak = traced_peak(lambda: hm.mmd_statistic(x, y, kernel))
+        assert peak <= 1.25 * one_kernel, peak / one_kernel
+
+    def test_resolve_peak_is_the_distances(self):
+        pooled = np.random.default_rng(5).normal(size=(1600, 3))
+        dist_bytes = 1600 * 1599 // 2 * 8
+        peak = traced_peak(lambda: KernelConfig().resolve(pooled))
+        assert peak <= 1.1 * dist_bytes, peak / dist_bytes
 
 
 class TestMmdLinear:
