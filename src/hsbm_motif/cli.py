@@ -39,7 +39,7 @@ from .graph import (
     partition_to_csv,
     save_edge_list,
 )
-from .motifs import KernelConfig, align_embeddings, bootstrap_pvalue, matrix_to_csv, mmd_linear, mmd_statistic
+from .motifs import KernelConfig, align_embeddings, matrix_to_csv, pair_test
 from .pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -248,6 +248,8 @@ def cmd_test(args) -> int:
     out = _out_dir(args)
     manifest = Manifest("test", args)
     threads = _threads(args)
+    if args.bootstrap < 0:
+        raise ValueError(f"--bootstrap must be an integer >= 0, got {args.bootstrap}")
     manifest.add_input(args.embedding_a)
     manifest.add_input(args.embedding_b)
     emb_a, _ = embedding_from_csv(args.embedding_a)
@@ -257,20 +259,11 @@ def cmd_test(args) -> int:
     x, y = emb_a.positions, emb_b.positions
     if args.align:
         y = y @ align_embeddings(x, y)
-    kernel = KernelConfig(bandwidth=args.sigma)
-    sigma = kernel.resolve(np.vstack([x, y]))
-    fixed = KernelConfig(bandwidth=sigma)
     manifest.record_seed("test")
-    rng = derive_rng(args.seed, "test")
-    if args.mode == "linear":
-        t_value = mmd_linear(x, y, fixed, rng)
-    else:
-        t_value = mmd_statistic(x, y, fixed)
-    p_value = None
-    if args.bootstrap > 0:
-        p_value = bootstrap_pvalue(
-            x, y, fixed, n_boot=args.bootstrap, rng=rng, threads=threads, mode=args.mode
-        )
+    t_value, sigma, p_value = pair_test(
+        x, y, KernelConfig(bandwidth=args.sigma), args.mode, args.bootstrap,
+        derive_rng(args.seed, "test"), threads,
+    )
     manifest.stage("test")
 
     result = {
@@ -290,6 +283,22 @@ def cmd_test(args) -> int:
     manifest.write(out)
     print(json.dumps(result))
     return 0
+
+
+# detect flag (argparse dest) -> the PipelineConfig field it overrides; a
+# flag left unset (None) keeps the config file's value
+_DETECT_OVERRIDES = {
+    "D": "top_dim",
+    "d": "sub_dim",
+    "R": "n_subgraphs",
+    "M": "n_motifs",
+    "sigma": "kernel",
+    "bootstrap": "n_bootstrap",
+    "mode": "mode",
+    "min_cluster_size": "min_cluster_size",
+    "max_depth": "max_depth",
+    "sphere": "sphere_projection",
+}
 
 
 def cmd_detect(args) -> int:
@@ -312,27 +321,13 @@ def cmd_detect(args) -> int:
             cfg = config_from_dict(json.load(fh))
     else:
         cfg = PipelineConfig()
-    overrides: dict = {}
-    if args.D is not None:
-        overrides["top_dim"] = args.D
-    if args.d is not None:
-        overrides["sub_dim"] = args.d
-    if args.R is not None:
-        overrides["n_subgraphs"] = args.R
-    if args.M is not None:
-        overrides["n_motifs"] = args.M
-    if args.sigma is not None:
-        overrides["kernel"] = KernelConfig(bandwidth=args.sigma)
-    if args.bootstrap is not None:
-        overrides["n_bootstrap"] = args.bootstrap
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.min_cluster_size is not None:
-        overrides["min_cluster_size"] = args.min_cluster_size
-    if args.max_depth is not None:
-        overrides["max_depth"] = args.max_depth
-    if args.sphere:
-        overrides["sphere_projection"] = True
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in _DETECT_OVERRIDES.items()
+        if getattr(args, flag) is not None
+    }
+    if "kernel" in overrides:
+        overrides["kernel"] = KernelConfig(bandwidth=overrides["kernel"])
     overrides["seed"] = args.seed
     overrides["threads"] = threads
     with warnings.catch_warnings(record=True) as caught:
@@ -501,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("embedding_a")
     p.add_argument("embedding_b")
     p.add_argument("--sigma", type=_sigma, default="median", help="float or 'median'")
-    p.add_argument("--bootstrap", type=int, default=200, help="permutation replicates (0 = skip)")
+    p.add_argument("--bootstrap", type=int, default=200, help="permutation replicates, >= 0 (0 = skip)")
     p.add_argument("--mode", choices=["exact", "linear"], default="exact")
     p.add_argument("--no-align", dest="align", action="store_false",
                    help="skip the orthogonal pre-alignment")
@@ -520,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "linear"], default=None)
     p.add_argument("--min-cluster-size", type=int, default=None)
     p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--sphere", action="store_true")
+    p.add_argument("--sphere", action="store_true", default=None)
     common(p, threads=True)
     p.set_defaults(func=cmd_detect)
 

@@ -99,19 +99,11 @@ class SparseGraph:
         return self.adjacency.nnz // 2
 
     @property
-    def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(np.int64)
-
-    @property
     def density(self) -> float:
         n = self.n_vertices
         if n < 2:
             return 0.0
         return self.n_edges / (n * (n - 1) / 2)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        adj = self.adjacency
-        return adj.indices[adj.indptr[v] : adj.indptr[v + 1]].copy()
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) array with u < v, sorted lexicographically."""
@@ -172,7 +164,7 @@ def graph_from_edges(
     keep = u != v
     n_loops = int(np.count_nonzero(~keep))
     # each filtered copy is freed as soon as it is concatenated, so fewer
-    # temporaries outlive the adjacency's allocation (see load_edge_list);
+    # temporaries outlive the adjacency's allocation;
     # scipy keeps the coordinates' index type, so int32 ones give an int32
     # CSR, whose matvecs stream half the index bytes
     index = np.int32 if max(n_vertices, 2 * u.size) < 2**31 else np.int64
@@ -221,14 +213,7 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> SparseGraph:
     index = np.argsort(order)[inverse]
     del inverse
     ids = tuple(map(str, values[order].tolist()))
-    g = graph_from_edges(len(ids), index[0::2], index[1::2], vertex_ids=ids)
-    del index
-    # Freeing the temporaries above raises glibc's mmap threshold, so the
-    # adjacency was built in the heap, above space they freed, and pins that
-    # space.  A copy made now lands in it and lets the heap shrink: with 1.2M
-    # edges, 117 -> 42 MB of heap after loading, and CLI detect's peak RSS
-    # stays at the per-line parser's 230 MB instead of 245 MB.
-    return SparseGraph._trusted(g.adjacency.copy(), ids, g.n_loops_dropped)
+    return graph_from_edges(len(ids), index[0::2], index[1::2], vertex_ids=ids)
 
 
 def _load_lines(source: IO[str]) -> SparseGraph:
@@ -479,25 +464,3 @@ def partition_to_csv(part: VertexPartition, ids: Iterable[str], sink: IO[str] | 
     sink.write("vertex_id,cluster\n")
     for label, cluster in zip(ids, part.labels):
         sink.write(f"{label},{int(cluster)}\n")
-
-
-def partition_from_csv(source: IO[str] | str | os.PathLike) -> tuple[VertexPartition, tuple[str, ...]]:
-    """Read a ``vertex_id,cluster`` file; returns the partition and the ids."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return partition_from_csv(fh)
-    ids: list[str] = []
-    labels: list[int] = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or (lineno == 1 and line.lower() == "vertex_id,cluster"):
-            continue
-        try:
-            vid, cluster = line.rsplit(",", 1)
-            labels.append(int(cluster))
-        except ValueError as exc:
-            raise EdgeListParseError(f"line {lineno}: bad partition row {line!r}") from exc
-        ids.append(vid)
-    if not ids:
-        raise EdgeListParseError("partition file is empty")
-    return VertexPartition.from_labels(np.array(labels)), tuple(ids)

@@ -154,26 +154,23 @@ def mmd_linear(
     return float(h.mean())
 
 
-def _permutation_statistics(
-    kern: np.ndarray, n: int, perms: Sequence[np.ndarray]
-) -> tuple[float, np.ndarray]:
+def _permutation_statistics(kern: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray]:
     """Observed and replicate statistics of re-splits of a pooled kernel.
 
-    ``kern`` is the kernel of the pooled rows (the first ``n`` are the
-    observed x sample) and ``perms`` the permutations of the re-splits,
-    whose first ``n`` entries are the x rows.  Every split, the observed one
-    as column 0, is a 0/1 indicator column z of the x rows, and one product
-    ``K @ Z`` per chunk of splits gives them all: ``S_xx = z'Kz``, and from
-    ``K(1 - z) = K1 - Kz`` the y-side sums ``S_xy`` and ``S_yy`` without the
-    cancellation of ``1'K1 - 2 S_xy - S_xx``.  A chunk holds at most N/2
-    splits, so Z and KZ together never take more memory than K.  A replicate
-    that re-draws the observed split (the same x rows, or at n = m the
-    swapped ones) takes the observed value exactly: BLAS may round two equal
-    columns of the product differently.
+    ``kern`` is the kernel of the pooled rows, and row b of the ``(B+1) x n``
+    index matrix ``idx`` lists the x rows of split b; row 0 is the observed
+    split, the first ``n`` rows.  Every split is a 0/1 indicator column z of
+    its x rows, and one product ``K @ Z`` per chunk of splits gives them all:
+    ``S_xx = z'Kz``, and from ``K(1 - z) = K1 - Kz`` the y-side sums ``S_xy``
+    and ``S_yy`` without the cancellation of ``1'K1 - 2 S_xy - S_xx``.  A
+    chunk holds at most N/2 splits, so Z and KZ together never take more
+    memory than K.  A replicate that re-draws the observed split (the same x
+    rows, or at n = m the swapped ones) takes the observed value exactly:
+    BLAS may round two equal columns of the product differently.
     """
     total = kern.shape[0]
+    n = idx.shape[1]
     m = total - n
-    idx = np.vstack([np.arange(n)] + [p[:n] for p in perms])
     row_sums = kern.sum(axis=1)[:, None]
     s_xx, s_xy, s_yy = (np.empty(idx.shape[0]) for _ in range(3))
     width = total // 2
@@ -187,6 +184,7 @@ def _permutation_statistics(
         ky = np.subtract(row_sums, kz, out=kz)
         s_xy[done] = np.einsum("ij,ij->j", z, ky)
         s_yy[done] = ky.sum(axis=0) - s_xy[done]
+        del z, kz, ky  # the next chunk's buffers replace these, not join them
     diag = kern.diagonal()
     tr_x = diag[idx].sum(axis=1)
     tr_y = diag.sum() - tr_x
@@ -199,6 +197,13 @@ def _permutation_statistics(
     null = stats[1:]
     null[redrawn] = stats[0]
     return float(stats[0]), null
+
+
+def _check_test(mode: str, n_boot: int, least: int) -> None:
+    if mode not in ("exact", "linear"):
+        raise MotifError(f"mode must be 'exact' or 'linear', got {mode!r}")
+    if n_boot < least:
+        raise MotifError(f"bootstrap replicate count must be >= {least}, got {n_boot}")
 
 
 def bootstrap_pvalue(
@@ -229,8 +234,7 @@ def bootstrap_pvalue(
     """
     kernel = kernel or KernelConfig()
     x, y = _check_pair(x, y)
-    if n_boot < 1:
-        raise MotifError(f"bootstrap replicate count must be >= 1, got {n_boot}")
+    _check_test(mode, n_boot, 1)
     rng = rng or np.random.default_rng()
     n, m = x.shape[0], y.shape[0]
     pooled = np.vstack([x, y])
@@ -252,10 +256,43 @@ def bootstrap_pvalue(
             null = [replicate_linear(job) for job in jobs]
     else:
         kern = _rbf(pooled, pooled, sigma.bandwidth)
-        perms = [rng.permutation(n + m) for _ in range(n_boot)]
-        t_obs, null = _permutation_statistics(kern, n, perms)
+        # only the x rows of each re-split are kept, one row per draw
+        idx = np.empty((n_boot + 1, n), dtype=np.int64)
+        idx[0] = np.arange(n)
+        for row in idx[1:]:
+            row[:] = rng.permutation(n + m)[:n]
+        t_obs, null = _permutation_statistics(kern, idx)
     exceed = sum(1 for t in null if t >= t_obs)
     return (1 + exceed) / (n_boot + 1)
+
+
+def pair_test(
+    x: np.ndarray,
+    y: np.ndarray,
+    kernel: KernelConfig,
+    mode: Literal["exact", "linear"],
+    n_boot: int,
+    rng: np.random.Generator,
+    threads: int = 1,
+) -> tuple[float, float, float | None]:
+    """The two-sample test of one pair: statistic, bandwidth and p-value.
+
+    The bandwidth is resolved once on the pooled rows and frozen, so the
+    statistic and every permutation replicate use the same kernel.  ``mode``
+    picks the estimator; ``rng`` feeds the linear estimator's shuffle first
+    and the permutation null after it.  With ``n_boot = 0`` there is no null
+    and the p-value is ``None``.
+    """
+    sigma = kernel.resolve(np.vstack([x, y]))
+    fixed = KernelConfig(bandwidth=sigma)
+    if mode == "linear":
+        t = mmd_linear(x, y, fixed, rng)
+    else:
+        t = mmd_statistic(x, y, fixed)
+    p = None
+    if n_boot > 0:
+        p = bootstrap_pvalue(x, y, fixed, n_boot=n_boot, rng=rng, threads=threads, mode=mode)
+    return t, sigma, p
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +504,11 @@ def dissimilarity_matrix(
     sensitive to the per-graph orthogonal indeterminacy at finite sizes.
     ``mode="linear"`` swaps in the linear-time estimator.  ``n_boot > 0``
     adds permutation p-values.  Replicate seeds are pre-derived per pair, so
-    thread count never changes the output.
+    thread count never changes the output.  An unknown ``mode`` or a negative
+    ``n_boot`` is refused before any pair is tested.
     """
     kernel = kernel or KernelConfig()
+    _check_test(mode, n_boot, 0)
     mats = [e.positions if isinstance(e, Embedding) else np.asarray(e) for e in embeddings]
     if not mats:
         raise MotifError("need at least one embedding")
@@ -484,22 +523,12 @@ def dissimilarity_matrix(
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     pair_seeds = rng.integers(0, 2**63 - 1, size=max(len(pairs), 1))
 
-    def run_pair(args) -> tuple[int, int, float, float, float | None]:
+    def run_pair(args) -> tuple[float, float, float | None]:
         (i, j), seed = args
-        local = np.random.default_rng(int(seed))
         a, b = mats[i], mats[j]
         if align:
             b = b @ align_embeddings(a, b)
-        sigma = kernel.resolve(np.vstack([a, b]))
-        fixed = KernelConfig(bandwidth=sigma)
-        if mode == "linear":
-            t = mmd_linear(a, b, fixed, local)
-        else:
-            t = mmd_statistic(a, b, fixed)
-        p = None
-        if n_boot > 0:
-            p = bootstrap_pvalue(a, b, fixed, n_boot=n_boot, rng=local, mode=mode)
-        return i, j, t, sigma, p
+        return pair_test(a, b, kernel, mode, n_boot, np.random.default_rng(int(seed)))
 
     jobs = list(zip(pairs, pair_seeds))
     if threads > 1:
@@ -507,10 +536,10 @@ def dissimilarity_matrix(
             results = list(pool.map(run_pair, jobs))
     else:
         results = [run_pair(job) for job in jobs]
-    for i, j, t, sigma, p in results:
+    for (i, j), (t, sigma, p) in zip(pairs, results):
         stats[i, j] = stats[j, i] = max(t, 0.0)
         bands[i, j] = bands[j, i] = sigma
-        if pvals is not None and p is not None:
+        if p is not None:
             pvals[i, j] = pvals[j, i] = p
     return DissimilarityMatrix(
         statistics=stats,

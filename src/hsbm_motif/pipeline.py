@@ -168,14 +168,6 @@ class HierarchyNode:
     def degenerate(self) -> bool:
         return self.error is not None
 
-    def leaves(self) -> list["HierarchyNode"]:
-        if not self.children:
-            return [self]
-        out: list[HierarchyNode] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
-
     def walk(self):
         yield self
         for child in self.children:

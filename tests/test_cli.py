@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,16 @@ import hsbm_motif
 from hsbm_motif import cli
 from hsbm_motif import graph as graph_module
 from hsbm_motif.cli import main
+from hsbm_motif.embedding import Embedding, embedding_from_csv, embedding_to_csv
+from hsbm_motif.motifs import (
+    KernelConfig,
+    align_embeddings,
+    bootstrap_pvalue,
+    mmd_linear,
+    mmd_statistic,
+)
+from hsbm_motif.pipeline import PipelineConfig, config_from_dict
+from hsbm_motif.seeding import derive_rng
 
 
 @pytest.fixture()
@@ -173,6 +184,80 @@ def test_bad_threads_rejected_before_load(tmp_path, capsys, monkeypatch, flag, e
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert main(["test", missing, missing, "--out-dir", str(tmp_path / "t"), *flag]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
+    # the embeddings do not exist: the bootstrap error must come first
+    missing = str(tmp_path / "nope.csv")
+    assert main(["test", missing, missing, "--bootstrap", "-5",
+                 "--out-dir", str(tmp_path / "t")]) == 1
+    assert capsys.readouterr().err.strip() == "error: --bootstrap must be an integer >= 0, got -5"
+    assert not (tmp_path / "t" / "test.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "linear"])
+@pytest.mark.parametrize("n_boot", [0, 40])
+def test_test_json_matches_inline_recipe(tmp_path, mode, n_boot):
+    rng = np.random.default_rng(12)
+    paths = []
+    for k, (rows, shift) in enumerate(((60, 0.0), (47, 0.4))):
+        path = tmp_path / f"emb{k}.csv"
+        emb = Embedding(positions=rng.normal(size=(rows, 2)) + shift, eigenvalues=np.ones(2))
+        embedding_to_csv(emb, tuple(map(str, range(rows))), path)
+        paths.append(str(path))
+    out = tmp_path / "t"
+    assert main(["test", *paths, "--mode", mode, "--bootstrap", str(n_boot), "--threads", "2",
+                 "--out-dir", str(out), "--seed", "9"]) == 0
+    got = json.loads((out / "test.json").read_text())
+
+    # the pair recipe written out: resolve and freeze the bandwidth, the
+    # statistic, then the null from the same generator
+    x = embedding_from_csv(paths[0])[0].positions
+    y = embedding_from_csv(paths[1])[0].positions
+    y = y @ align_embeddings(x, y)
+    sigma = KernelConfig().resolve(np.vstack([x, y]))
+    fixed = KernelConfig(bandwidth=sigma)
+    draw = derive_rng(9, "test")
+    t = mmd_linear(x, y, fixed, draw) if mode == "linear" else mmd_statistic(x, y, fixed)
+    p = None
+    if n_boot:
+        p = bootstrap_pvalue(x, y, fixed, n_boot=n_boot, rng=draw, threads=2, mode=mode)
+    assert got == {"statistic": t, "p_value": p, "bandwidth": sigma, "mode": mode,
+                   "aligned": True, "n": 60, "m": 47}
+
+
+def test_detect_flags_override_config_fields(tmp_path, small_spec, monkeypatch):
+    gen = tmp_path / "gen"
+    main(["generate", str(small_spec), "--out-dir", str(gen), "--seed", "2"])
+    fields = {
+        "top_dim": 3, "sub_dim": 2, "n_subgraphs": 3, "n_motifs": 3, "bandwidth": 2.0,
+        "n_bootstrap": 7, "mode": "linear", "min_cluster_size": 50, "max_depth": 3,
+        "sphere_projection": True,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fields))
+    seen = []
+
+    def record(graph, cfg):
+        seen.append(cfg)
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(cli, "detect_hierarchy", record)
+    base = ["detect", str(gen / "edges.txt"), "--out-dir", str(tmp_path / "det"), "--seed", "2"]
+    flags = ["--D", "4", "--d", "1", "--R", "2", "--M", "1", "--sigma", "0.5",
+             "--bootstrap", "0", "--mode", "exact", "--min-cluster-size", "40",
+             "--max-depth", "1"]
+    assert main([*base, "--config", str(cfg_path)]) == 1
+    assert main([*base, "--config", str(cfg_path), *flags]) == 1
+    assert main([*base, "--sphere"]) == 1
+    from_file = config_from_dict(fields)
+    assert seen[0] == dataclasses.replace(from_file, seed=2, threads=1)
+    assert seen[1] == PipelineConfig(
+        top_dim=4, sub_dim=1, n_subgraphs=2, n_motifs=1, kernel=KernelConfig(bandwidth=0.5),
+        n_bootstrap=0, mode="exact", min_cluster_size=40, max_depth=1,
+        sphere_projection=True, seed=2,
+    )
+    assert seen[2] == PipelineConfig(sphere_projection=True, seed=2)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "Infinity"])

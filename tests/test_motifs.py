@@ -299,6 +299,12 @@ def pooled_kernel(n, m, d, rng):
     return _rbf(pooled, pooled, KernelConfig().resolve(pooled))
 
 
+def x_rows(n, perms):
+    """The ``(B+1) x n`` index matrix that ``bootstrap_pvalue`` fills: the
+    observed x rows, then the first ``n`` entries of each permutation."""
+    return np.vstack([np.arange(n)] + [p[:n] for p in perms])
+
+
 class TestBatchedPermutationNull:
     def test_matches_replicate_loop(self):
         rng = np.random.default_rng(2024)
@@ -312,7 +318,7 @@ class TestBatchedPermutationNull:
             kern = pooled_kernel(n, m, d, rng)
             perms = [rng.permutation(n + m) for _ in range(n_boot)]
             t_loop, null_loop = permutation_statistics_loop(kern, n, perms)
-            t_fast, null_fast = _permutation_statistics(kern, n, perms)
+            t_fast, null_fast = _permutation_statistics(kern, x_rows(n, perms))
             chunked += n_boot + 1 > n + m
             assert abs(t_fast - t_loop) <= 1e-12
             assert np.abs(null_fast - null_loop).max() <= 1e-12
@@ -333,7 +339,7 @@ class TestBatchedPermutationNull:
         redrawn = sum(set(p[:3]) in ({0, 1, 2}, {3, 4, 5}) for p in perms)
         assert redrawn >= 5
         kern = _rbf(np.vstack([x, y]), np.vstack([x, y]), 1.0)
-        t_obs, null = _permutation_statistics(kern, 3, perms)
+        t_obs, null = _permutation_statistics(kern, x_rows(3, perms))
         assert np.count_nonzero(null == t_obs) == redrawn
         assert np.count_nonzero(null >= t_obs) == redrawn
         p = hm.bootstrap_pvalue(x, y, KernelConfig(bandwidth=1.0), n_boot=n_boot,
@@ -365,6 +371,41 @@ class TestBatchedPermutationNull:
             results.append(json.loads(done.stdout))
         assert results[0] == results[1]
         assert len(set(results[0])) > 1
+
+    def test_null_peak_is_two_kernels_and_the_index_matrix(self):
+        # the pooled kernel, one chunk of Z and KZ (one more kernel's worth)
+        # and the (B+1) x n index matrix; no B x N permutations
+        n = m = 600
+        n_boot = 2000
+        x, y = gaussian_pair(n, m, d=3, seed=6)
+        bound = 1.25 * (2 * (n + m) ** 2 + (n_boot + 1) * n) * 8
+        peak = traced_peak(
+            lambda: hm.bootstrap_pvalue(x, y, n_boot=n_boot, rng=derive_rng(6, "peak"))
+        )
+        assert peak <= bound, peak / bound
+
+
+class TestPairTestArguments:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_boot": -3}, "bootstrap replicate count must be >= 0, got -3"),
+        ({"mode": "lin"}, "mode must be 'exact' or 'linear', got 'lin'"),
+        ({"mode": "lin", "n_boot": 5}, "mode must be 'exact' or 'linear', got 'lin'"),
+    ])
+    def test_dissimilarity_matrix_refuses_before_pair_work(self, monkeypatch, kwargs, message):
+        def pair_work(*args, **kw):
+            raise AssertionError("a pair was aligned or tested")
+
+        monkeypatch.setattr(motifs, "align_embeddings", pair_work)
+        monkeypatch.setattr(motifs, "pair_test", pair_work)
+        x, y = gaussian_pair(20, 20)
+        with pytest.raises(MotifError, match=message):
+            hm.dissimilarity_matrix([x, y, x + 1.0], rng=derive_rng(0, "args"), **kwargs)
+
+    @pytest.mark.parametrize("mode", ["lin", "Exact", None])
+    def test_bootstrap_pvalue_refuses_unknown_mode(self, mode):
+        x, y = gaussian_pair(20, 20)
+        with pytest.raises(MotifError, match="mode must be 'exact' or 'linear'"):
+            hm.bootstrap_pvalue(x, y, n_boot=5, rng=derive_rng(0, "args"), mode=mode)
 
 
 class TestSinkhornPlan:
