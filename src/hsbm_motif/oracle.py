@@ -172,6 +172,39 @@ def edge_array_triu(g: SparseGraph) -> np.ndarray:
     return edges[order]
 
 
+def first_appearance_unique(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex indices of ``tokens`` in order of first appearance, and the
+    distinct tokens in that order, by one sort: ``np.unique`` with first
+    positions and inverse, then a double argsort."""
+    values, first, inverse = np.unique(tokens, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], values[order]
+
+
+def largest_component_bfs(g: SparseGraph) -> np.ndarray:
+    """Sorted vertex indices of the largest connected component, by a
+    depth-first search from each unseen vertex in index order; a tie goes
+    to the component found first, the one holding the smallest vertex."""
+    a = g.adjacency
+    seen = np.zeros(g.n_vertices, dtype=bool)
+    best: list[int] = []
+    for start in range(g.n_vertices):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in a.indices[a.indptr[v] : a.indptr[v + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(int(w))
+        if len(comp) > len(best):
+            best = comp
+    return np.sort(np.array(best, dtype=np.int64))
+
+
 def save_edge_list_loop(g: SparseGraph, sink) -> None:
     """The edge-list writer one line per ``write``: the ``v v`` vertex
     block, then every edge of :func:`edge_array_triu`."""

@@ -1,5 +1,6 @@
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,12 @@ from hsbm_motif.graph import (
     GraphError,
     partition_to_csv,
 )
-from hsbm_motif.oracle import edge_array_triu, save_edge_list_loop
+from hsbm_motif.oracle import (
+    edge_array_triu,
+    first_appearance_unique,
+    largest_component_bfs,
+    save_edge_list_loop,
+)
 
 
 def load(text: str) -> hm.SparseGraph:
@@ -107,7 +113,8 @@ def write_bytes(directory: Path, data: bytes) -> Path:
 
 
 # ids from a small range (duplicates, self-loops) and up to 18 digits
-canonical_ids = st.one_of(st.integers(0, 12), st.integers(0, 10**18 - 1))
+small_ids = st.integers(0, 12)
+canonical_ids = st.one_of(small_ids, st.integers(0, 10**18 - 1))
 comment_text = st.text(
     st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from(["\t", "\x0b", "\x0c"]),
     max_size=12,
@@ -117,18 +124,21 @@ comment_text = st.text(
 @st.composite
 def canonical_files(draw):
     """Canonical edge lists: edges, ``v v`` lines, column-0 comments, and an
-    optional final newline."""
+    optional final newline.  Files with only small ids mostly have their
+    largest id below the token count, so they reach the bulk loader's id
+    table; any 18-digit id sends a file through ``np.unique``."""
+    ids = draw(st.sampled_from([small_ids, canonical_ids]))
     lines = []
     for _ in range(draw(st.integers(1, 30))):
         kind = draw(st.sampled_from(["edge", "edge", "edge", "loop", "comment"]))
         if kind == "comment":
             lines.append("#" + draw(comment_text))
             continue
-        u = draw(canonical_ids)
-        v = u if kind == "loop" else draw(canonical_ids)
+        u = draw(ids)
+        v = u if kind == "loop" else draw(ids)
         lines.append(f"{u} {v}")
     if all(line.startswith("#") for line in lines):
-        lines.append(f"{draw(canonical_ids)} {draw(canonical_ids)}")
+        lines.append(f"{draw(ids)} {draw(ids)}")
     text = "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
     return text.encode("ascii")
 
@@ -224,6 +234,57 @@ class TestBulkLoaderMatchesLines:
         assert loaded == expected
         assert loaded.vertex_ids == expected.vertex_ids
         assert_same_graph(loaded, load_parent_way(path))
+
+    def test_load_peak_on_shipped_graph(self, tmp_path, bench_sample):
+        graph, _ = bench_sample
+        path = tmp_path / "edges.txt"
+        hm.save_edge_list(graph, path)
+        pairs = graph.n_vertices + graph.n_edges  # one "v v" line per vertex, then the edges
+        tracemalloc.start()
+        try:
+            loaded = hm.load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.edge_array().tobytes() == graph.edge_array().tobytes()
+        # 16 bytes a pair is what the int64 tokens alone take
+        assert peak <= 4 * 16 * pairs
+
+
+@st.composite
+def token_arrays(draw):
+    """Non-negative int64 tokens whose largest value is below, at or above
+    their count, up to 18 digits."""
+    n = draw(st.integers(1, 40))
+    top = draw(st.sampled_from([n - 1, n, 3 * n, 10**18 - 1]))
+    return np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=np.int64)
+
+
+class TestFirstAppearance:
+    @staticmethod
+    def remap(tokens):
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            index, ids = graph_module._first_appearance(tokens)
+        return index, ids, unique.called
+
+    @settings(max_examples=300, deadline=None)
+    @given(token_arrays())
+    def test_matches_unique_reference(self, tokens):
+        index, ids, sorted_first = self.remap(tokens)
+        ref_index, ref_ids = first_appearance_unique(tokens)
+        assert index.dtype == ref_index.dtype and ids.dtype == ref_ids.dtype
+        assert np.array_equal(index, ref_index)
+        assert np.array_equal(ids, ref_ids)
+        # the table whenever it is no larger than the tokens
+        assert sorted_first == (tokens.max() >= tokens.size)
+
+    @pytest.mark.parametrize("top, sorted_first", [(5, False), (6, True)])
+    def test_table_rule_at_the_token_count(self, top, sorted_first):
+        tokens = np.array([top, 2, 0, 2, 1, top], dtype=np.int64)
+        index, ids, used_unique = self.remap(tokens)
+        assert used_unique == sorted_first
+        assert index.tolist() == [0, 1, 2, 1, 3, 0]
+        assert ids.tolist() == [top, 2, 0, 1]
 
 
 class TestSaveRoundTrip:
@@ -359,6 +420,46 @@ class TestInvariants:
         with pytest.raises(GraphError, match="0 or 1"):
             hm.SparseGraph(adjacency=adj)
 
+    def test_stored_zeros_are_not_edges(self, tmp_path):
+        # the path 0-1-2, with explicit zeros stored at (0, 2) and (2, 0)
+        adj = sp.csr_array((
+            np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8),
+            np.array([1, 2, 0, 2, 0, 1]),
+            np.array([0, 2, 4, 6]),
+        ), shape=(3, 3))
+        g = hm.SparseGraph(adjacency=adj, vertex_ids=("0", "1", "2"))
+        assert adj.nnz == 6  # the caller's matrix keeps its zeros
+        assert g.n_edges == 2
+        assert g.density == pytest.approx(2 / 3)
+        assert g.edge_array().tolist() == [[0, 1], [1, 2]]
+        path = tmp_path / "edges.txt"
+        hm.save_edge_list(g, path)
+        assert "0 2\n" not in path.read_text()
+        again = hm.load_edge_list(path)
+        assert again == g
+        assert again.edge_array().tolist() == [[0, 1], [1, 2]]
+
+
+@st.composite
+def tied_components(draw):
+    """Graphs of several components, at least two of them of the largest
+    size, with the vertices shuffled so that no component is a run of
+    indices and the components come in no particular order."""
+    size = draw(st.integers(1, 6))
+    sizes = [size] * draw(st.integers(2, 4)) + draw(st.lists(st.integers(1, size), max_size=3))
+    u, v, start = [], [], 0
+    for s in sizes:
+        for k in range(1, s):  # a random spanning tree keeps each one connected
+            u.append(start + k)
+            v.append(start + draw(st.integers(0, k - 1)))
+        for a, b in draw(st.lists(st.tuples(st.integers(0, s - 1), st.integers(0, s - 1)), max_size=s)):
+            u.append(start + a)
+            v.append(start + b)
+        start += s
+    perm = np.array(draw(st.permutations(range(start))), dtype=np.int64)
+    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+    return hm.graph_from_edges(start, perm[u], perm[v], vertex_ids=tuple(map(str, range(start))))
+
 
 class TestLargestConnectedComponent:
     def test_tie_break_by_min_vertex(self):
@@ -384,27 +485,14 @@ class TestLargestConnectedComponent:
     def test_matches_bfs_oracle_and_covers_benchmark(self, bench_sample):
         graph, _ = bench_sample
         lcc = hm.largest_connected_component(graph)
-        # independent BFS oracle
-        a = graph.adjacency
-        adj = [a.indices[a.indptr[v] : a.indptr[v + 1]] for v in range(graph.n_vertices)]
-        seen = np.zeros(graph.n_vertices, dtype=bool)
-        best = []
-        for start in range(graph.n_vertices):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(int(w))
-            if len(comp) > len(best):
-                best = comp
-        assert lcc.n_vertices == len(best)
+        assert lcc == hm.induced_subgraph(graph, largest_component_bfs(graph))
         assert lcc.n_vertices >= 0.99 * graph.n_vertices
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_components())
+    def test_ties_match_bfs_oracle(self, g):
+        lcc = hm.largest_connected_component(g)
+        assert lcc.vertex_ids == g.ids_for(largest_component_bfs(g))
 
 
 class TestInducedSubgraph:
@@ -427,6 +515,11 @@ class TestInducedSubgraph:
         g = load("0 1")
         with pytest.raises(GraphError, match="empty"):
             hm.induced_subgraph(g, [])
+
+    def test_duplicates(self):
+        g = load("0 1\n1 2")
+        with pytest.raises(GraphError, match="vertex set contains duplicates"):
+            hm.induced_subgraph(g, [2, 0, 2])
 
     def test_benchmark_block_density(self, bench_sample):
         # restrict to the first subgraph (300 vertices) and check the density
