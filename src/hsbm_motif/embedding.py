@@ -101,7 +101,10 @@ def _top_eigenpairs(g: SparseGraph, k: int, name: str, sym: str):
         raise EmbedError(f"{name} must satisfy 1 <= {sym} < n, got {sym}={k}, n={n}")
     if g.n_edges == 0:
         return np.zeros(k), np.zeros((n, k))
-    a = g.adjacency.astype(np.float64)
+    # float64 entries on the adjacency's own index arrays: astype would copy
+    # those too
+    adj = g.adjacency
+    a = type(adj)((adj.data.astype(np.float64), adj.indices, adj.indptr), shape=adj.shape)
     if n <= _DENSE_FALLBACK or k > n - 2:
         return _dense_eigs(a.toarray(), k)
     return _sparse_eigs(a, k)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from typing import IO, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import SparseGraph, graph_from_edges
+from .graph import SparseGraph
 
 _PSD_TOL = 1e-10
 _WEIGHT_TOL = 1e-8
@@ -361,6 +362,14 @@ def sample_rdpg(
 
     Edges are drawn for i < j and mirrored; the diagonal stays empty.  The
     same generator state always yields the identical graph.
+
+    Rows are drawn in chunks of 512.  Each chunk takes its uniforms for the
+    full ``rows x n`` block, so the random stream is the one of a full n x n
+    draw, but it forms and compares probabilities only from its own diagonal
+    on, and keeps the strictly-upper hits.  Those come out of ``nonzero``
+    row-major with sorted columns, so per-row counts and the columns are the
+    strictly-upper CSR as they are; the adjacency is that CSR plus its
+    transpose, with no edge arrays, COO or index sort in between.
     """
     x = latents.positions if isinstance(latents, LatentPositions) else np.asarray(latents)
     n = x.shape[0]
@@ -371,26 +380,39 @@ def sample_rdpg(
     if top is not None and top > 1 + 1e-12:
         raise GeneratorError(f"edge probability {top} exceeds 1")
 
-    rows: list[np.ndarray] = []
+    counts = np.zeros(n + 1, dtype=np.int64)
     cols: list[np.ndarray] = []
+    column = np.int32 if n < 2**31 else np.int64
+    draw = np.empty((min(_SAMPLE_CHUNK, n), n))
     for start in range(0, n, _SAMPLE_CHUNK):
         stop = min(start + _SAMPLE_CHUNK, n)
-        probs = sparsity * (x[start:stop] @ x.T)
+        probs = sparsity * (x[start:stop] @ x[start:].T)
         if probs.max() > 1 + 1e-9 or probs.min() < -1e-9:
             raise GeneratorError(
                 f"edge probability out of [0, 1]: range [{probs.min()}, {probs.max()}]"
             )
-        draw = rng.random(probs.shape)
-        hits = draw < probs
-        # keep strictly-upper pairs only
-        local_i, local_j = np.nonzero(hits)
-        global_i = local_i + start
-        keep = local_j > global_i
-        rows.append(global_i[keep])
-        cols.append(local_j[keep])
-    u = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    v = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    return graph_from_edges(n, u, v)
+        hits = rng.random(out=draw[: stop - start])[:, start:] < probs
+        del probs
+        # the diagonal block keeps its strictly-upper part
+        hits[:, : stop - start] &= ~np.tri(stop - start, dtype=bool)
+        per_row = np.count_nonzero(hits, axis=1)
+        counts[start + 1 : stop + 1] = per_row
+        # flat positions, less each row's offset, are the columns: a 1-d
+        # nonzero is several times faster than a 2-d one
+        width = n - start
+        flat = np.flatnonzero(hits)
+        flat -= np.repeat(np.arange(stop - start) * width - start, per_row)
+        cols.append(flat.astype(column))
+    del draw
+    nnz = int(counts.sum())
+    # graph_from_edges's rule: int32 indices whenever the symmetric CSR fits
+    index = np.int32 if max(n, 2 * nnz) < 2**31 else np.int64
+    indices = np.concatenate(cols, dtype=index)
+    del cols
+    upper = sp.csr_array(
+        (np.ones(nnz, dtype=np.uint8), indices, np.cumsum(counts, dtype=index)), shape=(n, n)
+    )
+    return SparseGraph._trusted(upper + upper.T)
 
 
 def sample_hsbm(

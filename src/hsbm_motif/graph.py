@@ -113,13 +113,17 @@ class SparseGraph:
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) array with u < v, sorted lexicographically."""
+        return np.column_stack(self._upper_ends()).astype(np.int64)
+
+    def _upper_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``u`` and ``v`` columns of :meth:`edge_array`, in the CSR's
+        index type."""
         adj = self.adjacency
         if not adj.has_sorted_indices:
             adj = adj.sorted_indices()
-        rows = np.repeat(np.arange(self.n_vertices, dtype=np.int64), np.diff(adj.indptr))
-        cols = adj.indices.astype(np.int64)
-        upper = cols > rows
-        return np.column_stack([rows[upper], cols[upper]])
+        rows = np.repeat(np.arange(self.n_vertices, dtype=adj.indices.dtype), np.diff(adj.indptr))
+        upper = adj.indices > rows
+        return rows[upper], adj.indices[upper]
 
     def to_dense(self, limit: int = 4000) -> np.ndarray:
         if self.n_vertices > limit:
@@ -348,20 +352,45 @@ def save_edge_list(g: SparseGraph, sink: IO[str] | str | os.PathLike) -> None:
     A block of ``v v`` self-loop lines precedes the edges.  Loading drops the
     loops but registers the vertices, so vertex order and isolated vertices
     survive a round trip.
+
+    Lines are laid out from a byte table: each label's UTF-8 bytes once,
+    padded to a multiple of 8, with its length beside it.  A chunk of lines
+    is a fixed-width matrix of label, space, label, newline, from which a
+    length mask keeps the real bytes.
     """
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="utf-8") as fh:
             save_edge_list(g, fh)
             return
 
-    ids = g.vertex_ids or tuple(str(i) for i in range(g.n_vertices))
+    ids = g.vertex_ids or tuple(map(str, range(g.n_vertices)))
+    encoded = [label.encode("utf-8") for label in ids]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    width = max(8, -(-int(lengths.max(initial=0)) // 8) * 8)
+    # one row per label: its bytes, then zero padding, which the mask drops
+    table = np.zeros((len(ids), width), dtype=np.uint8)
+    present = np.arange(width) < lengths[:, None]
+    table[present] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    del encoded
+    # a line is one record of 2 * width + 2 bytes; labels and their masks
+    # are gathered whole, as void views of their table rows
+    line = np.dtype([("u", f"V{width}"), ("space", "u1"), ("v", f"V{width}"), ("nl", "u1")])
+    labels = table.view(f"V{width}")[:, 0]
+    masks = present.view(f"V{width}")[:, 0]
+
+    def write_lines(u: np.ndarray, v: np.ndarray) -> None:
+        for start in range(0, u.size, _WRITE_CHUNK_ROWS):
+            cu = u[start : start + _WRITE_CHUNK_ROWS]
+            cv = v[start : start + _WRITE_CHUNK_ROWS]
+            text, keep = np.empty(cu.size, line), np.empty(cu.size, line)
+            text["u"], text["space"], text["v"], text["nl"] = labels[cu], _SP, labels[cv], _NL
+            keep["u"], keep["space"], keep["v"], keep["nl"] = masks[cu], 1, masks[cv], 1
+            sink.write(str(text.view(np.uint8)[keep.view(np.bool_)], "utf-8"))
+
     sink.write("# undirected edge list; leading 'v v' lines declare vertices\n")
-    sink.write("".join(f"{label} {label}\n" for label in ids))
-    labels = np.array(ids, dtype=object)
-    edges = g.edge_array()
-    for start in range(0, len(edges), _WRITE_CHUNK_ROWS):
-        chunk = edges[start : start + _WRITE_CHUNK_ROWS]
-        sink.write("".join(map("{} {}\n".format, labels[chunk[:, 0]], labels[chunk[:, 1]])))
+    loops = np.arange(g.n_vertices)
+    write_lines(loops, loops)
+    write_lines(*g._upper_ends())
 
 
 def largest_connected_component(g: SparseGraph) -> SparseGraph:
@@ -474,14 +503,12 @@ def block_density(g: SparseGraph, part: VertexPartition) -> np.ndarray:
         )
     r = part.n_clusters
     sizes = part.sizes().astype(np.float64)
-    one_hot = sp.csr_array(
-        (
-            np.ones(g.n_vertices),
-            (np.arange(g.n_vertices), part.labels),
-        ),
-        shape=(g.n_vertices, r),
-    )
-    counts = (one_hot.T @ g.adjacency @ one_hot).toarray()
+    # each stored entry is one ordered edge: count it in its (row, column)
+    # cluster pair
+    adj = g.adjacency
+    ends = np.repeat(part.labels * r, np.diff(adj.indptr))
+    ends += part.labels[adj.indices]
+    counts = np.bincount(ends, minlength=r * r).reshape(r, r)
     pairs = np.outer(sizes, sizes)
     np.fill_diagonal(pairs, sizes * (sizes - 1))  # within-cluster: ordered pairs, no loops
     with np.errstate(divide="ignore", invalid="ignore"):

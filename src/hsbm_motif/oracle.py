@@ -11,7 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .embedding import Embedding, _fix_signs, _order_by_magnitude
-from .graph import SparseGraph
+from .generate import GeneratorError, LatentPositions
+from .graph import SparseGraph, VertexPartition, graph_from_edges
 
 _DENSE_LIMIT = 2000
 
@@ -214,6 +215,57 @@ def save_edge_list_loop(g: SparseGraph, sink) -> None:
         sink.write(f"{label} {label}\n")
     for u, v in edge_array_triu(g):
         sink.write(f"{ids[u]} {ids[v]}\n")
+
+
+def sample_rdpg_via_edges(latents, sparsity: float, rng: np.random.Generator) -> SparseGraph:
+    """The random dot product graph sampler through edge arrays: each
+    512-row chunk forms its full ``rows x n`` probabilities, keeps the
+    strictly-upper hits of its full draw as int64 endpoints, and
+    :func:`graph_from_edges` builds the graph from all of them."""
+    x = latents.positions if isinstance(latents, LatentPositions) else np.asarray(latents)
+    n = x.shape[0]
+    if isinstance(latents, LatentPositions):
+        top = sparsity * latents.max_dot()
+    else:
+        top = sparsity * float((x @ x.T).max()) if n <= 4096 else None
+    if top is not None and top > 1 + 1e-12:
+        raise GeneratorError(f"edge probability {top} exceeds 1")
+
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        probs = sparsity * (x[start:stop] @ x.T)
+        if probs.max() > 1 + 1e-9 or probs.min() < -1e-9:
+            raise GeneratorError(
+                f"edge probability out of [0, 1]: range [{probs.min()}, {probs.max()}]"
+            )
+        hits = rng.random(probs.shape) < probs
+        local_i, local_j = np.nonzero(hits)
+        global_i = local_i + start
+        keep = local_j > global_i
+        rows.append(global_i[keep])
+        cols.append(local_j[keep])
+    u = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    v = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
+    return graph_from_edges(n, u, v)
+
+
+def block_density_one_hot(g: SparseGraph, part: VertexPartition) -> np.ndarray:
+    """Block edge frequencies by the sparse triple product ``Z^T A Z`` with
+    the float64 one-hot membership matrix ``Z``; pairs as in
+    :func:`hsbm_motif.graph.block_density`, NaN where a block has none."""
+    r = part.n_clusters
+    sizes = part.sizes().astype(np.float64)
+    one_hot = sp.csr_array(
+        (np.ones(g.n_vertices), (np.arange(g.n_vertices), part.labels)),
+        shape=(g.n_vertices, r),
+    )
+    counts = (one_hot.T @ g.adjacency @ one_hot).toarray()
+    pairs = np.outer(sizes, sizes)
+    np.fill_diagonal(pairs, sizes * (sizes - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pairs > 0, counts / pairs, np.nan)
 
 
 @dataclass(frozen=True, eq=False)

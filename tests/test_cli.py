@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -128,6 +129,52 @@ def test_builtin_spec_generate(tmp_path):
     assert len(labels) == 4101
     subgraphs = [int(line.split(",")[1]) for line in labels[1:]]
     assert np.bincount(subgraphs).tolist() == [300, 600, 600, 600, 700, 600, 300, 400]
+
+
+def three_level_tree():
+    """The criterion-7 tree: two internal children of two two-block leaves."""
+    def leaf(b):
+        return {"type": "leaf", "B": b, "pi": [0.5, 0.5]}
+
+    def pair(a, b):
+        return {"type": "internal", "children": [a, b], "pi": [0.5, 0.5], "cross_p": 0.2}
+
+    return {
+        "type": "internal",
+        "children": [
+            pair(leaf([[0.6, 0.35], [0.35, 0.6]]), leaf([[0.75, 0.4], [0.4, 0.5]])),
+            pair(leaf([[0.45, 0.35], [0.35, 0.65]]), leaf([[0.55, 0.38], [0.38, 0.7]])),
+        ],
+        "pi": [0.5, 0.5],
+        "cross_p": 0.05,
+    }
+
+
+# SHA-256 of the files ``generate --seed 1`` writes; any change to the bytes
+# of a generated graph or of its truth labels must show up here
+GOLDEN_GENERATE = {
+    "builtin": {
+        "edges.txt": "04156e26481c8a2e725b422211adb36bc54f2af6b70213f67d11117e6acfe447",
+        "labels.csv": "ff5085cc7a5e2fd21ab57ef14b3772e8ce1b38e9709b0add47c821387da27716",
+    },
+    "three_level": {
+        "edges.txt": "af01f02d07185e327d3bb42718df43978b51b98ca9299d41c164f959f51e294a",
+        "labels.csv": "07823ed084c170e82931df38f59fe2c0c38751127afb58c160269a961de184fc",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GENERATE))
+def test_generate_writes_golden_bytes(tmp_path, name):
+    spec = "builtin:eight_block_three_motif"
+    if name == "three_level":
+        spec = tmp_path / "three_level.json"
+        spec.write_text(json.dumps({"n": 600, "rho": 1.0, "tree": three_level_tree()}))
+    out = tmp_path / "gen"
+    assert main(["generate", str(spec), "--out-dir", str(out), "--seed", "1"]) == 0
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in GOLDEN_GENERATE[name]}
+    assert digests == GOLDEN_GENERATE[name]
 
 
 @pytest.fixture()

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import norm
 
 import hsbm_motif as hm
+from hsbm_motif import embedding
 from hsbm_motif.embedding import (
     EmbedError,
     _norm_logpdf,
@@ -93,6 +94,35 @@ class TestAse:
         assert emb.eigenvalues[0] == pytest.approx(3.0)
         assert np.all(emb.eigenvalues[1:] < 0)
         assert np.all(emb.magnitudes > 0)
+
+
+class TestSolveOnSharedIndices:
+    """The eigensolve reads float64 entries on the adjacency's own index
+    arrays and gives the eigenpairs of a solve on ``astype(np.float64)``."""
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (40, 39), (300, 5), (300, 12)])
+    def test_same_eigenpairs_as_astype(self, n, k, monkeypatch):
+        g = er_graph(n, 0.2, n + k)
+        seen = []
+        for name in ("_dense_eigs", "_sparse_eigs"):
+            def solver(a, kk, _fn=getattr(embedding, name), _name=name):
+                seen.append((_name, a))
+                return _fn(a, kk)
+
+            monkeypatch.setattr(embedding, name, solver)
+        values, vectors = embedding._top_eigenpairs(g, k, "d", "d")
+        monkeypatch.undo()
+        (name, a), = seen
+        ref = g.adjacency.astype(np.float64)
+        if name == "_sparse_eigs":
+            assert n > 16 and k <= n - 2
+            assert np.shares_memory(a.indices, g.adjacency.indices)
+            assert np.shares_memory(a.indptr, g.adjacency.indptr)
+            ref_values, ref_vectors = embedding._sparse_eigs(ref, k)
+        else:
+            ref_values, ref_vectors = embedding._dense_eigs(ref.toarray(), k)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(vectors, ref_vectors)
 
 
 class TestLeadingColumns:

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsbm_motif as hm
-from hsbm_motif.generate import GeneratorError, SpecError
+from hsbm_motif.generate import GeneratorError, LatentPositions, SpecError
+from hsbm_motif.oracle import sample_rdpg_via_edges
 from hsbm_motif.seeding import derive_rng
 
 from conftest import single_leaf_spec
@@ -223,6 +226,86 @@ class TestSampleRdpg:
         sparse = hm.sample_rdpg(lat, 0.25, derive_rng(1, "a"))
         ratio = sparse.n_edges / dense.n_edges
         assert 0.15 < ratio < 0.35
+
+
+def as_latents(x):
+    """Every row its own block, so that max_dot looks at all of them."""
+    n = x.shape[0]
+    return LatentPositions(positions=x, block_labels=np.arange(n), paths=np.zeros((n, 0), int))
+
+
+def csr_parts(g):
+    a = g.adjacency
+    return [a.indptr, a.indices, a.data]
+
+
+def assert_same_graph(ours, ref):
+    for mine, theirs in zip(csr_parts(ours), csr_parts(ref)):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+    assert ours.n_loops_dropped == ref.n_loops_dropped == 0
+
+
+class TestSamplerMatchesEdgeOracle:
+    """The half-band sampler gives the graph of the edge-array sampler in
+    ``oracle``, from the same generator state, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025, 1500])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_random_latents(self, n, d):
+        local = np.random.default_rng(10 * n + d)
+        spread = local.random((n, d))
+        spread /= np.sqrt((spread @ spread.T).max())
+        # all dot products close to 1: a near-complete graph
+        tight = (1 - 0.01 * local.random((n, d))) / np.sqrt(d)
+        for x, sparsity in ((spread, 1e-4), (spread, 0.6), (tight, 1.0)):
+            for latents in (x, as_latents(x)):
+                ours = hm.sample_rdpg(latents, sparsity, derive_rng(n, "band"))
+                ref = sample_rdpg_via_edges(latents, sparsity, derive_rng(n, "band"))
+                assert_same_graph(ours, ref)
+        if n > 1:
+            assert ref.density > 0.97
+
+    def test_benchmark_spec(self, bench_spec):
+        lat = hm.build_latent_positions(bench_spec, derive_rng(1, "generate"))
+        ours = hm.sample_rdpg(lat, bench_spec.sparsity, derive_rng(2, "band"))
+        ref = sample_rdpg_via_edges(lat, bench_spec.sparsity, derive_rng(2, "band"))
+        assert_same_graph(ours, ref)
+
+    def test_negative_probability_raises(self):
+        x = np.zeros((700, 2))
+        x[:, 0] = 0.5
+        x[650] = [-0.5, 0.5]  # a negative dot product with every other row
+        for sampler in (hm.sample_rdpg, sample_rdpg_via_edges):
+            with pytest.raises(GeneratorError, match="out of"):
+                sampler(x, 1.0, rng())
+
+    def test_probability_above_one_raises(self):
+        x = np.full((700, 1), 0.5)
+        x[600] = 3.0
+        for sampler in (hm.sample_rdpg, sample_rdpg_via_edges):
+            with pytest.raises(GeneratorError, match="exceeds 1"):
+                sampler(x, 1.0, rng())
+            # latents whose one block row hides the large one: the check on
+            # the products themselves still fires
+            hidden = LatentPositions(positions=x, block_labels=np.zeros(700, int),
+                                     paths=np.zeros((700, 0), int))
+            with pytest.raises(GeneratorError, match="out of"):
+                sampler(hidden, 1.0, rng())
+
+    def test_peak_memory_at_n_2000(self):
+        spec = single_leaf_spec(np.array([[0.6, 0.35], [0.35, 0.6]]), 2000)
+        lat = hm.build_latent_positions(spec, rng())
+        tracemalloc.start()
+        try:
+            g = hm.sample_rdpg(lat, 1.0, rng())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        csr_bytes = sum(part.nbytes for part in csr_parts(g))
+        # the edge-array route peaked at 8.5x the finished CSR here (int64
+        # endpoints, COO and an index sort); the half band at 2.2x
+        assert peak < 5 * csr_bytes
 
 
 class TestSampleHsbm:

@@ -18,6 +18,7 @@ from hsbm_motif.graph import (
     partition_to_csv,
 )
 from hsbm_motif.oracle import (
+    block_density_one_hot,
     edge_array_triu,
     first_appearance_unique,
     largest_component_bfs,
@@ -348,6 +349,55 @@ class TestBulkWriterMatchesLoop:
         assert fast == slow
         assert fast.splitlines()[1:] == ["0 0", "1 1", "2 2"]
 
+    @staticmethod
+    def path_of_both(g, tmp_path):
+        fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
+        hm.save_edge_list(g, fast)
+        with open(slow, "w", encoding="utf-8") as fh:
+            save_edge_list_loop(g, fh)
+        return fast.read_bytes(), slow.read_bytes()
+
+    @pytest.mark.parametrize("sizes", [(7,), (8,), (9,), (16,), (17,), (7, 8, 9, 16, 23, 40, 1)])
+    def test_ids_across_the_pad_boundary(self, sizes, tmp_path):
+        # labels padded to 8, 16, 24 or 48 bytes in the writer's table
+        ids = tuple(f"{i}".rjust(sizes[i % len(sizes)], "x") for i in range(12))
+        g = hm.graph_from_edges(12, np.arange(11), np.arange(1, 12), vertex_ids=ids)
+        fast, slow = self.both(g)
+        assert fast == slow
+        assert {len(label.encode()) for label in ids} == set(sizes)
+        fast, slow = self.path_of_both(g, tmp_path)
+        assert fast == slow
+
+    def test_multibyte_nul_and_empty_ids(self, tmp_path):
+        # a NUL byte or an empty label must not be taken for the table's padding
+        ids = ("\0", "a\0b", "", "節点", "ωωωω", "🙂" * 3, "é" * 9, "\0" * 8, "z")
+        u, v = np.triu_indices(len(ids), k=1)
+        g = hm.graph_from_edges(len(ids), u, v, vertex_ids=ids)
+        fast, slow = self.both(g)
+        assert fast == slow
+        assert "a\0b 節点\n" in fast
+        fast, slow = self.path_of_both(g, tmp_path)
+        assert fast == slow
+
+    def test_one_vertex(self, tmp_path):
+        none = np.array([], dtype=np.int64)
+        for ids, line in ((None, "0 0"), (("only",), "only only")):
+            g = hm.graph_from_edges(1, none, none, vertex_ids=ids)
+            fast, slow = self.both(g)
+            assert fast == slow
+            assert fast.splitlines()[1:] == [line]
+            fast, slow = self.path_of_both(g, tmp_path)
+            assert fast == slow
+
+    def test_several_chunks_to_a_stream(self):
+        rng = np.random.default_rng(4)
+        u, v = np.nonzero(np.triu(rng.random((60, 60)) < 0.5, k=1))
+        g = hm.graph_from_edges(60, u, v, vertex_ids=tuple(f"節{i}" for i in range(60)))
+        with mock.patch.object(graph_module, "_WRITE_CHUNK_ROWS", 97):
+            fast, slow = self.both(g)
+        assert g.n_edges > 5 * 97
+        assert fast == slow
+
     def test_more_edges_than_one_chunk_on_disk(self, tmp_path):
         rng = np.random.default_rng(3)
         n = 900
@@ -611,6 +661,28 @@ class TestBlockDensity:
                     s = block.mean()
                 expected[i, j] = s
         assert np.nanmax(np.abs(observed - expected)) < 0.02
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(), st.integers(1, 7), st.data())
+    def test_matches_one_hot_oracle(self, g, r, data):
+        # labels drawn from 0..r-1 leave some clusters empty or singletons
+        labels = data.draw(st.lists(st.integers(0, r - 1), min_size=g.n_vertices,
+                                    max_size=g.n_vertices))
+        part = hm.VertexPartition(np.array(labels, dtype=np.int64), r)
+        ours = hm.block_density(g, part)
+        assert ours.shape == (r, r)
+        assert np.array_equal(ours, block_density_one_hot(g, part), equal_nan=True)
+
+    def test_matches_one_hot_oracle_on_benchmark(self, bench_sample):
+        graph, latents = bench_sample
+        for r in (2, 4, 7):
+            labels = np.random.default_rng(r).integers(0, r, graph.n_vertices)
+            labels[labels == 1] = 0  # cluster 1 empty
+            labels[5] = 1  # ... but for one vertex
+            part = hm.VertexPartition(labels, r)
+            ours = hm.block_density(graph, part)
+            assert np.isnan(ours[1, 1])
+            assert np.array_equal(ours, block_density_one_hot(graph, part), equal_nan=True)
 
     def test_partition_size_mismatch(self):
         g = load("0 1")
