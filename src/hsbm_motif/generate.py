@@ -370,13 +370,22 @@ def sample_rdpg(
     row-major with sorted columns, so per-row counts and the columns are the
     strictly-upper CSR as they are; the adjacency is that CSR plus its
     transpose, with no edge arrays, COO or index sort in between.
+
+    Raw positions with n <= 4096 are checked up front: the largest entry
+    of the Gram matrix is the largest over the same upper row blocks
+    ``x[s:e] @ x[s:].T``, one at a time, not of the full n x n product.
     """
     x = latents.positions if isinstance(latents, LatentPositions) else np.asarray(latents)
     n = x.shape[0]
     if isinstance(latents, LatentPositions):
         top = sparsity * latents.max_dot()
+    elif n <= 4096:
+        top = sparsity * max(
+            float((x[start : start + _SAMPLE_CHUNK] @ x[start:].T).max())
+            for start in range(0, n, _SAMPLE_CHUNK)
+        )
     else:
-        top = sparsity * float((x @ x.T).max()) if n <= 4096 else None
+        top = None
     if top is not None and top > 1 + 1e-12:
         raise GeneratorError(f"edge probability {top} exceeds 1")
 

@@ -22,6 +22,8 @@ _WRITE_CHUNK_ROWS = 1 << 16
 _NL, _SP, _HASH, _ZERO, _NINE = b"\n #09"
 # any 18-digit integer fits in int64
 _MAX_DIGITS = 18
+# bytes per piece of the canonical-format scan, which cuts pieces at newlines
+_SCAN_CHUNK = 1 << 18
 
 
 class GraphError(ValueError):
@@ -321,15 +323,35 @@ def _canonical_tokens(fh: IO[bytes]) -> np.ndarray | None:
 
 def _canonical_lines(data: bytes) -> bool:
     """Whether every line of ``data`` is exactly ``<int> <int>``, the last one
-    with or without its newline, by a vectorised byte scan."""
-    if not data.endswith(b"\n"):
-        data += b"\n"
+    with or without its newline, by a vectorised byte scan.
+
+    Every rule is one line's, so the scan runs over pieces of whole lines,
+    each cut at the first newline ``_SCAN_CHUNK - 1`` or more bytes past its
+    start: the index arrays are the size of a piece, not of the buffer.
+    ``oracle.canonical_lines_whole`` scans the whole buffer at once, with the
+    same verdict.
+    """
     # one space per line: a count refuses most other files before any array
-    if data.count(b" ") != data.count(b"\n"):
+    if data.count(b" ") != data.count(b"\n") + (not data.endswith(b"\n")):
         return False
     body = np.frombuffer(data, dtype=np.uint8)
     if body.max() > _NINE:
         return False
+    start = 0
+    while start < body.size:
+        stop = data.find(b"\n", start + _SCAN_CHUNK - 1) + 1 or body.size
+        piece = body[start:stop]
+        if piece[-1] != _NL:
+            piece = np.append(piece, np.uint8(_NL))  # the last line, without its newline
+        if not _canonical_piece(piece):
+            return False
+        start = stop
+    return True
+
+
+def _canonical_piece(body: np.ndarray) -> bool:
+    """Whether the bytes ``body``, whole lines with no byte above ``9`` and a
+    newline at the end, are all ``<int> <int>`` lines."""
     # every byte below '0'; in "<int> <int>\n" lines these alternate space,
     # newline (so no other byte occurs) and every gap holds one token
     sep = np.flatnonzero(body < _ZERO)

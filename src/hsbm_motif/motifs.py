@@ -22,6 +22,12 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from .embedding import Embedding
 
 
+# squared distances per row block of the median heuristic's scan (2 MiB)
+_SCAN_BLOCK = 1 << 18
+# fewest rows per group of the sample that brackets the median distance
+_SAMPLE_GROUP = 128
+
+
 class MotifError(ValueError):
     """Raised for invalid two-sample or motif-clustering requests."""
 
@@ -50,23 +56,110 @@ class KernelConfig:
     def resolve(self, pooled: np.ndarray) -> float:
         """The bandwidth for the pooled rows.
 
-        The median heuristic holds one array, the ``pdist`` distances it
-        owns, and selects their median in place.  Only when that median is
-        0 does it recompute the distances, so that the ``np.mean`` fallback
-        sums them in their original order.
+        The median heuristic is the median of the ``pdist`` distances, bit
+        for bit, selected from row blocks by :func:`_median_distance`
+        without forming all of them.  Only when that median is 0 are they
+        formed at once, so that the ``np.mean`` fallback sums them in
+        ``pdist`` order.  ``oracle.median_bandwidth_pdist`` is the
+        one-array reference.
         """
         if not isinstance(self.bandwidth, str):
             return float(self.bandwidth)
-        dists = pdist(pooled)
-        if dists.size == 0:
+        pooled = np.asarray(pooled, dtype=np.float64)
+        if pooled.shape[0] < 2:
             return 1.0
-        sigma = _median(dists)
-        del dists
+        sigma = _median_distance(pooled)
         if sigma == 0.0:
             sigma = float(np.mean(pdist(pooled)))
         if sigma == 0.0:
             sigma = 1.0  # all rows identical; any bandwidth gives T = 0
         return sigma
+
+
+def _median_distance(pooled: np.ndarray) -> float:
+    """``_median(pdist(pooled))`` without the N(N-1)/2 distances, bit for bit.
+
+    scipy's euclidean distance is the root of its squared one, bit for bit,
+    and the root is monotone, so the roots of the middle squared distances
+    are ``pdist``'s middle values.  The squared distances come in row
+    blocks: ``pdist`` of a block's rows (its strict upper triangle) and
+    ``cdist`` of those rows against all later rows.  A block holds at most
+    ``min(2**18, (N/2)**2 / 2)`` values, half the smallest that the
+    statistic's largest kernel block can be, so that with its masks, the
+    sample and the kept values the scan stays below that kernel block.
+
+    A sample brackets the middle ranks.  A fixed random permutation cuts
+    the rows into groups of 128 to 255, and each group gives the pairs
+    between its two halves, so every row is sampled as often as any other.
+    The bracket ``[lo, hi]`` is the sample's quantiles four standard errors
+    (``0.5 / sqrt(k)`` for ``k`` pairs) either side of the middle.  One scan
+    counts the values below ``lo`` and keeps those in the bracket, about 2%
+    of them, and the middle ranks are selected among the kept ones.  When a
+    middle rank falls outside the bracket, that side widens fourfold and the
+    scan repeats.  Clouds of under 128 rows, and rows with a non-finite
+    value, take ``pdist`` whole.
+    """
+    n = pooled.shape[0]
+    if n < _SAMPLE_GROUP or not np.isfinite(pooled).all():
+        return _median(pdist(pooled))
+    total = n * (n - 1) // 2
+    # the middle ranks; one rank when the count is odd
+    lower, upper = (total - 1) // 2, total // 2
+    groups = np.array_split(np.random.default_rng(0).permutation(n), n // _SAMPLE_GROUP)
+    sample = np.concatenate([
+        cdist(pooled[rows[: rows.size // 2]], pooled[rows[rows.size // 2 :]], "sqeuclidean").ravel()
+        for rows in groups
+    ])
+
+    def quantile(q: float) -> float:
+        at = math.floor(q * sample.size)
+        if at < 0:
+            return -math.inf
+        if at >= sample.size:
+            return math.inf
+        sample.partition(at)
+        return float(sample[at])
+
+    low_margin = high_margin = 2.0 / math.sqrt(sample.size)
+    while True:
+        lo = quantile(lower / total - low_margin)
+        hi = quantile(upper / total + high_margin)
+        below, kept = _scan_squared_distances(pooled, lo, hi)
+        if below > lower:
+            low_margin *= 4
+        elif upper >= below + kept.size:
+            high_margin *= 4
+        else:
+            break
+    kept.partition((lower - below, upper - below))
+    # the middle value, or the two in order, rounded as _median rounds them
+    return _median(np.sqrt(kept[lower - below : upper - below + 1]))
+
+
+def _scan_squared_distances(pooled: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
+    """How many squared pairwise distances lie below ``lo``, and those in
+    ``[lo, hi]``, from row blocks of at most ``min(2**18, (N/2)**2 / 2)``
+    values."""
+    below, kept = 0, []
+
+    def take(block: np.ndarray) -> None:
+        # one block and its mask are alive at a time
+        nonlocal below
+        inside = block >= lo
+        below += block.size - np.count_nonzero(inside)
+        inside &= block <= hi
+        kept.append(block[inside])
+
+    n = pooled.shape[0]
+    cap = min(_SCAN_BLOCK, (n // 2) ** 2 // 2)
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, cap // (n - start)))
+        rows = pooled[start:stop]
+        take(pdist(rows, "sqeuclidean"))
+        take(cdist(rows, pooled[stop:], "sqeuclidean"))
+        start = stop
+    return below, np.concatenate(kept)
 
 
 def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,8 +535,9 @@ def align_embeddings(
     def thin(arr: np.ndarray) -> np.ndarray:
         if arr.shape[0] <= max_points:
             return arr
-        idx = np.unique(np.linspace(0, arr.shape[0] - 1, max_points).astype(np.int64))
-        return arr[idx]
+        # the stride (n - 1) / (max_points - 1) exceeds 1, so the truncated
+        # indices are already strictly increasing
+        return arr[np.linspace(0, arr.shape[0] - 1, max_points).astype(np.int64)]
 
     ra, mo = thin(ref), thin(mov)
     # two-phase multistart: probe every reflection briefly, then run the

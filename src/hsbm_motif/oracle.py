@@ -9,10 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial.distance import pdist
 
 from .embedding import Embedding, _fix_signs, _order_by_magnitude
 from .generate import GeneratorError, LatentPositions
-from .graph import SparseGraph, VertexPartition, graph_from_edges
+from .graph import _MAX_DIGITS, _NINE, _NL, _SP, _ZERO, SparseGraph, VertexPartition, graph_from_edges
+from .motifs import _median
 
 _DENSE_LIMIT = 2000
 
@@ -120,6 +122,23 @@ def mmd_from_kernel(kxx: np.ndarray, kxy: np.ndarray, kyy: np.ndarray) -> float:
     return float(term_x - term_xy + term_y)
 
 
+def median_bandwidth_pdist(pooled: np.ndarray) -> float:
+    """The median heuristic from one array: the ``pdist`` distances of the
+    pooled rows and an in-place selection of their median.  Only when that
+    median is 0 are the distances recomputed, so that the ``np.mean``
+    fallback sums them in their original order."""
+    dists = pdist(pooled)
+    if dists.size == 0:
+        return 1.0
+    sigma = _median(dists)
+    del dists
+    if sigma == 0.0:
+        sigma = float(np.mean(pdist(pooled)))
+    if sigma == 0.0:
+        sigma = 1.0  # all rows identical; any bandwidth gives T = 0
+    return sigma
+
+
 def permutation_statistics_loop(
     kern: np.ndarray, n: int, perms
 ) -> tuple[float, np.ndarray]:
@@ -180,6 +199,33 @@ def first_appearance_unique(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     values, first, inverse = np.unique(tokens, return_index=True, return_inverse=True)
     order = np.argsort(first)
     return np.argsort(order)[inverse], values[order]
+
+
+def canonical_lines_whole(data: bytes) -> bool:
+    """Whether every line of ``data`` is exactly ``<int> <int>``, the last one
+    with or without its newline, by one vectorised scan of the whole buffer."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    # one space per line: a count refuses most other files before any array
+    if data.count(b" ") != data.count(b"\n"):
+        return False
+    body = np.frombuffer(data, dtype=np.uint8)
+    if body.max() > _NINE:
+        return False
+    # every byte below '0'; in "<int> <int>\n" lines these alternate space,
+    # newline (so no other byte occurs) and every gap holds one token
+    sep = np.flatnonzero(body < _ZERO)
+    if not (np.all(body[sep[0::2]] == _SP) and np.all(body[sep[1::2]] == _NL)):
+        return False
+    gap = np.diff(sep)
+    if not (1 <= sep[0] <= _MAX_DIGITS and 2 <= gap.min() and gap.max() <= _MAX_DIGITS + 1):
+        return False
+    del gap
+    # a leading zero: a token starts with 0 and a digit follows it
+    starts = np.concatenate(([0], sep[:-1] + 1))
+    zero = starts[body[starts] == _ZERO]
+    del sep, starts
+    return not np.any(body[zero + 1] >= _ZERO)
 
 
 def largest_component_bfs(g: SparseGraph) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ def mean_silhouette(points: np.ndarray, labels: np.ndarray) -> float:
         b = min(d[i][labels == lab].mean() for lab in np.unique(labels) if lab != labels[i])
         out.append((b - a) / max(a, b))
     return float(np.mean(out))
+
+
+def traced_peak(fn):
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

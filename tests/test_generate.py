@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,7 @@ from hsbm_motif.generate import GeneratorError, LatentPositions, SpecError
 from hsbm_motif.oracle import sample_rdpg_via_edges
 from hsbm_motif.seeding import derive_rng
 
-from conftest import single_leaf_spec
+from conftest import single_leaf_spec, traced_peak
 
 
 def rng(seed=0):
@@ -293,15 +291,49 @@ class TestSamplerMatchesEdgeOracle:
             with pytest.raises(GeneratorError, match="out of"):
                 sampler(hidden, 1.0, rng())
 
+    @staticmethod
+    def refusal(sampler, x):
+        """The message of the sampler's refusal of ``x``, or None."""
+        try:
+            sampler(x, 1.0, rng())
+        except GeneratorError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("n", [2, 511, 512, 513, 1300, 4096])
+    def test_up_front_check_matches_full_gram(self, n):
+        # the largest Gram entry over the upper row blocks is the full
+        # Gram's, so positions scaled to either side of 1 + 1e-12 get the
+        # edge oracle's verdict and message
+        local = np.random.default_rng(n)
+        for d in (1, 3, 8):
+            x = local.random((n, d))
+            x /= np.sqrt((x @ x.T).max())
+            for scale in (1.0, 1 + 0.5e-12, 1 + 1e-12, 1 + 2e-12, 1 + 1e-9):
+                scaled = x * np.sqrt(scale)
+                top = float((scaled @ scaled.T).max())
+                ours = self.refusal(hm.sample_rdpg, scaled)
+                assert ours == self.refusal(sample_rdpg_via_edges, scaled)
+                assert (ours is not None) == (top > 1 + 1e-12)
+                if ours is not None:
+                    assert ours == f"edge probability {top} exceeds 1"
+
+    def test_up_front_check_peak_at_n_4096(self):
+        # raw positions are checked one 512-row block at a time, not by the
+        # 134 MB Gram matrix, so they peak where the latents route does
+        # (35.7 MB here)
+        spec = single_leaf_spec(np.array([[0.6, 0.35], [0.35, 0.6]]), 4096)
+        lat = hm.build_latent_positions(spec, rng())
+        latents_peak = traced_peak(lambda: hm.sample_rdpg(lat, 0.01, rng()))
+        array_peak = traced_peak(lambda: hm.sample_rdpg(lat.positions, 0.01, rng()))
+        assert array_peak <= 1.1 * latents_peak, (array_peak, latents_peak)
+
     def test_peak_memory_at_n_2000(self):
         spec = single_leaf_spec(np.array([[0.6, 0.35], [0.35, 0.6]]), 2000)
         lat = hm.build_latent_positions(spec, rng())
-        tracemalloc.start()
-        try:
-            g = hm.sample_rdpg(lat, 1.0, rng())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        graphs = []
+        peak = traced_peak(lambda: graphs.append(hm.sample_rdpg(lat, 1.0, rng())))
+        g = graphs[0]
         csr_bytes = sum(part.nbytes for part in csr_parts(g))
         # the edge-array route peaked at 8.5x the finished CSR here (int64
         # endpoints, COO and an index sort); the half band at 2.2x

@@ -1,6 +1,5 @@
 import io
 import tempfile
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -19,11 +18,14 @@ from hsbm_motif.graph import (
 )
 from hsbm_motif.oracle import (
     block_density_one_hot,
+    canonical_lines_whole,
     edge_array_triu,
     first_appearance_unique,
     largest_component_bfs,
     save_edge_list_loop,
 )
+
+from conftest import traced_peak
 
 
 def load(text: str) -> hm.SparseGraph:
@@ -241,15 +243,92 @@ class TestBulkLoaderMatchesLines:
         path = tmp_path / "edges.txt"
         hm.save_edge_list(graph, path)
         pairs = graph.n_vertices + graph.n_edges  # one "v v" line per vertex, then the edges
-        tracemalloc.start()
-        try:
-            loaded = hm.load_edge_list(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert loaded.edge_array().tobytes() == graph.edge_array().tobytes()
-        # 16 bytes a pair is what the int64 tokens alone take
-        assert peak <= 4 * 16 * pairs
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(hm.load_edge_list(path)))
+        assert loaded[0].edge_array().tobytes() == graph.edge_array().tobytes()
+        # 16 bytes a pair is what the int64 tokens alone take; the load
+        # peaked at 3.6x that with a whole-buffer format scan and at 3.08x
+        # with the scan in pieces, where building the graph sets the peak
+        assert peak <= 3.4 * 16 * pairs, peak / (16 * pairs)
+
+        def tokens():
+            with open(path, "rb") as fh:
+                return graph_module._canonical_tokens(fh)
+
+        # the text and its tokens: 1.6x; the whole-buffer scan held several
+        # token-sized index arrays on top (3.6x)
+        peak = traced_peak(tokens)
+        assert peak <= 1.8 * 16 * pairs, peak / (16 * pairs)
+
+
+# bytes of near-canonical text: digits with and without leading zeros,
+# tokens near the 18-digit limit, single and double spaces, newlines, and
+# bytes the format refuses
+scan_pieces = st.sampled_from([
+    b"0", b"1", b"7", b"9", b"10", b"007", b"123456789012345678", b"1234567890123456789",
+    b" ", b"  ", b"\n", b"\n\n", b"\t", b"\r", b"#", b"-", b"+", b"a", b"\xff",
+])
+# one line: canonical most of the time, else one of the near misses
+line_forms = st.sampled_from(
+    ["{u} {v}"] * 6 + ["0{u} {v}", " {u}", "{u} ", "{u}", "", "{u}  {v}", " {u} {v}", "{u} {v} "]
+)
+scan_lines = st.lists(
+    st.tuples(line_forms, st.integers(0, 10**18 - 1), st.integers(0, 10**18 - 1)),
+    min_size=1, max_size=12,
+)
+
+
+@st.composite
+def scan_buffers(draw):
+    """Lines, canonical or near misses, with an optional final newline, at
+    times mangled by one inserted piece; or free mixes of the pieces."""
+    if draw(st.booleans()):
+        return b"".join(draw(st.lists(scan_pieces, max_size=40)))
+    lines = [form.format(u=u, v=v) for form, u, v in draw(scan_lines)]
+    data = ("\n".join(lines) + ("\n" if draw(st.booleans()) else "")).encode("ascii")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(scan_pieces) + data[at:]
+    return data
+
+
+class TestChunkedFormatScan:
+    """The format scan in pieces of whole lines gives the whole-buffer
+    scan's verdict, wherever the nominal cut falls."""
+
+    @staticmethod
+    def scan(data: bytes, chunk: int) -> bool:
+        with mock.patch.object(graph_module, "_SCAN_CHUNK", chunk):
+            return graph_module._canonical_lines(data)
+
+    @settings(max_examples=500, deadline=None)
+    @given(scan_buffers(), st.integers(1, 64))
+    def test_tiny_chunks_match_whole_buffer(self, data, chunk):
+        assert self.scan(data, chunk) == canonical_lines_whole(data)
+
+    @pytest.mark.parametrize("data", [
+        b"12 34\n5 6\n789 0\n",
+        b"12 34\n5 6\n789 0",  # a last line without its newline
+        b"12 34\n5 06\n789 0\n",  # a leading zero after a cut
+        b"12 34\n5 6\n0 0\n",
+        b"12 34\n5  6\n789 0\n",
+        b"12 34\n\n789 0\n",
+        b"12 34\n5 6 7\n8 9\n",
+        b"12 34\n5\n6 7\n",
+        b"12 34\n 5\n6 7\n",  # a line that starts with its space
+        b"12 34\n5 \n6 7\n",  # a line that ends with its space
+        b" 5\n6 7\n",
+        b"1 2\n123456789012345678 1\n1234567890123456789 1\n",
+        b"",
+        b"\n",
+        b"1 2",
+    ])
+    def test_every_cut(self, data):
+        # every chunk size puts the nominal cut on every byte: mid-token, on
+        # the space, on the newline, before a leading zero, in the last line
+        expected = canonical_lines_whole(data)
+        for chunk in range(1, len(data) + 2):
+            assert self.scan(data, chunk) == expected, chunk
 
 
 @st.composite

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +20,15 @@ from hsbm_motif.motifs import (
     _sinkhorn_plan,
     matrix_to_csv,
 )
-from hsbm_motif.oracle import mmd_from_kernel, permutation_statistics_loop, sinkhorn_plan_loop
+from hsbm_motif.oracle import (
+    median_bandwidth_pdist,
+    mmd_from_kernel,
+    permutation_statistics_loop,
+    sinkhorn_plan_loop,
+)
 from hsbm_motif.seeding import derive_rng
 
-from conftest import B1, B3, single_leaf_spec
+from conftest import B1, B3, single_leaf_spec, traced_peak
 
 
 def gaussian_pair(n, m, d=2, shift=0.0, seed=0):
@@ -136,16 +140,6 @@ def three_kernel_statistic(x, y, bandwidth):
     return mmd_from_kernel(kern(x, x), kern(x, y), kern(y, y))
 
 
-def traced_peak(fn):
-    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestOneKernelAtATime:
     """The statistic and the median heuristic keep one n x m array alive
     and give the bits of the references that hold them all."""
@@ -186,14 +180,8 @@ class TestOneKernelAtATime:
     def test_resolve_equals_numpy_median(self):
         for x, y in self.pairs():
             pooled = np.vstack([x, y])
-            dists = pdist(pooled)
-            expected = np.median(dists)
-            if expected == 0.0:
-                expected = np.mean(dists)
-            if expected == 0.0:
-                expected = 1.0
             got = KernelConfig().resolve(pooled)
-            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            assert np.float64(got).tobytes() == np.float64(numpy_bandwidth(pooled)).tobytes()
 
     def test_zero_median_falls_back_to_mean_in_original_order(self):
         rng = np.random.default_rng(9)
@@ -216,10 +204,111 @@ class TestOneKernelAtATime:
         assert peak <= 1.25 * one_kernel, peak / one_kernel
 
     def test_resolve_peak_is_the_distances(self):
-        pooled = np.random.default_rng(5).normal(size=(1600, 3))
-        dist_bytes = 1600 * 1599 // 2 * 8
-        peak = traced_peak(lambda: KernelConfig().resolve(pooled))
-        assert peak <= 1.1 * dist_bytes, peak / dist_bytes
+        # the median is selected from row blocks: the N(N-1)/2 distances,
+        # twice the statistic's smallest possible largest kernel block, are
+        # never formed, and the peak stays under that kernel block
+        for n in (1000, 1600, 3000):
+            pooled = np.random.default_rng(5).normal(size=(n, 3))
+            kernel_block = (n // 2) ** 2 * 8
+            peak = traced_peak(lambda: KernelConfig().resolve(pooled))
+            assert peak <= kernel_block, (n, peak / kernel_block)
+
+    def test_pair_test_peak_is_one_kernel_block(self):
+        # a 1522/1478 split, as at the root of the three-level CLI benchmark
+        x, y = gaussian_pair(1522, 1478, d=4, seed=7)
+        bound = 1.25 * 1522**2 * 8
+        peak = traced_peak(
+            lambda: motifs.pair_test(x, y, KernelConfig(), "exact", 0, derive_rng(7, "peak"))
+        )
+        assert peak <= bound, peak / bound
+
+
+def numpy_bandwidth(pooled):
+    """The median heuristic by ``np.median``, with resolve's fallbacks."""
+    dists = pdist(pooled)
+    expected = np.median(dists)
+    if expected == 0.0:
+        expected = np.mean(dists)
+    if expected == 0.0:
+        expected = 1.0
+    return expected
+
+
+def assert_same_float(got, expected):
+    if np.isnan(expected):
+        assert np.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+class TestBlockedMedian:
+    """The median heuristic from row blocks equals ``np.median(pdist)`` and
+    the one-array reference, bit for bit, on every route through it."""
+
+    # 127 | 128 rows: pdist whole | sampled bracket; 1449 | 1450 rows: the
+    # block is (N/2)**2 / 2 | 2**18 distances; pair counts are even for
+    # N = 0, 1 (mod 4) and odd for N = 2, 3 (mod 4)
+    SIZES = [2, 3, 5, 127, 128, 129, 130, 300, 725, 1001, 1447, 1448, 1449, 1450, 1451,
+             2048, 2999, 3000]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_clouds(self, n):
+        rng = np.random.default_rng(n)
+        d = 1 + n % 5
+        pooled = np.vstack([rng.normal(size=(n // 2, d)),
+                            rng.normal(size=(n - n // 2, d)) * 3 + 1])
+        expected = numpy_bandwidth(pooled)
+        got = KernelConfig().resolve(pooled)
+        assert_same_float(got, expected)
+        assert_same_float(got, median_bandwidth_pdist(pooled))
+
+    @pytest.mark.parametrize("n", [128, 131, 600, 1450, 2001])
+    @pytest.mark.parametrize("distinct", [2, 3, 7, 40])
+    def test_duplicate_heavy_rows(self, n, distinct):
+        # few distinct rows: long runs of tied distances across the middle
+        rng = np.random.default_rng(n + distinct)
+        points = rng.normal(size=(distinct, 2))
+        pooled = points[rng.integers(0, distinct, size=n)]
+        assert_same_float(KernelConfig().resolve(pooled), numpy_bandwidth(pooled))
+
+    @pytest.mark.parametrize("n", [50, 300, 1450])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "two inf"])
+    def test_non_finite_rows(self, n, bad):
+        pooled = np.random.default_rng(n).normal(size=(n, 3))
+        if bad == "two inf":  # inf - inf: a NaN distance
+            pooled[[3, n - 1], 1] = np.inf
+        else:
+            pooled[n // 3] = bad
+        expected = numpy_bandwidth(pooled)
+        assert_same_float(KernelConfig().resolve(pooled), expected)
+        assert_same_float(KernelConfig().resolve(pooled), median_bandwidth_pdist(pooled))
+
+    def test_integer_rows(self):
+        pooled = np.random.default_rng(4).integers(0, 5, size=(400, 2))
+        assert_same_float(KernelConfig().resolve(pooled), numpy_bandwidth(pooled))
+
+    @pytest.mark.parametrize("side", ["low", "high", "both"])
+    @pytest.mark.parametrize("n", [300, 1001])
+    def test_bracket_miss_rescans(self, monkeypatch, side, n):
+        # the first scans get a bracket that misses the middle ranks; the
+        # margin widens fourfold per miss until the scan holds them
+        scan = motifs._scan_squared_distances
+        calls = []
+
+        def missing(pooled, lo, hi):
+            calls.append((lo, hi))
+            if len(calls) <= 3:
+                miss = side if side != "both" else ("low" if len(calls) % 2 else "high")
+                # every distance below the bracket, or every one above it
+                lo = hi = np.inf if miss == "low" else -1.0
+            return scan(pooled, lo, hi)
+
+        monkeypatch.setattr(motifs, "_scan_squared_distances", missing)
+        pooled = np.random.default_rng(n).normal(size=(n, 2))
+        assert_same_float(KernelConfig().resolve(pooled), numpy_bandwidth(pooled))
+        assert len(calls) == 4
+        widths = [hi - lo for lo, hi in calls]
+        assert widths == sorted(widths) and widths[0] < widths[-1]
 
 
 class TestMmdLinear:
@@ -500,6 +589,31 @@ class TestAlignEmbeddings:
     def test_dimension_check(self):
         with pytest.raises(MotifError):
             hm.align_embeddings(np.zeros((4, 2)), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("max_points", [1, 2, 40, 300])
+    def test_thinning_indices_need_no_unique(self, max_points):
+        # above max_points the linspace stride exceeds 1, so the truncated
+        # indices are strictly increasing and np.unique leaves them as they are
+        sizes = [*range(max_points + 1, max_points + 2000), 10**5 + 3, 10**6 + 7]
+        for n in sizes:
+            idx = np.linspace(0, n - 1, max_points).astype(np.int64)
+            assert np.array_equal(idx, np.unique(idx)), n
+
+    @pytest.mark.parametrize("max_points", [40, 300])
+    def test_thinning_keeps_the_unique_rows(self, max_points):
+        # thinning keeps the rows the np.unique form kept: aligning the clouds
+        # thinned that way gives the same rotation
+        rng = np.random.default_rng(max_points)
+        ref = rng.normal(size=(max_points + 57, 3))
+        mov = rng.normal(size=(3 * max_points + 1, 3))
+
+        def thinned(arr):
+            idx = np.linspace(0, arr.shape[0] - 1, max_points).astype(np.int64)
+            return arr[np.unique(idx)]
+
+        w = hm.align_embeddings(ref, mov, max_points=max_points)
+        expected = hm.align_embeddings(thinned(ref), thinned(mov), max_points=max_points)
+        assert np.array_equal(w, expected)
 
 
 class TestDissimilarityMatrix:
