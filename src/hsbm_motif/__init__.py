@@ -58,7 +58,6 @@ from .motifs import (
     bootstrap_pvalue,
     cluster_motifs,
     dissimilarity_matrix,
-    mmd_linear,
     mmd_statistic,
 )
 from .oracle import (

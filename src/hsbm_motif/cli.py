@@ -11,6 +11,7 @@ run-dependent bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -83,6 +84,15 @@ class Manifest:
     def warn(self, message: str) -> None:
         self.data["warnings"].append(message)
         print(f"warning: {message}", file=sys.stderr)
+
+    @contextlib.contextmanager
+    def capture_warnings(self):
+        """Record the library warnings raised in the block via :meth:`warn`."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            yield
+        for w in caught:
+            self.warn(str(w.message))
 
     def stage(self, name: str) -> None:
         now = time.time()
@@ -218,22 +228,23 @@ def cmd_cluster(args) -> int:
     emb, ids = embedding_from_csv(args.embedding)
     manifest.stage("load")
 
-    if args.num_subgraphs == "auto":
-        manifest.record_seed("count")
-        est = estimate_num_subgraphs(
-            emb.positions, d_hat=emb.dim, n_mc=args.mc, rng=derive_rng(args.seed, "count")
-        )
-        r = est.n_subgraphs
-        phi_path = out / "phi_curve.csv"
-        phi_curve_to_csv(est, phi_path)
-        manifest.add_output(str(phi_path))
-        manifest.data["config"]["n_subgraphs_used"] = r
-    else:
-        r = int(args.num_subgraphs)
-    manifest.stage("estimate")
+    with manifest.capture_warnings():
+        if args.num_subgraphs == "auto":
+            manifest.record_seed("count")
+            est = estimate_num_subgraphs(
+                emb.positions, d_hat=emb.dim, n_mc=args.mc, rng=derive_rng(args.seed, "count")
+            )
+            r = est.n_subgraphs
+            phi_path = out / "phi_curve.csv"
+            phi_curve_to_csv(est, phi_path)
+            manifest.add_output(str(phi_path))
+            manifest.data["config"]["n_subgraphs_used"] = r
+        else:
+            r = int(args.num_subgraphs)
+        manifest.stage("estimate")
 
-    manifest.record_seed("cluster")
-    part, seeds = seeded_subspace_cluster(emb.positions, r, derive_rng(args.seed, "cluster"))
+        manifest.record_seed("cluster")
+        part, seeds = seeded_subspace_cluster(emb.positions, r, derive_rng(args.seed, "cluster"))
     part_path = out / "partition.csv"
     partition_to_csv(part, ids, part_path)
     manifest.add_output(str(part_path))
@@ -247,7 +258,6 @@ def cmd_cluster(args) -> int:
 def cmd_test(args) -> int:
     out = _out_dir(args)
     manifest = Manifest("test", args)
-    threads = _threads(args)
     if args.bootstrap < 0:
         raise ValueError(f"--bootstrap must be an integer >= 0, got {args.bootstrap}")
     manifest.add_input(args.embedding_a)
@@ -261,8 +271,7 @@ def cmd_test(args) -> int:
         y = y @ align_embeddings(x, y)
     manifest.record_seed("test")
     t_value, sigma, p_value = pair_test(
-        x, y, KernelConfig(bandwidth=args.sigma), args.mode, args.bootstrap,
-        derive_rng(args.seed, "test"), threads,
+        x, y, KernelConfig(bandwidth=args.sigma), args.bootstrap, derive_rng(args.seed, "test")
     )
     manifest.stage("test")
 
@@ -270,7 +279,6 @@ def cmd_test(args) -> int:
         "statistic": t_value,
         "p_value": p_value,
         "bandwidth": sigma,
-        "mode": args.mode,
         "aligned": bool(args.align),
         "n": x.shape[0],
         "m": y.shape[0],
@@ -294,7 +302,6 @@ _DETECT_OVERRIDES = {
     "M": "n_motifs",
     "sigma": "kernel",
     "bootstrap": "n_bootstrap",
-    "mode": "mode",
     "min_cluster_size": "min_cluster_size",
     "max_depth": "max_depth",
     "sphere": "sphere_projection",
@@ -330,12 +337,9 @@ def cmd_detect(args) -> int:
         overrides["kernel"] = KernelConfig(bandwidth=overrides["kernel"])
     overrides["seed"] = args.seed
     overrides["threads"] = threads
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
+    with manifest.capture_warnings():
         cfg = dataclasses.replace(cfg, **overrides)
         root = detect_hierarchy(graph, cfg)
-    for w in caught:
-        manifest.warn(str(w.message))
     manifest.stage("detect")
 
     report = hierarchy_report(root, cfg)
@@ -464,12 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False):
+    def common(p):
         p.add_argument("--out-dir", required=True, help="directory for artifacts + manifest")
         p.add_argument("--seed", type=int, default=0)
-        if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: $HSBM_MOTIF_THREADS or 1)")
 
     p = sub.add_parser("generate", help="sample a graph from a model description")
     p.add_argument("spec", help="model JSON path, or builtin:<name>")
@@ -497,10 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("embedding_b")
     p.add_argument("--sigma", type=_sigma, default="median", help="float or 'median'")
     p.add_argument("--bootstrap", type=int, default=200, help="permutation replicates, >= 0 (0 = skip)")
-    p.add_argument("--mode", choices=["exact", "linear"], default="exact")
     p.add_argument("--no-align", dest="align", action="store_false",
                    help="skip the orthogonal pre-alignment")
-    common(p, threads=True)
+    common(p)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("detect", help="full recursive hierarchy detection")
@@ -512,11 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=None, help="motif count per round")
     p.add_argument("--sigma", type=_sigma, default=None)
     p.add_argument("--bootstrap", type=int, default=None)
-    p.add_argument("--mode", choices=["exact", "linear"], default=None)
     p.add_argument("--min-cluster-size", type=int, default=None)
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--sphere", action="store_true", default=None)
-    common(p, threads=True)
+    common(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="pairwise tests run in parallel (default: $HSBM_MOTIF_THREADS or 1)")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("report", help="render a static HTML summary of a detect run")

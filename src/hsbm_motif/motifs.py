@@ -214,39 +214,6 @@ def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = No
     return float(term_x - term_xy + term_y)
 
 
-def mmd_linear(
-    x: np.ndarray,
-    y: np.ndarray,
-    kernel: KernelConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Linear-time estimate of the same population discrepancy.
-
-    Both samples are shuffled (seeded) and truncated to the smaller length
-    L; consecutive index pairs (2i-1, 2i) form blocks whose h-statistics
-    ``k(x1,x2) + k(y1,y2) - k(x1,y2) - k(x2,y1)`` average to the estimate.
-    Each block is independent, so the cost is linear in L.
-    """
-    kernel = kernel or KernelConfig()
-    x, y = _check_pair(x, y)
-    rng = rng or np.random.default_rng()
-    length = min(x.shape[0], y.shape[0])
-    if length < 4:
-        raise MotifError(f"linear estimator needs min(n, m) >= 4, got {length}")
-    sigma = kernel.resolve(np.vstack([x, y]))
-    xs = x[rng.permutation(x.shape[0])[:length]]
-    ys = y[rng.permutation(y.shape[0])[:length]]
-    blocks = length // 2
-    x1, x2 = xs[0 : 2 * blocks : 2], xs[1 : 2 * blocks : 2]
-    y1, y2 = ys[0 : 2 * blocks : 2], ys[1 : 2 * blocks : 2]
-
-    def kvec(a, b):
-        return np.exp(-np.sum((a - b) ** 2, axis=1) / sigma**2)
-
-    h = kvec(x1, x2) + kvec(y1, y2) - kvec(x1, y2) - kvec(x2, y1)
-    return float(h.mean())
-
-
 def _permutation_statistics(kern: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray]:
     """Observed and replicate statistics of re-splits of a pooled kernel.
 
@@ -292,9 +259,7 @@ def _permutation_statistics(kern: np.ndarray, idx: np.ndarray) -> tuple[float, n
     return float(stats[0]), null
 
 
-def _check_test(mode: str, n_boot: int, least: int) -> None:
-    if mode not in ("exact", "linear"):
-        raise MotifError(f"mode must be 'exact' or 'linear', got {mode!r}")
+def _check_test(n_boot: int, least: int) -> None:
     if n_boot < least:
         raise MotifError(f"bootstrap replicate count must be >= {least}, got {n_boot}")
 
@@ -305,8 +270,6 @@ def bootstrap_pvalue(
     kernel: KernelConfig | None = None,
     n_boot: int = 200,
     rng: np.random.Generator | None = None,
-    threads: int = 1,
-    mode: Literal["exact", "linear"] = "exact",
 ) -> float:
     """Permutation p-value for the hypothesis of equal distributions.
 
@@ -316,45 +279,26 @@ def bootstrap_pvalue(
     median-heuristic bandwidth depends only on the pooled rows, so a single
     resolved bandwidth serves the observed split and every replicate.
 
-    In exact mode one pooled kernel matrix K serves them all, and the whole
-    null comes from matrix products with the 0/1 indicators of the x rows
-    (see :func:`_permutation_statistics`), which BLAS threads on its own.
-    The observed statistic comes from the same formula, and a replicate that
+    One pooled kernel matrix K serves them all, and the whole null comes
+    from matrix products with the 0/1 indicators of the x rows (see
+    :func:`_permutation_statistics`), which BLAS threads on its own.  The
+    observed statistic comes from the same formula, and a replicate that
     re-draws the observed split ties it exactly, so it is always counted.
-    ``mode="linear"`` recomputes the linear-time estimator per re-split
-    instead; ``threads`` runs those replicates in parallel and is unused in
-    exact mode.  Neither changes the result.
     """
     kernel = kernel or KernelConfig()
     x, y = _check_pair(x, y)
-    _check_test(mode, n_boot, 1)
+    _check_test(n_boot, 1)
     rng = rng or np.random.default_rng()
     n, m = x.shape[0], y.shape[0]
     pooled = np.vstack([x, y])
     sigma = KernelConfig(bandwidth=kernel.resolve(pooled))
-    if mode == "linear":
-        sub_rngs = [np.random.default_rng(int(s)) for s in rng.integers(0, 2**63 - 1, size=n_boot + 1)]
-        t_obs = mmd_linear(x, y, sigma, sub_rngs[0])
-        perms = [rng.permutation(n + m) for _ in range(n_boot)]
-
-        def replicate_linear(args) -> float:
-            perm, local = args
-            return mmd_linear(pooled[perm[:n]], pooled[perm[n:]], sigma, local)
-
-        jobs = list(zip(perms, sub_rngs[1:]))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                null = list(pool.map(replicate_linear, jobs))
-        else:
-            null = [replicate_linear(job) for job in jobs]
-    else:
-        kern = _rbf(pooled, pooled, sigma.bandwidth)
-        # only the x rows of each re-split are kept, one row per draw
-        idx = np.empty((n_boot + 1, n), dtype=np.int64)
-        idx[0] = np.arange(n)
-        for row in idx[1:]:
-            row[:] = rng.permutation(n + m)[:n]
-        t_obs, null = _permutation_statistics(kern, idx)
+    kern = _rbf(pooled, pooled, sigma.bandwidth)
+    # only the x rows of each re-split are kept, one row per draw
+    idx = np.empty((n_boot + 1, n), dtype=np.int64)
+    idx[0] = np.arange(n)
+    for row in idx[1:]:
+        row[:] = rng.permutation(n + m)[:n]
+    t_obs, null = _permutation_statistics(kern, idx)
     exceed = sum(1 for t in null if t >= t_obs)
     return (1 + exceed) / (n_boot + 1)
 
@@ -363,28 +307,23 @@ def pair_test(
     x: np.ndarray,
     y: np.ndarray,
     kernel: KernelConfig,
-    mode: Literal["exact", "linear"],
     n_boot: int,
     rng: np.random.Generator,
-    threads: int = 1,
 ) -> tuple[float, float, float | None]:
     """The two-sample test of one pair: statistic, bandwidth and p-value.
 
-    The bandwidth is resolved once on the pooled rows and frozen, so the
-    statistic and every permutation replicate use the same kernel.  ``mode``
-    picks the estimator; ``rng`` feeds the linear estimator's shuffle first
-    and the permutation null after it.  With ``n_boot = 0`` there is no null
-    and the p-value is ``None``.
+    The bandwidth is resolved once on the pooled rows and frozen; the
+    statistic is :func:`mmd_statistic` at that bandwidth, and with
+    ``n_boot > 0`` the permutation null of :func:`bootstrap_pvalue` runs at
+    the same bandwidth with draws from ``rng``.  With ``n_boot = 0`` there
+    is no null and the p-value is ``None``.
     """
     sigma = kernel.resolve(np.vstack([x, y]))
     fixed = KernelConfig(bandwidth=sigma)
-    if mode == "linear":
-        t = mmd_linear(x, y, fixed, rng)
-    else:
-        t = mmd_statistic(x, y, fixed)
+    t = mmd_statistic(x, y, fixed)
     p = None
     if n_boot > 0:
-        p = bootstrap_pvalue(x, y, fixed, n_boot=n_boot, rng=rng, threads=threads, mode=mode)
+        p = bootstrap_pvalue(x, y, fixed, n_boot=n_boot, rng=rng)
     return t, sigma, p
 
 
@@ -584,7 +523,6 @@ class DissimilarityMatrix:
 def dissimilarity_matrix(
     embeddings: Sequence[Embedding | np.ndarray],
     kernel: KernelConfig | None = None,
-    mode: Literal["exact", "linear"] = "exact",
     n_boot: int = 0,
     rng: np.random.Generator | None = None,
     align: bool = True,
@@ -596,13 +534,15 @@ def dissimilarity_matrix(
     the second embedding of every pair is rotated onto the first with
     :func:`align_embeddings` before testing; the raw statistic is otherwise
     sensitive to the per-graph orthogonal indeterminacy at finite sizes.
-    ``mode="linear"`` swaps in the linear-time estimator.  ``n_boot > 0``
-    adds permutation p-values.  Replicate seeds are pre-derived per pair, so
-    thread count never changes the output.  An unknown ``mode`` or a negative
-    ``n_boot`` is refused before any pair is tested.
+    Each pair then runs :func:`pair_test`: the bandwidth is frozen on its
+    pooled rows, the statistic computed, and with ``n_boot > 0`` the batched
+    permutation null drawn from the pair's own generator.  Those generators
+    are seeded from ``rng`` before any pair runs, so ``threads`` (pairs
+    tested in parallel) never changes the output.  A negative ``n_boot`` is
+    refused before any pair is tested.
     """
     kernel = kernel or KernelConfig()
-    _check_test(mode, n_boot, 0)
+    _check_test(n_boot, 0)
     mats = [e.positions if isinstance(e, Embedding) else np.asarray(e) for e in embeddings]
     if not mats:
         raise MotifError("need at least one embedding")
@@ -622,7 +562,7 @@ def dissimilarity_matrix(
         a, b = mats[i], mats[j]
         if align:
             b = b @ align_embeddings(a, b)
-        return pair_test(a, b, kernel, mode, n_boot, np.random.default_rng(int(seed)))
+        return pair_test(a, b, kernel, n_boot, np.random.default_rng(int(seed)))
 
     jobs = list(zip(pairs, pair_seeds))
     if threads > 1:

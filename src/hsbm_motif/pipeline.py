@@ -69,7 +69,6 @@ class PipelineConfig:
     motif_height: float | None = None
     kernel: KernelConfig = field(default_factory=KernelConfig)
     n_bootstrap: int = 0
-    mode: Literal["exact", "linear"] = "exact"
     sphere_projection: bool = False
     align: bool = True
     min_cluster_size: int | None = None
@@ -103,8 +102,7 @@ class PipelineConfig:
                     f"motif_height must be None or a finite real >= 0, got {height!r}"
                 )
             object.__setattr__(self, "motif_height", float(height))
-        for name, allowed in (("mode", ("exact", "linear")),
-                              ("motif_source", ("statistic", "pvalue")),
+        for name, allowed in (("motif_source", ("statistic", "pvalue")),
                               ("linkage", ("average", "complete", "single"))):
             value = getattr(self, name)
             if value not in allowed:
@@ -291,12 +289,17 @@ def _split_node(
     node.eigenvalues = emb.eigenvalues
 
     if cfg.n_subgraphs == "auto":
-        est = estimate_num_subgraphs(
-            emb.positions,
-            d_hat=max(dim, 2),
-            n_mc=cfg.n_mc,
-            rng=derive_rng(cfg.seed, "count", path_key),
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = estimate_num_subgraphs(
+                emb.positions,
+                d_hat=max(dim, 2),
+                n_mc=cfg.n_mc,
+                rng=derive_rng(cfg.seed, "count", path_key),
+            )
+        # re-issued with the node's path, so a caller can tell nodes apart
+        for w in caught:
+            warnings.warn(f"node {path_key or 'root'}: {w.message}", w.category)
         r = est.n_subgraphs
     else:
         r = min(int(cfg.n_subgraphs), sub.n_vertices)
@@ -335,7 +338,6 @@ def _split_node(
     dissimilarity = dissimilarity_matrix(
         child_mats,
         kernel=cfg.kernel,
-        mode=cfg.mode,
         n_boot=cfg.n_bootstrap,
         rng=derive_rng(cfg.seed, "test", path_key),
         align=cfg.align,

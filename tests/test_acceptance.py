@@ -262,12 +262,12 @@ class TestCriterion4TestCalibrationAndPower:
         null_rejections = 0
         for s in range(100):
             x, y, rng = self.embedded_pair(B1, B1, 10_000 + s)
-            p = hm.bootstrap_pvalue(x, y, n_boot=200, rng=rng, threads=2)
+            p = hm.bootstrap_pvalue(x, y, n_boot=200, rng=rng)
             null_rejections += p <= 0.05
         power_rejections = 0
         for s in range(100):
             x, y, rng = self.embedded_pair(B1, B3, 20_000 + s)
-            p = hm.bootstrap_pvalue(x, y, n_boot=200, rng=rng, threads=2)
+            p = hm.bootstrap_pvalue(x, y, n_boot=200, rng=rng)
             power_rejections += p <= 0.05
         ok = null_rejections <= 10 and power_rejections >= 95
         report(

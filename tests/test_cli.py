@@ -19,7 +19,6 @@ from hsbm_motif.motifs import (
     KernelConfig,
     align_embeddings,
     bootstrap_pvalue,
-    mmd_linear,
     mmd_statistic,
 )
 from hsbm_motif.pipeline import PipelineConfig, config_from_dict
@@ -46,7 +45,7 @@ def small_spec(tmp_path):
     return path
 
 
-def test_generate_embed_cluster_test_detect_report(tmp_path, small_spec):
+def test_generate_embed_cluster_test_detect_report(tmp_path, small_spec, capsys):
     gen = tmp_path / "gen"
     assert main(["generate", str(small_spec), "--out-dir", str(gen), "--seed", "5"]) == 0
     assert (gen / "edges.txt").is_file()
@@ -70,13 +69,21 @@ def test_generate_embed_cluster_test_detect_report(tmp_path, small_spec):
     assert part_lines[0] == "vertex_id,cluster"
     assert len(part_lines) == 151
 
+    # a 2-column embedding gives a one-point phi curve; its warning is kept
+    auto = tmp_path / "clu_auto"
+    capsys.readouterr()
+    assert main(["cluster", str(emb / "embedding.csv"), "--out-dir", str(auto), "--seed", "5"]) == 0
+    single = "phi curve has a single point; returning k=2"
+    assert json.loads((auto / "manifest.json").read_text())["warnings"] == [single]
+    assert capsys.readouterr().err == f"warning: {single}\n"
+
     emb2 = tmp_path / "emb2"
     main(["embed", str(gen / "edges.txt"), "--dim", "2", "--out-dir", str(emb2), "--seed", "6"])
     tst = tmp_path / "tst"
     assert main(["test", str(emb / "embedding.csv"), str(emb2 / "embedding.csv"),
                  "--bootstrap", "50", "--out-dir", str(tst), "--seed", "5"]) == 0
     result = json.loads((tst / "test.json").read_text())
-    assert {"statistic", "p_value", "bandwidth", "mode"} <= set(result)
+    assert {"statistic", "p_value", "bandwidth"} <= set(result)
     assert 0 <= result["p_value"] <= 1
 
     det = tmp_path / "det"
@@ -229,8 +236,6 @@ def test_bad_threads_rejected_before_load(tmp_path, capsys, monkeypatch, flag, e
     missing = str(tmp_path / "nope.txt")
     assert main(["detect", missing, "--out-dir", str(tmp_path / "d"), *flag]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
-    assert main(["test", missing, missing, "--out-dir", str(tmp_path / "t"), *flag]) == 1
-    assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
 def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
@@ -242,9 +247,8 @@ def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
     assert not (tmp_path / "t" / "test.json").exists()
 
 
-@pytest.mark.parametrize("mode", ["exact", "linear"])
 @pytest.mark.parametrize("n_boot", [0, 40])
-def test_test_json_matches_inline_recipe(tmp_path, mode, n_boot):
+def test_test_json_matches_inline_recipe(tmp_path, n_boot):
     rng = np.random.default_rng(12)
     paths = []
     for k, (rows, shift) in enumerate(((60, 0.0), (47, 0.4))):
@@ -253,7 +257,7 @@ def test_test_json_matches_inline_recipe(tmp_path, mode, n_boot):
         embedding_to_csv(emb, tuple(map(str, range(rows))), path)
         paths.append(str(path))
     out = tmp_path / "t"
-    assert main(["test", *paths, "--mode", mode, "--bootstrap", str(n_boot), "--threads", "2",
+    assert main(["test", *paths, "--bootstrap", str(n_boot),
                  "--out-dir", str(out), "--seed", "9"]) == 0
     got = json.loads((out / "test.json").read_text())
 
@@ -265,11 +269,11 @@ def test_test_json_matches_inline_recipe(tmp_path, mode, n_boot):
     sigma = KernelConfig().resolve(np.vstack([x, y]))
     fixed = KernelConfig(bandwidth=sigma)
     draw = derive_rng(9, "test")
-    t = mmd_linear(x, y, fixed, draw) if mode == "linear" else mmd_statistic(x, y, fixed)
+    t = mmd_statistic(x, y, fixed)
     p = None
     if n_boot:
-        p = bootstrap_pvalue(x, y, fixed, n_boot=n_boot, rng=draw, threads=2, mode=mode)
-    assert got == {"statistic": t, "p_value": p, "bandwidth": sigma, "mode": mode,
+        p = bootstrap_pvalue(x, y, fixed, n_boot=n_boot, rng=draw)
+    assert got == {"statistic": t, "p_value": p, "bandwidth": sigma,
                    "aligned": True, "n": 60, "m": 47}
 
 
@@ -278,7 +282,7 @@ def test_detect_flags_override_config_fields(tmp_path, small_spec, monkeypatch):
     main(["generate", str(small_spec), "--out-dir", str(gen), "--seed", "2"])
     fields = {
         "top_dim": 3, "sub_dim": 2, "n_subgraphs": 3, "n_motifs": 3, "bandwidth": 2.0,
-        "n_bootstrap": 7, "mode": "linear", "min_cluster_size": 50, "max_depth": 3,
+        "n_bootstrap": 7, "min_cluster_size": 50, "max_depth": 3,
         "sphere_projection": True,
     }
     cfg_path = tmp_path / "cfg.json"
@@ -292,7 +296,7 @@ def test_detect_flags_override_config_fields(tmp_path, small_spec, monkeypatch):
     monkeypatch.setattr(cli, "detect_hierarchy", record)
     base = ["detect", str(gen / "edges.txt"), "--out-dir", str(tmp_path / "det"), "--seed", "2"]
     flags = ["--D", "4", "--d", "1", "--R", "2", "--M", "1", "--sigma", "0.5",
-             "--bootstrap", "0", "--mode", "exact", "--min-cluster-size", "40",
+             "--bootstrap", "0", "--min-cluster-size", "40",
              "--max-depth", "1"]
     assert main([*base, "--config", str(cfg_path)]) == 1
     assert main([*base, "--config", str(cfg_path), *flags]) == 1
@@ -301,7 +305,7 @@ def test_detect_flags_override_config_fields(tmp_path, small_spec, monkeypatch):
     assert seen[0] == dataclasses.replace(from_file, seed=2, threads=1)
     assert seen[1] == PipelineConfig(
         top_dim=4, sub_dim=1, n_subgraphs=2, n_motifs=1, kernel=KernelConfig(bandwidth=0.5),
-        n_bootstrap=0, mode="exact", min_cluster_size=40, max_depth=1,
+        n_bootstrap=0, min_cluster_size=40, max_depth=1,
         sphere_projection=True, seed=2,
     )
     assert seen[2] == PipelineConfig(sphere_projection=True, seed=2)
@@ -333,12 +337,20 @@ def test_bad_config_bandwidth_rejected(tmp_path, capsys, small_spec, bandwidth):
     assert not (det / "hierarchy.json").exists()
 
 
-@pytest.mark.parametrize("command", ["generate", "embed", "cluster"])
-def test_threads_flag_rejected_where_unused(tmp_path, capsys, command):
+@pytest.mark.parametrize("argv", [
+    ["generate", "input", "--threads", "2"],
+    ["embed", "input", "--threads", "2"],
+    ["cluster", "input", "--threads", "2"],
+    ["test", "a", "b", "--threads", "2"],
+    ["test", "a", "b", "--mode", "exact"],
+    ["detect", "input", "--mode", "exact"],
+], ids=["generate", "embed", "cluster", "test", "test-mode", "detect-mode"])
+def test_threads_flag_rejected_where_unused(tmp_path, capsys, argv):
+    # only detect runs pairs in parallel, and no command picks an estimator
     with pytest.raises(SystemExit) as exit_info:
-        main([command, "input", "--out-dir", str(tmp_path / "x"), "--threads", "2"])
+        main([*argv, "--out-dir", str(tmp_path / "x")])
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -218,7 +218,7 @@ class TestOneKernelAtATime:
         x, y = gaussian_pair(1522, 1478, d=4, seed=7)
         bound = 1.25 * 1522**2 * 8
         peak = traced_peak(
-            lambda: motifs.pair_test(x, y, KernelConfig(), "exact", 0, derive_rng(7, "peak"))
+            lambda: motifs.pair_test(x, y, KernelConfig(), 0, derive_rng(7, "peak"))
         )
         assert peak <= bound, peak / bound
 
@@ -311,36 +311,6 @@ class TestBlockedMedian:
         assert widths == sorted(widths) and widths[0] < widths[-1]
 
 
-class TestMmdLinear:
-    def test_constant_samples_zero(self):
-        x = np.ones((10, 2))
-        value = hm.mmd_linear(x, x.copy(), KernelConfig(bandwidth=1.0), derive_rng(0, "l"))
-        assert value == 0.0
-
-    def test_same_distribution_large_sample_small_value(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(10_000, 2))
-        y = rng.normal(size=(10_000, 2))
-        value = hm.mmd_linear(x, y, KernelConfig(bandwidth=1.0), derive_rng(1, "l"))
-        assert abs(value) < 0.05
-
-    def test_unbiased_for_exact_statistic(self):
-        # over reshuffles of fixed samples the linear estimator averages to
-        # the exact statistic of those samples
-        x, y = gaussian_pair(300, 300, shift=0.4, seed=3)
-        k = KernelConfig(bandwidth=1.0)
-        exact = hm.mmd_statistic(x, y, k)
-        values = [
-            hm.mmd_linear(x, y, k, derive_rng(s, "lin")) for s in range(200)
-        ]
-        se = np.std(values, ddof=1) / np.sqrt(len(values))
-        assert abs(np.mean(values) - exact) <= 3 * se
-
-    def test_needs_four_rows(self):
-        with pytest.raises(MotifError, match=">= 4"):
-            hm.mmd_linear(np.zeros((3, 1)), np.zeros((9, 1)), rng=derive_rng(0, "l"))
-
-
 class TestBootstrapPvalue:
     def test_identical_distribution_close_to_uniform(self):
         rejections = 0
@@ -361,25 +331,6 @@ class TestBootstrapPvalue:
             y = B3[rng.integers(0, 3, size=500)]
             p = hm.bootstrap_pvalue(x, y, n_boot=200, rng=derive_rng(s, "pw"))
             assert p <= 0.005
-
-    def test_threads_do_not_change_result(self):
-        x, y = gaussian_pair(60, 50, shift=0.3, seed=1)
-        p1 = hm.bootstrap_pvalue(x, y, n_boot=99, rng=derive_rng(3, "t"), threads=1)
-        p2 = hm.bootstrap_pvalue(x, y, n_boot=99, rng=derive_rng(3, "t"), threads=4)
-        assert p1 == p2
-
-    def test_threads_do_not_change_linear_result(self):
-        x, y = gaussian_pair(60, 50, shift=0.3, seed=1)
-        p1 = hm.bootstrap_pvalue(x, y, n_boot=99, rng=derive_rng(3, "t"), threads=1,
-                                 mode="linear")
-        p2 = hm.bootstrap_pvalue(x, y, n_boot=99, rng=derive_rng(3, "t"), threads=4,
-                                 mode="linear")
-        assert p1 == p2
-
-    def test_linear_mode(self):
-        x, y = gaussian_pair(80, 80, shift=1.5, seed=2)
-        p = hm.bootstrap_pvalue(x, y, n_boot=99, rng=derive_rng(4, "lm"), mode="linear")
-        assert p <= 0.05
 
 
 def pooled_kernel(n, m, d, rng):
@@ -477,8 +428,6 @@ class TestBatchedPermutationNull:
 class TestPairTestArguments:
     @pytest.mark.parametrize("kwargs, message", [
         ({"n_boot": -3}, "bootstrap replicate count must be >= 0, got -3"),
-        ({"mode": "lin"}, "mode must be 'exact' or 'linear', got 'lin'"),
-        ({"mode": "lin", "n_boot": 5}, "mode must be 'exact' or 'linear', got 'lin'"),
     ])
     def test_dissimilarity_matrix_refuses_before_pair_work(self, monkeypatch, kwargs, message):
         def pair_work(*args, **kw):
@@ -489,12 +438,6 @@ class TestPairTestArguments:
         x, y = gaussian_pair(20, 20)
         with pytest.raises(MotifError, match=message):
             hm.dissimilarity_matrix([x, y, x + 1.0], rng=derive_rng(0, "args"), **kwargs)
-
-    @pytest.mark.parametrize("mode", ["lin", "Exact", None])
-    def test_bootstrap_pvalue_refuses_unknown_mode(self, mode):
-        x, y = gaussian_pair(20, 20)
-        with pytest.raises(MotifError, match="mode must be 'exact' or 'linear'"):
-            hm.bootstrap_pvalue(x, y, n_boot=5, rng=derive_rng(0, "args"), mode=mode)
 
 
 class TestSinkhornPlan:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ class TestConfig:
         assert hm.PipelineConfig(threads=np.int64(2)).threads == 2
 
     @pytest.mark.parametrize("kwargs", [
-        {"mode": "exactt"}, {"motif_source": "pval"}, {"linkage": "avg"},
+        {"n_mc": 0}, {"motif_source": "pval"}, {"linkage": "avg"},
         {"max_scree": 0}, {"n_motifs": 0}, {"top_dim": 2.7}, {"sub_dim": True},
         {"n_subgraphs": 2.0}, {"n_bootstrap": -1}, {"min_cluster_size": 0},
         {"seed": -1}, {"seed": 1.5}, {"motif_height": "abc"}, {"motif_height": -1.0},
@@ -78,8 +79,10 @@ class TestConfig:
         assert config_dict(again) == config_dict(cfg)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(PipelineError, match="unknown"):
-            config_from_dict({"verbosity": 3})
+        # "mode" is no longer a field: a file that still holds it is refused
+        for data in ({"verbosity": 3}, {"mode": "exact"}):
+            with pytest.raises(PipelineError, match="unknown"):
+                config_from_dict(data)
 
 
 class TestRepresentativeSubgraph:
@@ -282,6 +285,19 @@ class TestDetectHierarchy:
         child = root.children[0]
         assert child.is_representative and child.n_vertices == 356
         assert child.children == [] and child.error is None and child.dim_used == 2
+
+    def test_count_estimate_warnings_name_their_node(self):
+        g, _ = two_group_graph(400)
+        cfg = hm.PipelineConfig(top_dim=2, sub_dim=2, n_subgraphs="auto", n_motifs=1,
+                                min_cluster_size=100, max_depth=2, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            hm.detect_hierarchy(g, cfg)
+        messages = [str(w.message) for w in caught]
+        single = "phi curve has a single point; returning k=2"
+        assert f"node root: {single}" in messages and f"node 0: {single}" in messages
+        assert all(m.startswith("node ") for m in messages), messages
+        assert {w.category for w in caught} == {UserWarning}
 
     def test_auto_dimensions_smoke(self):
         g, _ = two_group_graph(300)
