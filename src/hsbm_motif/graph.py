@@ -7,6 +7,7 @@ so graphs are safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable
@@ -24,6 +25,14 @@ _NL, _SP, _HASH, _ZERO, _NINE = b"\n #09"
 _MAX_DIGITS = 18
 # bytes per piece of the canonical-format scan, which cuts pieces at newlines
 _SCAN_CHUNK = 1 << 18
+# CSR indices and indptr are int32 while vertex and entry counts stay below this
+_INT32_LIMIT = 2**31
+# stored entries per block of block_density's count, which bounds its
+# temporaries at two 8 MB int64 arrays.  Blocks of 2**18 raised detect's peak
+# RSS on the shipped 4100-vertex graph (825k entries, one block here) by
+# 2.6 MB: glibc raises its mmap threshold to the size of a freed mapping, so
+# smaller blocks left it lower for the pairwise tests that follow
+_COUNT_BLOCK = 1 << 20
 
 
 class GraphError(ValueError):
@@ -161,31 +170,77 @@ def graph_from_edges(
 ) -> SparseGraph:
     """Build a graph from endpoint index arrays.
 
-    Duplicate edges collapse silently; self-loops are dropped and counted in
-    ``n_loops_dropped``.  The result is symmetrized, with int32 CSR
-    ``indices`` and ``indptr`` whenever the vertex and entry counts fit.
+    The endpoints are two 1-d integer arrays of equal length; empty ones may
+    have any dtype.  Duplicate edges collapse silently; self-loops are
+    dropped and counted in ``n_loops_dropped``.  The result is symmetrized,
+    with sorted int32 CSR ``indices`` and ``indptr`` whenever the vertex and
+    entry counts fit.
     """
-    if n_vertices <= 0:
+    return _build_graph(n_vertices, [edges_u, edges_v], vertex_ids)
+
+
+def _build_graph(
+    n_vertices: int, ends: list, vertex_ids: tuple[str, ...] | None
+) -> SparseGraph:
+    """:func:`graph_from_edges` on the two endpoint arrays in ``ends``.
+
+    The list is emptied, so arrays the caller holds nowhere else are freed
+    once their kept endpoints are copied out, before the keys are formed.
+    The CSR comes from one int64 key ``row * n + col`` per stored entry, in
+    both orientations: a sort orders the entries, adjacent equal keys are
+    duplicates, and each key's quotient and remainder by ``n`` are its row
+    and column.  ``oracle.graph_from_edges_coo`` builds the same arrays
+    through a COO matrix.
+    """
+    n = operator.index(n_vertices)
+    if n <= 0:
         raise GraphError("graph must have at least one vertex")
-    u = np.asarray(edges_u, dtype=np.int64)
-    v = np.asarray(edges_v, dtype=np.int64)
+    if n * n >= 2**63:
+        raise GraphError(f"{n} vertices: the int64 entry keys need n**2 < 2**63")
+    u, v = map(_endpoints, ends)
+    ends.clear()
     if u.shape != v.shape:
         raise GraphError("endpoint arrays differ in length")
-    if u.size and (u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n_vertices):
+    if u.size and (u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n):
         raise GraphError("edge endpoint out of range")
     keep = u != v
-    n_loops = int(np.count_nonzero(~keep))
-    # each filtered copy is freed as soon as it is concatenated, so fewer
-    # temporaries outlive the adjacency's allocation;
-    # scipy keeps the coordinates' index type, so int32 ones give an int32
-    # CSR, whose matvecs stream half the index bytes
-    index = np.int32 if max(n_vertices, 2 * u.size) < 2**31 else np.int64
-    row = np.concatenate([u[keep], v[keep]], dtype=index, casting="same_kind")
-    col = np.concatenate([v[keep], u[keep]], dtype=index, casting="same_kind")
-    data = np.ones(row.size, dtype=np.uint8)
-    adj = sp.coo_array((data, (row, col)), shape=(n_vertices, n_vertices)).tocsr()
-    adj.data = np.ones_like(adj.data)  # collapse duplicates back to 1
+    n_loops = u.size - int(np.count_nonzero(keep))
+    # int32 indices whenever they fit: matvecs stream half the index bytes
+    index = np.int32 if max(n, 2 * u.size) < _INT32_LIMIT else np.int64
+    u, v = u[keep].astype(index, copy=False), v[keep].astype(index, copy=False)
+    del keep
+    keys = np.empty(2 * u.size, dtype=np.int64)
+    for rows, cols, out in ((u, v, keys[: u.size]), (v, u, keys[u.size :])):
+        np.multiply(rows, n, out=out, dtype=np.int64)
+        out += cols
+    del u, v, rows, cols, out
+    keys.sort()
+    repeated = keys[1:] == keys[:-1]
+    if repeated.any():
+        keys = keys[np.concatenate(([True], ~repeated))]
+    del repeated
+    # row r's keys lie in [r * n, (r + 1) * n); a search of the n + 1 bounds
+    # needs no entry-sized array, where a bincount of rows would take one
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(index)
+    indices = np.empty(keys.size, dtype=index)
+    np.remainder(keys, n, out=indices)
+    del keys
+    adj = sp.csr_array((np.ones(indices.size, dtype=np.uint8), indices, indptr), shape=(n, n))
+    adj.has_canonical_format = True  # sorted by the keys, without duplicates
     return SparseGraph._trusted(adj, vertex_ids, n_loops)
+
+
+def _endpoints(edges) -> np.ndarray:
+    """``edges`` as a 1-d integer array: an empty one of any dtype is read
+    as int64, any other non-integer one refused rather than converted."""
+    edges = np.asarray(edges)
+    if edges.ndim != 1:
+        raise GraphError(f"endpoint arrays must be 1-d, got shape {edges.shape}")
+    if edges.dtype.kind not in "iu":
+        if edges.size:
+            raise GraphError(f"endpoint arrays must hold integers, got dtype {edges.dtype}")
+        edges = edges.astype(np.int64)
+    return edges
 
 
 def load_edge_list(source: IO[str] | str | os.PathLike) -> SparseGraph:
@@ -206,13 +261,17 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> SparseGraph:
     :func:`save_edge_list` writes for integer ids.  Any other file, and any
     text stream, goes through the per-line parser; both give the same graph.
 
-    The bulk path orders the ids by first appearance in linear time with a
-    table indexed by id, when the largest id is below the token count (ids
-    ``0..n-1``, as :func:`save_edge_list` writes them): the table is then no
-    larger than the int64 tokens, and besides it the remap holds one
-    token-sized array at a time.  Larger ids, such as 18-digit ones, are
-    first ranked by a sort (``np.unique``), which holds several token-sized
-    arrays at once.
+    The bulk path parses the tokens as int64 and narrows them to int32
+    when the largest id and the token count fit.  It orders the ids by first
+    appearance in linear time with a table indexed by id, when the largest
+    id is below the token count (ids ``0..n-1``, as :func:`save_edge_list`
+    writes them): the table is then no larger than the tokens, and besides
+    it the remap holds one token-sized array at a time.  Larger ids, such as
+    18-digit ones, are first ranked by a sort (``np.unique``), which holds
+    several token-sized arrays at once.  The tokens are freed once they are
+    remapped, and the remapped index once the builder has copied out its
+    kept endpoints; from then on the builder's int64 keys, 8 bytes per
+    stored entry, are the largest array alive.
 
     Raises
     ------
@@ -226,10 +285,15 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> SparseGraph:
     if tokens is None:
         with open(source, "r", encoding="utf-8") as fh:
             return _load_lines(fh)
+    if max(int(tokens.max()), tokens.size) < _INT32_LIMIT:
+        tokens = tokens.astype(np.int32)
     index, ids = _first_appearance(tokens)
     del tokens
     ids = tuple(map(str, ids.tolist()))
-    return graph_from_edges(len(ids), index[0::2], index[1::2], vertex_ids=ids)
+    # the builder takes the only references to the index out of this list
+    ends = [index[0::2], index[1::2]]
+    del index
+    return _build_graph(len(ids), ends, ids)
 
 
 def _first_appearance(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,14 +302,15 @@ def _first_appearance(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A table indexed by token holds each one's first position, so the tokens
     must lie below ``tokens.size``; larger ones are ranked by ``np.unique``
-    first.
+    first.  The table and the index have the dtype of the tokens, or of
+    their ranks.
     """
     n = tokens.size
     values = None
     if tokens.max() >= n:
         values, tokens = np.unique(tokens, return_inverse=True)
-    first = np.full(int(tokens.max()) + 1, n)
-    np.minimum.at(first, tokens, np.arange(n))
+    first = np.full(int(tokens.max()) + 1, n, dtype=tokens.dtype)
+    np.minimum.at(first, tokens, np.arange(n, dtype=tokens.dtype))
     present = np.flatnonzero(first < n)
     order = present[np.argsort(first[present])]
     # the table now maps each present token to its rank
@@ -526,11 +591,19 @@ def block_density(g: SparseGraph, part: VertexPartition) -> np.ndarray:
     r = part.n_clusters
     sizes = part.sizes().astype(np.float64)
     # each stored entry is one ordered edge: count it in its (row, column)
-    # cluster pair
-    adj = g.adjacency
-    ends = np.repeat(part.labels * r, np.diff(adj.indptr))
-    ends += part.labels[adj.indices]
-    counts = np.bincount(ends, minlength=r * r).reshape(r, r)
+    # cluster pair, a block of at most _COUNT_BLOCK entries at a time
+    adj, labels = g.adjacency, part.labels
+    counts = np.zeros(r * r, dtype=np.int64)
+    for start in range(0, adj.nnz, _COUNT_BLOCK):
+        stop = min(start + _COUNT_BLOCK, adj.nnz)
+        # the rows lo..hi-1 hold the block's entries, each clipped to it
+        lo = np.searchsorted(adj.indptr, start, side="right") - 1
+        hi = np.searchsorted(adj.indptr, stop)
+        per_row = np.diff(np.clip(adj.indptr[lo : hi + 1], start, stop))
+        ends = np.repeat(labels[lo:hi] * r, per_row)
+        ends += labels[adj.indices[start:stop]]
+        counts += np.bincount(ends, minlength=r * r)
+    counts = counts.reshape(r, r)
     pairs = np.outer(sizes, sizes)
     np.fill_diagonal(pairs, sizes * (sizes - 1))  # within-cluster: ordered pairs, no loops
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,7 +13,8 @@ from scipy.spatial.distance import pdist
 
 from .embedding import Embedding, _fix_signs, _order_by_magnitude
 from .generate import GeneratorError, LatentPositions
-from .graph import _MAX_DIGITS, _NINE, _NL, _SP, _ZERO, SparseGraph, VertexPartition, graph_from_edges
+from . import graph as _graph
+from .graph import _MAX_DIGITS, _NINE, _NL, _SP, _ZERO, GraphError, SparseGraph, VertexPartition, graph_from_edges
 from .motifs import _median
 
 _DENSE_LIMIT = 2000
@@ -182,6 +183,36 @@ def sinkhorn_plan_loop(cost: np.ndarray, reg: float, n_iter: int = 60) -> np.nda
         u = a / (k @ v)
         v = b / (k.T @ u)
     return (u[:, None] * k) * v[None, :]
+
+
+def graph_from_edges_coo(
+    n_vertices: int,
+    edges_u: np.ndarray,
+    edges_v: np.ndarray,
+    vertex_ids: tuple[str, ...] | None = None,
+) -> SparseGraph:
+    """:func:`hsbm_motif.graph.graph_from_edges` through a COO matrix: the
+    kept endpoints in both orientations, ``tocsr`` (which sums duplicates
+    and sorts each row), then every entry set back to 1.  The index type
+    follows the builder's ``_INT32_LIMIT``, read at call time."""
+    if n_vertices <= 0:
+        raise GraphError("graph must have at least one vertex")
+    u = np.asarray(edges_u, dtype=np.int64)
+    v = np.asarray(edges_v, dtype=np.int64)
+    if u.shape != v.shape:
+        raise GraphError("endpoint arrays differ in length")
+    if u.size and (u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n_vertices):
+        raise GraphError("edge endpoint out of range")
+    keep = u != v
+    n_loops = int(np.count_nonzero(~keep))
+    # scipy keeps the coordinates' index type
+    index = np.int32 if max(n_vertices, 2 * u.size) < _graph._INT32_LIMIT else np.int64
+    row = np.concatenate([u[keep], v[keep]], dtype=index, casting="same_kind")
+    col = np.concatenate([v[keep], u[keep]], dtype=index, casting="same_kind")
+    data = np.ones(row.size, dtype=np.uint8)
+    adj = sp.coo_array((data, (row, col)), shape=(n_vertices, n_vertices)).tocsr()
+    adj.data = np.ones_like(adj.data)  # collapse duplicates back to 1
+    return SparseGraph._trusted(adj, vertex_ids, n_loops)
 
 
 def edge_array_triu(g: SparseGraph) -> np.ndarray:

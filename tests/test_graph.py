@@ -1,4 +1,5 @@
 import io
+import itertools
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -6,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hsbm_motif as hm
@@ -21,6 +22,7 @@ from hsbm_motif.oracle import (
     canonical_lines_whole,
     edge_array_triu,
     first_appearance_unique,
+    graph_from_edges_coo,
     largest_component_bfs,
     save_edge_list_loop,
 )
@@ -75,6 +77,7 @@ def assert_same_graph(a: hm.SparseGraph, b: hm.SparseGraph) -> None:
     assert a == b
     assert a.vertex_ids == b.vertex_ids
     assert a.n_loops_dropped == b.n_loops_dropped
+    assert a.adjacency.has_sorted_indices == b.adjacency.has_sorted_indices
     for name in ("indptr", "indices", "data"):
         x, y = getattr(a.adjacency, name), getattr(b.adjacency, name)
         assert x.dtype == y.dtype
@@ -247,9 +250,11 @@ class TestBulkLoaderMatchesLines:
         peak = traced_peak(lambda: loaded.append(hm.load_edge_list(path)))
         assert loaded[0].edge_array().tobytes() == graph.edge_array().tobytes()
         # 16 bytes a pair is what the int64 tokens alone take; the load
-        # peaked at 3.6x that with a whole-buffer format scan and at 3.08x
-        # with the scan in pieces, where building the graph sets the peak
-        assert peak <= 3.4 * 16 * pairs, peak / (16 * pairs)
+        # peaked at 3.6x that with a whole-buffer format scan, at 3.08x with
+        # the scan in pieces and a COO graph build, and at 1.60x with int32
+        # ids and the sorted-key build, where the text and its int64 tokens
+        # set the peak
+        assert peak <= 1.7 * 16 * pairs, peak / (16 * pairs)
 
         def tokens():
             with open(path, "rb") as fh:
@@ -333,11 +338,13 @@ class TestChunkedFormatScan:
 
 @st.composite
 def token_arrays(draw):
-    """Non-negative int64 tokens whose largest value is below, at or above
-    their count, up to 18 digits."""
+    """Non-negative tokens whose largest value is below, at or above their
+    count: int64 up to 18 digits, or int32 up to 2**31 - 1."""
     n = draw(st.integers(1, 40))
-    top = draw(st.sampled_from([n - 1, n, 3 * n, 10**18 - 1]))
-    return np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=np.int64)
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    huge = 10**18 - 1 if dtype == np.int64 else 2**31 - 1
+    top = draw(st.sampled_from([n - 1, n, 3 * n, huge]))
+    return np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=dtype)
 
 
 class TestFirstAppearance:
@@ -352,19 +359,52 @@ class TestFirstAppearance:
     def test_matches_unique_reference(self, tokens):
         index, ids, sorted_first = self.remap(tokens)
         ref_index, ref_ids = first_appearance_unique(tokens)
-        assert index.dtype == ref_index.dtype and ids.dtype == ref_ids.dtype
+        if tokens.dtype == np.int64:
+            assert index.dtype == ref_index.dtype and ids.dtype == ref_ids.dtype
         assert np.array_equal(index, ref_index)
         assert np.array_equal(ids, ref_ids)
         # the table whenever it is no larger than the tokens
         assert sorted_first == (tokens.max() >= tokens.size)
+        # the table keeps the tokens' dtype; ranks from np.unique are intp
+        assert index.dtype == (np.intp if sorted_first else tokens.dtype)
 
     @pytest.mark.parametrize("top, sorted_first", [(5, False), (6, True)])
     def test_table_rule_at_the_token_count(self, top, sorted_first):
-        tokens = np.array([top, 2, 0, 2, 1, top], dtype=np.int64)
-        index, ids, used_unique = self.remap(tokens)
-        assert used_unique == sorted_first
-        assert index.tolist() == [0, 1, 2, 1, 3, 0]
-        assert ids.tolist() == [top, 2, 0, 1]
+        for dtype in (np.int32, np.int64):
+            tokens = np.array([top, 2, 0, 2, 1, top], dtype=dtype)
+            index, ids, used_unique = self.remap(tokens)
+            assert used_unique == sorted_first
+            assert index.tolist() == [0, 1, 2, 1, 3, 0]
+            assert ids.tolist() == [top, 2, 0, 1]
+
+
+class TestInt32Ids:
+    @pytest.mark.parametrize("big, int32", [
+        (2**31 - 1, True),
+        (2**31, False),
+        (10**18 - 1, False),
+    ])
+    def test_ids_at_the_int32_limit_load_as_lines(self, tmp_path, big, int32):
+        data = f"{big} 0\n3 {big}\n0 3\n{big - 1} {big}\n5 5\n".encode("ascii")
+        path = write_bytes(tmp_path, data)
+        with mock.patch.object(graph_module, "_first_appearance",
+                               wraps=graph_module._first_appearance) as remap, BulkSpy() as spy:
+            got = hm.load_edge_list(path)
+        assert spy.accepted == [True]
+        assert (remap.call_args.args[0].dtype == np.int32) == int32
+        assert_same_graph(got, load_parent_way(path))
+        assert got.vertex_ids == (str(big), "0", "3", str(big - 1), "5")
+
+    def test_saved_ids_load_as_int32(self, tmp_path):
+        g = hm.graph_from_edges(6, np.array([0, 1, 2, 4]), np.array([1, 2, 0, 5]))
+        path = tmp_path / "edges.txt"
+        hm.save_edge_list(g, path)
+        with mock.patch.object(graph_module, "_first_appearance",
+                               wraps=graph_module._first_appearance) as remap:
+            got = hm.load_edge_list(path)
+        tokens = remap.call_args.args[0]
+        assert tokens.dtype == np.int32 and tokens.max() < tokens.size  # the id table
+        assert_same_graph(got, load_parent_way(path))
 
 
 class TestSaveRoundTrip:
@@ -570,6 +610,104 @@ class TestInvariants:
 
 
 @st.composite
+def endpoint_arrays(draw):
+    """Endpoints on 1-40 vertices with repeats in both orientations,
+    self-loops and isolated vertices, possibly none, in a signed or
+    unsigned integer dtype."""
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    # repeat some edges, reversed or not, and add some loops
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []:
+        pairs.append((b, a) if draw(st.booleans()) else (a, b))
+    pairs += [(a, a) for a in draw(st.lists(vertex, max_size=5))]
+    pairs = draw(st.permutations(pairs))
+    dtype = draw(st.sampled_from([np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]))
+    u = np.array([a for a, _ in pairs], dtype=dtype)
+    v = np.array([b for _, b in pairs], dtype=dtype)
+    return n, u, v
+
+
+class TestGraphFromEdges:
+    @settings(max_examples=400, deadline=None)
+    @given(endpoint_arrays())
+    def test_matches_coo_reference(self, case):
+        n, u, v = case
+        assert_same_graph(hm.graph_from_edges(n, u, v), graph_from_edges_coo(n, u, v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(endpoint_arrays())
+    def test_int64_indices_match_coo_reference(self, case):
+        # a limit below every vertex count takes the int64 branch; scipy
+        # gives a COO matrix with no entries an int32 CSR whatever its
+        # coordinates' type, so edgeless cases are left out
+        n, u, v = case
+        assume(np.any(u != v))
+        with mock.patch.object(graph_module, "_INT32_LIMIT", 1):
+            ours, ref = hm.graph_from_edges(n, u, v), graph_from_edges_coo(n, u, v)
+        assert ours.adjacency.indices.dtype == np.int64
+        assert_same_graph(ours, ref)
+
+    def test_int32_limit_counts_vertices_and_entries(self):
+        u, v = np.array([0, 1, 2]), np.array([1, 2, 0])
+        for limit, index in ((7, np.int32), (6, np.int64), (4, np.int64)):
+            # 2 * 3 entries on 3 vertices: int32 only while 6 < limit
+            with mock.patch.object(graph_module, "_INT32_LIMIT", limit):
+                g, ref = hm.graph_from_edges(3, u, v), graph_from_edges_coo(3, u, v)
+            assert g.adjacency.indptr.dtype == g.adjacency.indices.dtype == index
+            assert_same_graph(g, ref)
+
+    def test_caller_arrays_untouched(self):
+        u, v = np.array([2, 0, 1, 1], dtype=np.int32), np.array([0, 1, 1, 2], dtype=np.int32)
+        g = hm.graph_from_edges(3, u, v)
+        assert u.tolist() == [2, 0, 1, 1] and v.tolist() == [0, 1, 1, 2]
+        assert g.edge_array().tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert g.n_loops_dropped == 1
+
+    def test_floats_refused(self):
+        with pytest.raises(GraphError, match="integers, got dtype float64"):
+            hm.graph_from_edges(3, [0.5, 1.9], [1.7, 2.2])
+        with pytest.raises(GraphError, match="integers"):
+            hm.graph_from_edges(3, np.array([0.0, 1.0]), np.array([1, 2]))
+
+    def test_bools_refused(self):
+        with pytest.raises(GraphError, match="integers, got dtype bool"):
+            hm.graph_from_edges(2, np.array([True]), np.array([False]))
+
+    def test_numeric_strings_refused(self):
+        with pytest.raises(GraphError, match="integers, got dtype <U1"):
+            hm.graph_from_edges(3, ["0", "1"], ["1", "2"])
+
+    def test_two_dimensional_arrays_refused(self):
+        pairs = np.array([[0, 1], [1, 2]])
+        with pytest.raises(GraphError, match=r"1-d, got shape \(2, 2\)"):
+            hm.graph_from_edges(3, pairs, pairs[::-1])
+
+    def test_key_overflow_refused_before_allocation(self):
+        none = np.array([], dtype=np.int64)
+        for n in (2**40, 3037000500):  # the smallest n with n**2 >= 2**63
+            raised = []
+
+            def build(n=n):
+                try:
+                    hm.graph_from_edges(n, none, none)
+                except GraphError as exc:
+                    raised.append(str(exc))
+
+            assert traced_peak(build) < 1 << 16
+            assert raised and "n**2 < 2**63" in raised[0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.str_, object, np.uint8])
+    def test_empty_arrays_of_any_dtype(self, dtype):
+        none = np.array([], dtype=dtype)
+        g = hm.graph_from_edges(4, none, none)
+        assert g.n_vertices == 4 and g.n_edges == 0
+        assert g.adjacency.indptr.tolist() == [0] * 5
+        assert g.adjacency.indices.dtype == np.int32
+        assert hm.graph_from_edges(2, [], []).n_edges == 0
+
+
+@st.composite
 def tied_components(draw):
     """Graphs of several components, at least two of them of the largest
     size, with the vertices shuffled so that no component is a run of
@@ -741,27 +879,60 @@ class TestBlockDensity:
                 expected[i, j] = s
         assert np.nanmax(np.abs(observed - expected)) < 0.02
 
-    @settings(max_examples=200, deadline=None)
-    @given(graphs(), st.integers(1, 7), st.data())
-    def test_matches_one_hot_oracle(self, g, r, data):
-        # labels drawn from 0..r-1 leave some clusters empty or singletons
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(), st.integers(1, 7), st.one_of(st.integers(1, 7), st.none()), st.data())
+    def test_matches_one_hot_oracle(self, g, r, block, data):
+        # labels drawn from 0..r-1 leave some clusters empty or singletons;
+        # blocks of 1-7 entries cut inside rows, skip empty rows and hold
+        # rows longer than a block (None: the default, one block here)
         labels = data.draw(st.lists(st.integers(0, r - 1), min_size=g.n_vertices,
                                     max_size=g.n_vertices))
         part = hm.VertexPartition(np.array(labels, dtype=np.int64), r)
-        ours = hm.block_density(g, part)
+        with mock.patch.object(graph_module, "_COUNT_BLOCK", block or graph_module._COUNT_BLOCK):
+            ours = hm.block_density(g, part)
         assert ours.shape == (r, r)
         assert np.array_equal(ours, block_density_one_hot(g, part), equal_nan=True)
 
     def test_matches_one_hot_oracle_on_benchmark(self, bench_sample):
         graph, latents = bench_sample
-        for r in (2, 4, 7):
+        for r, block in itertools.product((2, 4, 7), (graph_module._COUNT_BLOCK, 1 << 18)):
+            # the default counts this graph in one block, 2**18 in four
             labels = np.random.default_rng(r).integers(0, r, graph.n_vertices)
             labels[labels == 1] = 0  # cluster 1 empty
             labels[5] = 1  # ... but for one vertex
             part = hm.VertexPartition(labels, r)
-            ours = hm.block_density(graph, part)
+            with mock.patch.object(graph_module, "_COUNT_BLOCK", block):
+                ours = hm.block_density(graph, part)
             assert np.isnan(ours[1, 1])
             assert np.array_equal(ours, block_density_one_hot(graph, part), equal_nan=True)
+
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_long_row_empty_rows_and_singletons(self, block):
+        # a star: vertex 5 holds a row of 9 entries, vertices 0-4 and 10 hold
+        # one each, 11-13 are isolated; cluster 2 is the hub alone
+        leaves = np.array([0, 1, 2, 3, 4, 6, 7, 8, 10])
+        g = hm.graph_from_edges(14, np.full(leaves.size, 5), leaves)
+        cases = [
+            np.zeros(14, dtype=np.int64),  # r = 1
+            np.array([0, 1, 0, 1, 0, 2, 1, 0, 1, 0, 1, 0, 0, 1]),
+            np.array([1, 1, 1, 0, 0, 2, 0, 0, 1, 1, 1, 3, 1, 1]),  # singletons 2, 3
+        ]
+        for labels in cases:
+            part = hm.VertexPartition(labels, int(labels.max()) + 1)
+            with mock.patch.object(graph_module, "_COUNT_BLOCK", block):
+                ours = hm.block_density(g, part)
+            assert np.array_equal(ours, block_density_one_hot(g, part), equal_nan=True)
+
+    @pytest.mark.parametrize("block", [1 << 14, 1 << 16, 1 << 18])
+    def test_traced_peak_bounded_by_block(self, bench_sample, block):
+        graph, latents = bench_sample
+        part = hm.VertexPartition(latents.top_level_labels(), 8)
+        assert graph.adjacency.nnz > 3 * block
+        with mock.patch.object(graph_module, "_COUNT_BLOCK", block):
+            peak = traced_peak(lambda: hm.block_density(graph, part))
+        # two int64 arrays of a block's size, not three of the graph's
+        # (13.3 MB on this graph when counted in one piece)
+        assert peak <= 3 * 8 * block, peak / (8 * block)
 
     def test_partition_size_mismatch(self):
         g = load("0 1")
