@@ -363,11 +363,16 @@ def sample_rdpg(
     Edges are drawn for i < j and mirrored; the diagonal stays empty.  The
     same generator state always yields the identical graph.
 
-    Rows are drawn in chunks of 512.  Each chunk takes its uniforms for the
-    full ``rows x n`` block, so the random stream is the one of a full n x n
-    draw, but it forms and compares probabilities only from its own diagonal
-    on, and keeps the strictly-upper hits.  Those come out of ``nonzero``
-    row-major with sorted columns, so per-row counts and the columns are the
+    Rows are drawn in chunks of 512.  The random stream is the one of a full
+    n x n draw of uniforms, row by row, but row ``i`` only draws the values
+    of columns ``i + 1`` on, the ones it compares: on ``PCG64`` and
+    ``PCG64DXSM`` it skips the first ``i + 1`` with ``advance``, and any
+    other bit generator draws them and leaves them unused.  The buffered
+    32-bit half that ``advance`` clears is put back, so the generator ends
+    in the state the full draw leaves it in.  A chunk forms and compares
+    probabilities only from its own diagonal on, and keeps the
+    strictly-upper hits.  Those come out of ``nonzero`` row-major with
+    sorted columns, so per-row counts and the columns are the
     strictly-upper CSR as they are; the adjacency is that CSR plus its
     transpose, with no edge arrays, COO or index sort in between.
 
@@ -377,6 +382,8 @@ def sample_rdpg(
     """
     x = latents.positions if isinstance(latents, LatentPositions) else np.asarray(latents)
     n = x.shape[0]
+    if n == 0:
+        raise GeneratorError("latent positions have no rows: a graph needs a vertex")
     if isinstance(latents, LatentPositions):
         top = sparsity * latents.max_dot()
     elif n <= 4096:
@@ -392,27 +399,49 @@ def sample_rdpg(
     counts = np.zeros(n + 1, dtype=np.int64)
     cols: list[np.ndarray] = []
     column = np.int32 if n < 2**31 else np.int64
-    draw = np.empty((min(_SAMPLE_CHUNK, n), n))
+    bits = rng.bit_generator
+    # advance counts 64-bit outputs, one per double, and clears the half
+    skips = isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM))
+    if skips:
+        half = bits.state
+    # the columns a row skips are never written, only masked
+    draw = np.zeros((min(_SAMPLE_CHUNK, n), n))
     for start in range(0, n, _SAMPLE_CHUNK):
         stop = min(start + _SAMPLE_CHUNK, n)
-        probs = sparsity * (x[start:stop] @ x[start:].T)
+        probs = x[start:stop] @ x[start:].T
+        # in place, and not at all for 1.0: the bits of sparsity * (x @ x.T)
+        if sparsity != 1.0:
+            probs *= sparsity
         if probs.max() > 1 + 1e-9 or probs.min() < -1e-9:
             raise GeneratorError(
                 f"edge probability out of [0, 1]: range [{probs.min()}, {probs.max()}]"
             )
-        hits = rng.random(out=draw[: stop - start])[:, start:] < probs
+        for r, i in enumerate(range(start, stop)):
+            if skips:
+                bits.advance(i + 1)
+            else:
+                rng.random(out=draw[r, : i + 1])
+            rng.random(out=draw[r, i + 1 :])
+        hits = draw[: stop - start, start:] < probs
         del probs
         # the diagonal block keeps its strictly-upper part
         hits[:, : stop - start] &= ~np.tri(stop - start, dtype=bool)
-        per_row = np.count_nonzero(hits, axis=1)
-        counts[start + 1 : stop + 1] = per_row
         # flat positions, less each row's offset, are the columns: a 1-d
         # nonzero is several times faster than a 2-d one
         width = n - start
         flat = np.flatnonzero(hits)
-        flat -= np.repeat(np.arange(stop - start) * width - start, per_row)
+        # they are sorted, so a search of the row bounds counts each row's
+        # hits without another pass over the block
+        bounds = np.arange(stop - start + 1) * width
+        per_row = np.diff(np.searchsorted(flat, bounds))
+        counts[start + 1 : stop + 1] = per_row
+        flat -= np.repeat(bounds[:-1] - start, per_row)
         cols.append(flat.astype(column))
     del draw
+    if skips:
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = half["has_uint32"], half["uinteger"]
+        bits.state = state
     nnz = int(counts.sum())
     # graph_from_edges's rule: int32 indices whenever the symmetric CSR fits
     index = np.int32 if max(n, 2 * nnz) < 2**31 else np.int64

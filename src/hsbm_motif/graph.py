@@ -303,12 +303,15 @@ def _first_appearance(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A table indexed by token holds each one's first position, so the tokens
     must lie below ``tokens.size``; larger ones are ranked by ``np.unique``
     first.  The table and the index have the dtype of the tokens, or of
-    their ranks.
+    their ranks: int32 whenever the token count is below 2**31, as the
+    ranks then are.
     """
     n = tokens.size
     values = None
     if tokens.max() >= n:
         values, tokens = np.unique(tokens, return_inverse=True)
+        if n < _INT32_LIMIT:
+            tokens = tokens.astype(np.int32)
     first = np.full(int(tokens.max()) + 1, n, dtype=tokens.dtype)
     np.minimum.at(first, tokens, np.arange(n, dtype=tokens.dtype))
     present = np.flatnonzero(first < n)

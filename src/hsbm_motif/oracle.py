@@ -301,6 +301,8 @@ def sample_rdpg_via_edges(latents, sparsity: float, rng: np.random.Generator) ->
     :func:`graph_from_edges` builds the graph from all of them."""
     x = latents.positions if isinstance(latents, LatentPositions) else np.asarray(latents)
     n = x.shape[0]
+    if n == 0:
+        raise GeneratorError("latent positions have no rows: a graph needs a vertex")
     if isinstance(latents, LatentPositions):
         top = sparsity * latents.max_dot()
     else:

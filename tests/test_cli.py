@@ -168,15 +168,21 @@ GOLDEN_GENERATE = {
         "edges.txt": "af01f02d07185e327d3bb42718df43978b51b98ca9299d41c164f959f51e294a",
         "labels.csv": "07823ed084c170e82931df38f59fe2c0c38751127afb58c160269a961de184fc",
     },
+    # rho != 1: the sampler's scaled probabilities
+    "three_level_rho_half": {
+        "edges.txt": "722d26ff4eb82644b08bdd4ad2843ff336a14e63ef7506bcb99c4e494c095dc3",
+        "labels.csv": "07823ed084c170e82931df38f59fe2c0c38751127afb58c160269a961de184fc",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_GENERATE))
 def test_generate_writes_golden_bytes(tmp_path, name):
     spec = "builtin:eight_block_three_motif"
-    if name == "three_level":
+    if name.startswith("three_level"):
+        rho = 0.5 if name == "three_level_rho_half" else 1.0
         spec = tmp_path / "three_level.json"
-        spec.write_text(json.dumps({"n": 600, "rho": 1.0, "tree": three_level_tree()}))
+        spec.write_text(json.dumps({"n": 600, "rho": rho, "tree": three_level_tree()}))
     out = tmp_path / "gen"
     assert main(["generate", str(spec), "--out-dir", str(out), "--seed", "1"]) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()

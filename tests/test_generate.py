@@ -270,6 +270,15 @@ class TestSamplerMatchesEdgeOracle:
         ref = sample_rdpg_via_edges(lat, bench_spec.sparsity, derive_rng(2, "band"))
         assert_same_graph(ours, ref)
 
+    def test_zero_rows_refused(self):
+        x = np.zeros((0, 3))
+        empty = LatentPositions(positions=x, block_labels=np.zeros(0, int),
+                                paths=np.zeros((0, 0), int))
+        for sampler in (hm.sample_rdpg, sample_rdpg_via_edges):
+            for latents in (x, empty):
+                with pytest.raises(GeneratorError, match="no rows"):
+                    sampler(latents, 1.0, rng())
+
     def test_negative_probability_raises(self):
         x = np.zeros((700, 2))
         x[:, 0] = 0.5
@@ -338,6 +347,43 @@ class TestSamplerMatchesEdgeOracle:
         # the edge-array route peaked at 8.5x the finished CSR here (int64
         # endpoints, COO and an index sort); the half band at 2.2x
         assert peak < 5 * csr_bytes
+
+
+def same_state(a, b):
+    """Equal bit generator states: nested dicts of ints, strings and arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class TestSkippedUniforms:
+    """Row ``i`` draws only the uniforms of columns ``i + 1`` on, skipping the
+    rest by ``advance`` on PCG64 and PCG64DXSM.  On every numpy bit generator
+    the graph, the state the call leaves and the draws after it are those of
+    the full-stream edge oracle, with a buffered 32-bit half set before."""
+
+    @staticmethod
+    def generator(bits, seed):
+        g = np.random.Generator(bits(seed))
+        g.random(dtype=np.float32)  # leaves the other 32 bits buffered
+        return g
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                                      np.random.MT19937, np.random.SFC64],
+                             ids=lambda bits: bits.__name__)
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025])
+    def test_matches_full_stream(self, bits, n):
+        x = np.random.default_rng(n).random((n, 3))
+        x /= np.sqrt((x @ x.T).max())
+        for sparsity in (1.0, 0.6):
+            ours, ref = self.generator(bits, n), self.generator(bits, n)
+            assert_same_graph(hm.sample_rdpg(x, sparsity, ours),
+                              sample_rdpg_via_edges(x, sparsity, ref))
+            state = ours.bit_generator.state
+            assert same_state(state, ref.bit_generator.state)
+            assert state.get("has_uint32", 1) == 1
+            assert ours.random(dtype=np.float32) == ref.random(dtype=np.float32)
+            assert ours.random() == ref.random()
 
 
 class TestSampleHsbm:
