@@ -22,7 +22,8 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from .embedding import Embedding
 
 
-# squared distances per row block of the median heuristic's scan (2 MiB)
+# values per block of the median heuristic's scan and of the pair test's
+# kernels (2 MiB)
 _SCAN_BLOCK = 1 << 18
 # fewest rows per group of the sample that brackets the median distance
 _SAMPLE_GROUP = 128
@@ -84,9 +85,8 @@ def _median_distance(pooled: np.ndarray) -> float:
     are ``pdist``'s middle values.  The squared distances come in row
     blocks: ``pdist`` of a block's rows (its strict upper triangle) and
     ``cdist`` of those rows against all later rows.  A block holds at most
-    ``min(2**18, (N/2)**2 / 2)`` values, half the smallest that the
-    statistic's largest kernel block can be, so that with its masks, the
-    sample and the kept values the scan stays below that kernel block.
+    ``min(2**18, (N/2)**2 / 2)`` values, so that with its masks, the sample
+    and the kept values the scan takes less memory than an N/2 x N/2 array.
 
     A sample brackets the middle ranks.  A fixed random permutation cuts
     the rows into groups of 128 to 255, and each group gives the pairs
@@ -185,9 +185,49 @@ def _rbf(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(kern, out=kern)
 
 
-def _off_diagonal_mean(kern: np.ndarray) -> float:
-    n = kern.shape[0]
-    return (kern.sum() - np.trace(kern)) / (n * (n - 1))
+def _kernel_sum(
+    a: np.ndarray, b: np.ndarray, sigma: float, diag: np.ndarray | None = None
+) -> float:
+    """``_rbf(a, b, sigma).sum()`` bit for bit, from flat segments of at
+    most ``_SCAN_BLOCK`` values.
+
+    numpy sums a contiguous array pairwise: a run of more than 128 values
+    splits at ``h = size // 2 - (size // 2) % 8`` and the halves' sums are
+    added.  The segments split the flat kernel the same way until each
+    holds at most ``_SCAN_BLOCK`` values, so ``np.add.reduce`` of each
+    segment is a node of that recursion.  A segment is built from the rows
+    it touches (only its columns when it lies in one row), so it may cut a
+    row mid-way.  With ``diag``, the square kernel's diagonal is copied
+    into it from the segments as they are built.
+    """
+    m = b.shape[0]
+
+    def leaf(start: int, stop: int) -> float:
+        first, last = start // m, -(-stop // m)
+        col = start - first * m
+        if last - first == 1:
+            values = _rbf(a[first:last], b[col : col + stop - start], sigma).ravel()
+        else:
+            values = _rbf(a[first:last], b, sigma).ravel()[col : col + stop - start]
+        if diag is not None:
+            on = np.arange(-(-start // (m + 1)), -(-stop // (m + 1)))
+            diag[on] = values[on * (m + 1) - start]
+        return np.add.reduce(values)
+
+    def segment(start: int, size: int) -> float:
+        if size > _SCAN_BLOCK:
+            half = size // 2 - (size // 2) % 8
+            return segment(start, half) + segment(start + half, size - half)
+        return leaf(start, start + size)
+
+    return segment(0, a.shape[0] * m)
+
+
+def _off_diagonal_mean(a: np.ndarray, sigma: float) -> float:
+    n = a.shape[0]
+    diag = np.empty(n)
+    total = _kernel_sum(a, a, sigma, diag)
+    return (total - np.add.reduce(diag)) / (n * (n - 1))
 
 
 def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = None) -> float:
@@ -198,9 +238,11 @@ def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = No
     is exactly symmetric in its arguments (the computation is canonicalized
     so ``mmd_statistic(x, y) == mmd_statistic(y, x)`` bit for bit).
 
-    One kernel block is alive at a time: ``kxx``, ``kxy`` and ``kyy`` are
-    each built, reduced to their term and dropped before the next, so the
-    peak is the largest block, not all three.  The terms are combined as
+    No kernel block is held whole: each of ``kxx``, ``kxy`` and ``kyy`` is
+    summed by :func:`_kernel_sum` from flat segments of at most 2**18
+    values, in numpy's pairwise order, and the diagonals are taken from the
+    segments as they are built.  The memory is one segment plus the n
+    diagonal values, and the terms are combined as
     ``oracle.mmd_from_kernel`` combines them, with the same bits.
     """
     kernel = kernel or KernelConfig()
@@ -208,45 +250,59 @@ def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = No
     if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
         x, y = y, x
     sigma = kernel.resolve(np.vstack([x, y]))
-    term_x = _off_diagonal_mean(_rbf(x, x, sigma))
-    term_xy = 2.0 * _rbf(x, y, sigma).mean()
-    term_y = _off_diagonal_mean(_rbf(y, y, sigma))
+    term_x = _off_diagonal_mean(x, sigma)
+    term_xy = 2.0 * (_kernel_sum(x, y, sigma) / (x.shape[0] * y.shape[0]))
+    term_y = _off_diagonal_mean(y, sigma)
     return float(term_x - term_xy + term_y)
 
 
-def _permutation_statistics(kern: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray]:
-    """Observed and replicate statistics of re-splits of a pooled kernel.
+def _permutation_statistics(
+    pooled: np.ndarray, idx: np.ndarray, sigma: float | None = None
+) -> tuple[float, np.ndarray]:
+    """Observed and replicate statistics of re-splits of the pooled rows.
 
-    ``kern`` is the kernel of the pooled rows, and row b of the ``(B+1) x n``
-    index matrix ``idx`` lists the x rows of split b; row 0 is the observed
-    split, the first ``n`` rows.  Every split is a 0/1 indicator column z of
-    its x rows, and one product ``K @ Z`` per chunk of splits gives them all:
-    ``S_xx = z'Kz``, and from ``K(1 - z) = K1 - Kz`` the y-side sums ``S_xy``
-    and ``S_yy`` without the cancellation of ``1'K1 - 2 S_xy - S_xx``.  A
-    chunk holds at most N/2 splits, so Z and KZ together never take more
-    memory than K.  A replicate that re-draws the observed split (the same x
+    Row b of the ``(B+1) x n`` index matrix ``idx`` lists the x rows of
+    split b; row 0 is the observed split, the first ``n`` rows.  Every split
+    is a 0/1 indicator column z of its x rows, and the products ``K @ Z``
+    give them all: ``S_xx = z'Kz``, and from ``K(1 - z) = K1 - Kz`` the
+    y-side sums ``S_xy`` and ``S_yy`` without the cancellation of
+    ``1'K1 - 2 S_xy - S_xx``.  The pooled kernel K is never held whole: it
+    is built in row blocks, ``_rbf(pooled[rows], pooled, sigma)``, of at
+    most 2**18 values of K and of KZ, and each block adds its row sums, its
+    diagonal and its rows of ``K @ Z`` to the sums.  The memory is one
+    block and its rows of KZ, plus Z (N x (B+1) x 8 bytes) and the index
+    matrix; the diagonal's x-side sums are gathered in blocks of index rows
+    of the same size, not all at once.  With ``sigma=None``,
+    ``pooled`` is a finished N x N kernel and its row blocks are sliced,
+    not built.  A replicate that re-draws the observed split (the same x
     rows, or at n = m the swapped ones) takes the observed value exactly:
     BLAS may round two equal columns of the product differently.
     """
-    total = kern.shape[0]
-    n = idx.shape[1]
+    total = pooled.shape[0]
+    splits, n = idx.shape
     m = total - n
-    row_sums = kern.sum(axis=1)[:, None]
-    s_xx, s_xy, s_yy = (np.empty(idx.shape[0]) for _ in range(3))
-    width = total // 2
-    for start in range(0, idx.shape[0], width):
-        cols = idx[start : start + width]
-        done = slice(start, start + cols.shape[0])
-        z = np.zeros((total, cols.shape[0]))
-        z[cols.T, np.arange(cols.shape[0])] = 1.0
+    z = np.zeros((total, splits))
+    z[idx.T, np.arange(splits)] = 1.0
+    s_xx, s_xy, s_y = (np.zeros(splits) for _ in range(3))
+    diag = np.empty(total)
+    step = max(1, _SCAN_BLOCK // max(total, splits))
+    for start in range(0, total, step):
+        rows = slice(start, start + step)
+        kern = pooled[rows] if sigma is None else _rbf(pooled[rows], pooled, sigma)
+        diag[rows] = kern.diagonal(start)
         kz = kern @ z
-        s_xx[done] = np.einsum("ij,ij->j", z, kz)
-        ky = np.subtract(row_sums, kz, out=kz)
-        s_xy[done] = np.einsum("ij,ij->j", z, ky)
-        s_yy[done] = ky.sum(axis=0) - s_xy[done]
-        del z, kz, ky  # the next chunk's buffers replace these, not join them
-    diag = kern.diagonal()
-    tr_x = diag[idx].sum(axis=1)
+        z_rows = z[rows]
+        s_xx += np.einsum("ij,ij->j", z_rows, kz)
+        ky = np.subtract(kern.sum(axis=1)[:, None], kz, out=kz)
+        s_xy += np.einsum("ij,ij->j", z_rows, ky)
+        s_y += ky.sum(axis=0)
+        del kern, kz, ky  # the next block's buffers replace these, not join them
+    s_yy = s_y - s_xy
+    # the x rows' diagonal sums, gathered a block of index rows at a time
+    stride = max(1, _SCAN_BLOCK // n)
+    tr_x = np.concatenate(
+        [diag[idx[start : start + stride]].sum(axis=1) for start in range(0, splits, stride)]
+    )
     tr_y = diag.sum() - tr_x
     term_x = (s_xx - tr_x) / (n * (n - 1))
     term_y = (s_yy - tr_y) / (m * (m - 1))
@@ -279,11 +335,14 @@ def bootstrap_pvalue(
     median-heuristic bandwidth depends only on the pooled rows, so a single
     resolved bandwidth serves the observed split and every replicate.
 
-    One pooled kernel matrix K serves them all, and the whole null comes
-    from matrix products with the 0/1 indicators of the x rows (see
-    :func:`_permutation_statistics`), which BLAS threads on its own.  The
-    observed statistic comes from the same formula, and a replicate that
-    re-draws the observed split ties it exactly, so it is always counted.
+    One pass over the pooled kernel in row blocks serves them all, and the
+    whole null comes from matrix products with the 0/1 indicators of the x
+    rows (see :func:`_permutation_statistics`), which BLAS threads on its
+    own.  The memory is linear in the N pooled rows: a block of at most
+    2**18 kernel values, the N x (B+1) indicators and the (B+1) x n index
+    matrix.  The observed statistic comes from the same formula, and a
+    replicate that re-draws the observed split ties it exactly, so it is
+    always counted.
     """
     kernel = kernel or KernelConfig()
     x, y = _check_pair(x, y)
@@ -291,16 +350,14 @@ def bootstrap_pvalue(
     rng = rng or np.random.default_rng()
     n, m = x.shape[0], y.shape[0]
     pooled = np.vstack([x, y])
-    sigma = KernelConfig(bandwidth=kernel.resolve(pooled))
-    kern = _rbf(pooled, pooled, sigma.bandwidth)
+    sigma = KernelConfig(bandwidth=kernel.resolve(pooled)).bandwidth
     # only the x rows of each re-split are kept, one row per draw
     idx = np.empty((n_boot + 1, n), dtype=np.int64)
     idx[0] = np.arange(n)
     for row in idx[1:]:
         row[:] = rng.permutation(n + m)[:n]
-    t_obs, null = _permutation_statistics(kern, idx)
-    exceed = sum(1 for t in null if t >= t_obs)
-    return (1 + exceed) / (n_boot + 1)
+    t_obs, null = _permutation_statistics(pooled, idx, sigma)
+    return (1 + np.count_nonzero(null >= t_obs)) / (n_boot + 1)
 
 
 def pair_test(
@@ -312,12 +369,16 @@ def pair_test(
 ) -> tuple[float, float, float | None]:
     """The two-sample test of one pair: statistic, bandwidth and p-value.
 
-    The bandwidth is resolved once on the pooled rows and frozen; the
-    statistic is :func:`mmd_statistic` at that bandwidth, and with
-    ``n_boot > 0`` the permutation null of :func:`bootstrap_pvalue` runs at
-    the same bandwidth with draws from ``rng``.  With ``n_boot = 0`` there
-    is no null and the p-value is ``None``.
+    The pair is checked first, then the bandwidth is resolved once on the
+    pooled rows and frozen; the statistic is :func:`mmd_statistic` at that
+    bandwidth, and with ``n_boot > 0`` the permutation null of
+    :func:`bootstrap_pvalue` runs at the same bandwidth with draws from
+    ``rng``.  With ``n_boot = 0`` there is no null and the p-value is
+    ``None``.  Both build their kernels in blocks of at most 2**18 values,
+    so the memory is linear in the pooled rows; with ``n_boot > 0`` the
+    kernel is built twice, once for each.
     """
+    x, y = _check_pair(x, y)
     sigma = kernel.resolve(np.vstack([x, y]))
     fixed = KernelConfig(bandwidth=sigma)
     t = mmd_statistic(x, y, fixed)

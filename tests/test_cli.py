@@ -253,6 +253,19 @@ def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
     assert not (tmp_path / "t" / "test.json").exists()
 
 
+def test_test_dimension_mismatch_is_named(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    paths = []
+    for k, dim in enumerate((2, 3)):
+        path = tmp_path / f"emb{k}.csv"
+        emb = Embedding(positions=rng.normal(size=(20, dim)), eigenvalues=np.ones(dim))
+        embedding_to_csv(emb, tuple(map(str, range(20))), path)
+        paths.append(str(path))
+    assert main(["test", *paths, "--no-align", "--out-dir", str(tmp_path / "t")]) == 1
+    assert capsys.readouterr().err.strip() == "error: dimension mismatch: 2 vs 3"
+    assert not (tmp_path / "t" / "test.json").exists()
+
+
 @pytest.mark.parametrize("n_boot", [0, 40])
 def test_test_json_matches_inline_recipe(tmp_path, n_boot):
     rng = np.random.default_rng(12)

@@ -14,6 +14,7 @@ from hsbm_motif import motifs
 from hsbm_motif.motifs import (
     KernelConfig,
     MotifError,
+    _kernel_sum,
     _median,
     _permutation_statistics,
     _rbf,
@@ -223,6 +224,102 @@ class TestOneKernelAtATime:
         assert peak <= bound, peak / bound
 
 
+BLOCK_BYTES = motifs._SCAN_BLOCK * 8
+
+
+class TestSegmentedKernelSum:
+    """The kernel summed from flat segments has the bits of ``_rbf(...).sum()``,
+    and the diagonal taken from the segments is the kernel's."""
+
+    @staticmethod
+    def assert_same_sum(a, b, sigma):
+        kern = _rbf(a, b, sigma)
+        diag = np.empty(a.shape[0]) if a is b else None
+        got = _kernel_sum(a, b, sigma, diag)
+        assert np.float64(got).tobytes() == kern.sum().tobytes()
+        if diag is not None:
+            assert diag.tobytes() == kern.diagonal().tobytes()
+
+    @pytest.mark.parametrize("cap", [128, 129, 1000])
+    @pytest.mark.parametrize("shape", [
+        (1, 7), (1, 8), (7, 1), (8, 1), (1, 128), (1, 129), (128, 1), (129, 1),
+        (16, 8), (43, 3), (37, 41), (1, 5000), (5000, 1), (301, 300),
+    ])
+    def test_small_segments(self, monkeypatch, cap, shape):
+        # small caps make segments that cut rows mid-way
+        monkeypatch.setattr(motifs, "_SCAN_BLOCK", cap)
+        rng = np.random.default_rng(shape[0] * 7919 + shape[1])
+        a, b = rng.normal(size=(shape[0], 3)), rng.normal(size=(shape[1], 3))
+        self.assert_same_sum(a, b, 1.3)
+
+    @pytest.mark.parametrize("cap", [128, 129, 1000, 1 << 18])
+    @pytest.mark.parametrize("n", [2, 12, 129, 511, 513])
+    def test_square_with_diagonal(self, monkeypatch, cap, n):
+        monkeypatch.setattr(motifs, "_SCAN_BLOCK", cap)
+        a = np.random.default_rng(n).normal(size=(n, 2))
+        self.assert_same_sum(a, a, 0.8)
+
+    @pytest.mark.parametrize("shape", [(511, 513), (512, 512), (481, 545), (1, (1 << 18) + 1)])
+    def test_sizes_either_side_of_the_cap(self, shape):
+        # 2**18 - 1, 2**18 and 2**18 + 1 values at the shipped cap
+        rng = np.random.default_rng(shape[1])
+        a, b = rng.normal(size=(shape[0], 2)), rng.normal(size=(shape[1], 2))
+        self.assert_same_sum(a, b, 1.0)
+
+    @pytest.mark.parametrize("cap", [128, 1000, 1 << 18])
+    def test_duplicate_rows_and_underflow(self, monkeypatch, cap):
+        monkeypatch.setattr(motifs, "_SCAN_BLOCK", cap)
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(4, 2))
+        a = base[rng.integers(0, 4, size=700)]
+        b = base[rng.integers(0, 2, size=390)]
+        self.assert_same_sum(a, b, 1.0)
+        self.assert_same_sum(a, a, 1.0)
+        # a tiny bandwidth sends almost every off-diagonal entry to 0
+        spread = rng.normal(size=(600, 3)) * 10.0
+        assert (_rbf(spread, spread, 1e-3) == 0.0).mean() > 0.99
+        self.assert_same_sum(spread, spread, 1e-3)
+        self.assert_same_sum(spread, spread[:37] + 5.0, 1e-3)
+
+
+class TestPairTestMemory:
+    """The pair test's memory is linear in the pooled rows: blocks of at
+    most 2**18 kernel values, the (B+1) indicator columns of the N pooled
+    rows and the (B+1) x n index matrix, never an n x m kernel."""
+
+    @staticmethod
+    def pair(scale=1):
+        # a 1522/1478 split, as at the root of the three-level CLI benchmark
+        return gaussian_pair(1522 * scale, 1478 * scale, d=4, seed=7)
+
+    @pytest.mark.parametrize("n, m, n_boot", [(1522, 1478, 50), (600, 600, 2000)])
+    def test_null_peak_is_a_block_the_indicators_and_the_index_matrix(self, n, m, n_boot):
+        x, y = gaussian_pair(n, m, d=4, seed=7)
+        total = n + m
+        indicators = total * (n_boot + 1) * 8
+        index_matrix = (n_boot + 1) * n * 8
+        bound = 1.1 * (BLOCK_BYTES + indicators + index_matrix)
+        peak = traced_peak(lambda: hm.bootstrap_pvalue(
+            x, y, KernelConfig(bandwidth=1.0), n_boot=n_boot, rng=derive_rng(7, "null")))
+        assert peak <= bound, peak / bound
+
+    def test_statistic_peak_is_a_few_blocks(self):
+        x, y = self.pair()
+        peak = traced_peak(
+            lambda: motifs.pair_test(x, y, KernelConfig(), 0, derive_rng(7, "peak"))
+        )
+        assert peak <= 3 * BLOCK_BYTES, peak / BLOCK_BYTES
+
+    @pytest.mark.parametrize("n_boot", [0, 50])
+    def test_doubling_the_rows_at_most_doubles_the_peak(self, n_boot):
+        peaks = []
+        for scale in (1, 2):
+            x, y = self.pair(scale)
+            peaks.append(traced_peak(lambda: motifs.pair_test(
+                x, y, KernelConfig(), n_boot, derive_rng(7, "double"))))
+        assert peaks[1] <= 2 * peaks[0] + BLOCK_BYTES, [p / BLOCK_BYTES for p in peaks]
+
+
 def numpy_bandwidth(pooled):
     """The median heuristic by ``np.median``, with resolve's fallbacks."""
     dists = pdist(pooled)
@@ -368,6 +465,27 @@ class TestBatchedPermutationNull:
                 )
         assert chunked >= 40
 
+    @pytest.mark.parametrize("cap", [1, 500, 4096])
+    def test_row_blocks_match_replicate_loop(self, monkeypatch, cap):
+        # small caps split the pooled kernel into many row blocks, down to
+        # one row each; building the blocks from the rows gives the bits of
+        # slicing them from the finished kernel
+        monkeypatch.setattr(motifs, "_SCAN_BLOCK", cap)
+        rng = np.random.default_rng(cap)
+        for n, m, n_boot in ((2, 2, 30), (7, 3, 5), (40, 61, 120), (150, 90, 60)):
+            pooled = rng.normal(size=(n + m, 2))
+            pooled[n:] += 0.3
+            sigma = KernelConfig().resolve(pooled)
+            kern = _rbf(pooled, pooled, sigma)
+            perms = [rng.permutation(n + m) for _ in range(n_boot)]
+            t_loop, null_loop = permutation_statistics_loop(kern, n, perms)
+            t_built, null_built = _permutation_statistics(pooled, x_rows(n, perms), sigma)
+            t_sliced, null_sliced = _permutation_statistics(kern, x_rows(n, perms))
+            assert abs(t_built - t_loop) <= 1e-12
+            assert np.abs(null_built - null_loop).max() <= 1e-12
+            assert np.float64(t_built).tobytes() == np.float64(t_sliced).tobytes()
+            assert null_built.tobytes() == null_sliced.tobytes()
+
     def test_redrawn_observed_split_is_counted(self):
         # separated samples: only a re-draw of the observed split (x rows,
         # or at n = m the swapped rows) reaches the observed statistic
@@ -438,6 +556,13 @@ class TestPairTestArguments:
         x, y = gaussian_pair(20, 20)
         with pytest.raises(MotifError, match=message):
             hm.dissimilarity_matrix([x, y, x + 1.0], rng=derive_rng(0, "args"), **kwargs)
+
+    @pytest.mark.parametrize("n_boot", [0, 5])
+    def test_pair_test_checks_dimensions_first(self, n_boot):
+        x, _ = gaussian_pair(10, 10, d=2)
+        y = gaussian_pair(12, 12, d=3)[1]
+        with pytest.raises(MotifError, match="dimension mismatch: 2 vs 3"):
+            motifs.pair_test(x, y, KernelConfig(), n_boot, derive_rng(0, "dims"))
 
 
 class TestSinkhornPlan:
