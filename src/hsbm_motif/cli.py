@@ -61,6 +61,7 @@ def _sha256(path: str) -> str:
 
 class Manifest:
     def __init__(self, command: str, args: argparse.Namespace):
+        self.out_dir = Path(args.out_dir)
         self.data = {
             "tool": f"hsbm-motif {__version__}",
             "command": command,
@@ -78,8 +79,14 @@ class Manifest:
     def add_input(self, path: str) -> None:
         self.data["inputs"][str(path)] = _sha256(path)
 
-    def add_output(self, path: str) -> None:
+    def output(self, name: str) -> Path:
+        """The path of the artifact ``name`` in the output directory,
+        recorded as an output.  The directory is made here, at the first
+        artifact, so a command that fails on its input leaves none."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        path = self.out_dir / name
         self.data["outputs"].append(str(path))
+        return path
 
     def warn(self, message: str) -> None:
         self.data["warnings"].append(message)
@@ -103,18 +110,11 @@ class Manifest:
         if self.data["seed"] is not None:
             self.data["seed_streams"].append(seed_record(self.data["seed"], *labels))
 
-    def write(self, out_dir: Path) -> None:
+    def write(self) -> None:
         self.data["timings_s"]["total"] = round(time.time() - self._t0, 3)
-        path = out_dir / "manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(self.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2)
             fh.write("\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _threads(args) -> int:
@@ -150,7 +150,6 @@ def _sigma(text: str):
 
 
 def cmd_generate(args) -> int:
-    out = _out_dir(args)
     manifest = Manifest("generate", args)
     spec_path = builtin_spec_path(args.spec[len("builtin:") :]) if args.spec.startswith("builtin:") else args.spec
     manifest.add_input(spec_path)
@@ -159,26 +158,23 @@ def cmd_generate(args) -> int:
     graph, latents = sample_hsbm(spec, derive_rng(args.seed, "generate"))
     manifest.stage("sample")
 
-    edges_path = out / "edges.txt"
+    edges_path = manifest.output("edges.txt")
     save_edge_list(graph, edges_path)
-    manifest.add_output(str(edges_path))
 
-    labels_path = out / "labels.csv"
+    labels_path = manifest.output("labels.csv")
     with open(labels_path, "w", encoding="utf-8") as fh:
         fh.write("vertex_id,subgraph,block,path\n")
         top = latents.top_level_labels()
         for v in range(latents.n_vertices):
             path = "/".join(str(int(p)) for p in latents.paths[v] if p >= 0)
             fh.write(f"{v},{int(top[v])},{int(latents.block_labels[v])},{path}\n")
-    manifest.add_output(str(labels_path))
     manifest.stage("write")
-    manifest.write(out)
+    manifest.write()
     print(f"generated {graph.n_vertices} vertices, {graph.n_edges} edges -> {edges_path}")
     return 0
 
 
 def cmd_embed(args) -> int:
-    out = _out_dir(args)
     manifest = Manifest("embed", args)
     manifest.add_input(args.graph)
     graph = load_edge_list(args.graph)
@@ -198,12 +194,10 @@ def cmd_embed(args) -> int:
     # one solve serves both outputs; an out-of-range --dim fails in it with ase's error
     solve = ase(graph, m if dim is None or 1 <= dim <= m else dim)
     mags = solve.magnitudes[:m]
-    scree_path = out / "scree.csv"
-    with open(scree_path, "w", encoding="utf-8") as fh:
+    with open(manifest.output("scree.csv"), "w", encoding="utf-8") as fh:
         fh.write("index,magnitude\n")
         for i, v in enumerate(mags, start=1):
             fh.write(f"{i},{repr(float(v))}\n")
-    manifest.add_output(str(scree_path))
     manifest.stage("scree")
 
     if dim is None:
@@ -211,18 +205,16 @@ def cmd_embed(args) -> int:
     emb = solve.leading(dim)
     if args.sphere:
         emb = project_to_sphere(emb)
-    emb_path = out / "embedding.csv"
+    emb_path = manifest.output("embedding.csv")
     embedding_to_csv(emb, graph.ids_for(np.arange(graph.n_vertices)), emb_path)
-    manifest.add_output(str(emb_path))
     manifest.data["config"]["dim_used"] = dim
     manifest.stage("embed")
-    manifest.write(out)
+    manifest.write()
     print(f"embedded {graph.n_vertices} vertices into dimension {dim} -> {emb_path}")
     return 0
 
 
 def cmd_cluster(args) -> int:
-    out = _out_dir(args)
     manifest = Manifest("cluster", args)
     manifest.add_input(args.embedding)
     emb, ids = embedding_from_csv(args.embedding)
@@ -235,9 +227,7 @@ def cmd_cluster(args) -> int:
                 emb.positions, d_hat=emb.dim, n_mc=args.mc, rng=derive_rng(args.seed, "count")
             )
             r = est.n_subgraphs
-            phi_path = out / "phi_curve.csv"
-            phi_curve_to_csv(est, phi_path)
-            manifest.add_output(str(phi_path))
+            phi_curve_to_csv(est, manifest.output("phi_curve.csv"))
             manifest.data["config"]["n_subgraphs_used"] = r
         else:
             r = int(args.num_subgraphs)
@@ -245,18 +235,16 @@ def cmd_cluster(args) -> int:
 
         manifest.record_seed("cluster")
         part, seeds = seeded_subspace_cluster(emb.positions, r, derive_rng(args.seed, "cluster"))
-    part_path = out / "partition.csv"
+    part_path = manifest.output("partition.csv")
     partition_to_csv(part, ids, part_path)
-    manifest.add_output(str(part_path))
     manifest.data["config"]["max_pair_dot"] = seeds.max_pair_dot
     manifest.stage("cluster")
-    manifest.write(out)
+    manifest.write()
     print(f"clustered {part.n_vertices} vertices into {r} subgraphs -> {part_path}")
     return 0
 
 
 def cmd_test(args) -> int:
-    out = _out_dir(args)
     manifest = Manifest("test", args)
     if args.bootstrap < 0:
         raise ValueError(f"--bootstrap must be an integer >= 0, got {args.bootstrap}")
@@ -283,12 +271,10 @@ def cmd_test(args) -> int:
         "n": x.shape[0],
         "m": y.shape[0],
     }
-    result_path = out / "test.json"
-    with open(result_path, "w", encoding="utf-8") as fh:
+    with open(manifest.output("test.json"), "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    manifest.add_output(str(result_path))
-    manifest.write(out)
+    manifest.write()
     print(json.dumps(result))
     return 0
 
@@ -309,7 +295,6 @@ _DETECT_OVERRIDES = {
 
 
 def cmd_detect(args) -> int:
-    out = _out_dir(args)
     manifest = Manifest("detect", args)
     threads = _threads(args)
     manifest.add_input(args.graph)
@@ -343,35 +328,30 @@ def cmd_detect(args) -> int:
     manifest.stage("detect")
 
     report = hierarchy_report(root, cfg)
-    tree_path = out / "hierarchy.json"
+    tree_path = manifest.output("hierarchy.json")
     with open(tree_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    manifest.add_output(str(tree_path))
 
-    assign_path = out / "assignments.csv"
-    with open(assign_path, "w", encoding="utf-8") as fh:
+    with open(manifest.output("assignments.csv"), "w", encoding="utf-8") as fh:
         fh.write("vertex_id,path\n")
         for vid, path in vertex_assignments(root, graph):
             fh.write(f"{vid},{path}\n")
-    manifest.add_output(str(assign_path))
 
     for node in root.walk():
         if node.dissimilarity is None:
             continue
         key = "root" if not node.path else "node_" + "-".join(map(str, node.path))
-        s_path = out / f"{key}_dissimilarity.csv"
-        matrix_to_csv(node.dissimilarity.statistics, s_path, header="pairwise statistics")
-        manifest.add_output(str(s_path))
+        matrix_to_csv(node.dissimilarity.statistics, manifest.output(f"{key}_dissimilarity.csv"),
+                      header="pairwise statistics")
         if node.dissimilarity.p_values is not None:
-            p_path = out / f"{key}_pvalues.csv"
-            matrix_to_csv(node.dissimilarity.p_values, p_path, header="permutation p-values")
-            manifest.add_output(str(p_path))
+            matrix_to_csv(node.dissimilarity.p_values, manifest.output(f"{key}_pvalues.csv"),
+                          header="permutation p-values")
     degenerate = [n for n in root.walk() if n.degenerate]
     for node in degenerate:
         manifest.warn(f"degenerate branch: {node.error}")
     manifest.stage("write")
-    manifest.write(out)
+    manifest.write()
     print(
         f"hierarchy with {sum(1 for _ in root.walk())} nodes "
         f"({len(degenerate)} degenerate) -> {tree_path}"

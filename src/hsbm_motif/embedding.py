@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .graph import SparseGraph
 
@@ -20,6 +21,31 @@ _NORM_LOG_C = np.log(np.sqrt(2 * np.pi))
 
 class EmbedError(ValueError):
     """Raised for invalid embedding requests or solver failures."""
+
+
+class _ImportOnFirstUse:
+    """Stands for the module ``name`` and imports it on the first attribute
+    access, so that importing this package does not load it.
+
+    The first import runs under a lock: threads that make it at once wait
+    for one fully executed module.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+        self._module = None
+        self._lock = threading.Lock()
+
+    def __getattr__(self, attr: str):
+        if self._module is None:
+            with self._lock:
+                if self._module is None:
+                    self._module = importlib.import_module(self._name)
+        return getattr(self._module, attr)
+
+
+# ARPACK: ~0.1 s of imports (scipy.linalg with it) that only a solve needs
+spla = _ImportOnFirstUse("scipy.sparse.linalg")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +116,8 @@ def _sparse_eigs(a, d: int):
             f"eigensolver did not converge: {converged}/{d} eigenpairs "
             f"(residuals unavailable past the converged set)"
         ) from exc
+    except spla.ArpackError as exc:
+        raise EmbedError(str(exc)) from exc
     return _order_by_magnitude(values, vectors, d)
 
 
@@ -120,7 +148,8 @@ def ase(g: SparseGraph, d: int) -> Embedding:
     number.  Deterministic: fixed solver start vector, fixed sign convention.
 
     An edgeless graph embeds to all zeros (with a warning) rather than
-    erroring, so degenerate recursion branches stay recoverable.
+    erroring, so degenerate recursion branches stay recoverable.  An ARPACK
+    failure raises ``EmbedError``.
     """
     values, vectors = _top_eigenpairs(g, d, "embedding dimension", "d")
     if g.n_edges == 0:

@@ -14,7 +14,6 @@ from typing import IO, Iterable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 # edges formatted per write by save_edge_list: bounds the text held in memory
 _WRITE_CHUNK_ROWS = 1 << 16
@@ -492,6 +491,9 @@ def largest_connected_component(g: SparseGraph) -> SparseGraph:
     """
     if g.n_vertices == 0:
         raise GraphError("empty graph has no connected component")
+    # imported here: csgraph loads scipy.sparse.linalg, which generate never needs
+    from scipy.sparse import csgraph
+
     # On a symmetric adjacency the strong components are the undirected ones,
     # and scipy finds them without the transpose that directed=False builds.
     n_comp, labels = csgraph.connected_components(

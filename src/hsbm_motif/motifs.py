@@ -16,10 +16,14 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.cluster import hierarchy
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .embedding import Embedding
+
+# scipy.spatial and scipy.cluster are imported where they are used: together
+# they add ~0.2 s to every process that imports this package, and only a pair
+# test or a motif clustering needs them.  Every pair-task import names
+# scipy.spatial.distance, so pool threads that make the first one at once
+# take the import locks in one order.
 
 
 # values per block of the median heuristic's scan and of the pair test's
@@ -66,6 +70,8 @@ class KernelConfig:
         """
         if not isinstance(self.bandwidth, str):
             return float(self.bandwidth)
+        from scipy.spatial.distance import pdist
+
         pooled = np.asarray(pooled, dtype=np.float64)
         if pooled.shape[0] < 2:
             return 1.0
@@ -99,6 +105,8 @@ def _median_distance(pooled: np.ndarray) -> float:
     scan repeats.  Clouds of under 128 rows, and rows with a non-finite
     value, take ``pdist`` whole.
     """
+    from scipy.spatial.distance import cdist, pdist
+
     n = pooled.shape[0]
     if n < _SAMPLE_GROUP or not np.isfinite(pooled).all():
         return _median(pdist(pooled))
@@ -140,6 +148,8 @@ def _scan_squared_distances(pooled: np.ndarray, lo: float, hi: float) -> tuple[i
     """How many squared pairwise distances lie below ``lo``, and those in
     ``[lo, hi]``, from row blocks of at most ``min(2**18, (N/2)**2 / 2)``
     values."""
+    from scipy.spatial.distance import cdist, pdist
+
     below, kept = 0, []
 
     def take(block: np.ndarray) -> None:
@@ -180,6 +190,8 @@ def _rbf(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     ``D / -(sigma**2)`` has the bits of ``-D / sigma**2``: IEEE division
     rounds the magnitude alone and takes the sign from the operands.
     """
+    from scipy.spatial.distance import cdist
+
     kern = cdist(a, b, "sqeuclidean")
     np.divide(kern, -(sigma**2), out=kern)
     return np.exp(kern, out=kern)
@@ -466,6 +478,8 @@ def _ot_procrustes(
 ) -> tuple[np.ndarray, float]:
     """Alternate an entropic transport plan with the plan-weighted orthogonal
     Procrustes fit; returns the rotation and its final transport cost."""
+    from scipy.spatial.distance import cdist
+
     w = w0
     final_cost = np.inf
     for _ in range(max_iter):
@@ -693,6 +707,9 @@ def cluster_motifs(
         raise MotifError("dissimilarity matrix must be square and symmetric")
     if r == 1:
         return MotifAssignment(labels=np.zeros(1, dtype=np.int64), merges=[], n_motifs=1)
+    from scipy.cluster import hierarchy
+    from scipy.spatial.distance import squareform
+
     work = np.maximum((mat + mat.T) / 2.0, 0.0)
     np.fill_diagonal(work, 0.0)
     z = hierarchy.linkage(squareform(work, checks=False), method=linkage)

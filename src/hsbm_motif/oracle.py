@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import pdist
 
 from .embedding import Embedding, _fix_signs, _order_by_magnitude
 from .generate import GeneratorError, LatentPositions
@@ -128,6 +127,8 @@ def median_bandwidth_pdist(pooled: np.ndarray) -> float:
     pooled rows and an in-place selection of their median.  Only when that
     median is 0 are the distances recomputed, so that the ``np.mean``
     fallback sums them in their original order."""
+    from scipy.spatial.distance import pdist
+
     dists = pdist(pooled)
     if dists.size == 0:
         return 1.0

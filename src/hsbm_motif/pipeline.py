@@ -9,9 +9,9 @@ Every graph gets one eigensolve: an automatic dimension is read from the
 magnitudes of that same solve, and a lower-dimensional embedding is its
 leading columns.  Tree nodes hold vertex indices, not graphs.  A data error
 inside a branch (``GraphError``, ``EmbedError``, ``ClusterError``,
-``MotifError``, ``PipelineError``, ``numpy.linalg.LinAlgError`` or an ARPACK
-error) marks that node degenerate instead of aborting the run; any other
-exception is a bug and propagates.
+``MotifError``, ``PipelineError`` or ``numpy.linalg.LinAlgError``; ARPACK's
+failures arrive as ``EmbedError``) marks that node degenerate instead of
+aborting the run; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, fields
 from typing import Literal
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError
 
 from .clustering import ClusterError, estimate_num_subgraphs, seeded_subspace_cluster
 from .embedding import EmbedError, Embedding, _scree_elbow, ase, project_to_sphere
@@ -249,7 +248,6 @@ _BRANCH_ERRORS = (
     MotifError,
     PipelineError,
     np.linalg.LinAlgError,
-    ArpackError,
 )
 
 

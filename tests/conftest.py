@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,14 @@ BENCH_SIZES = (300, 600, 600, 600, 700, 600, 300, 400)
 BENCH_ARRANGEMENT = (B1, B2, B3, B1, B3, B3, B2, B1)
 BENCH_MOTIFS = np.array([0, 1, 2, 0, 2, 2, 1, 0])
 BENCH_CROSS = 0.01
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """``python *argv`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(hm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 def single_leaf_spec(block_matrix, n, weights=None, sizes=None, sparsity=1.0):

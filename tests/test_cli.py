@@ -1,11 +1,8 @@
 import dataclasses
 import hashlib
 import json
-import os
 import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +20,8 @@ from hsbm_motif.motifs import (
 )
 from hsbm_motif.pipeline import PipelineConfig, config_from_dict
 from hsbm_motif.seeding import derive_rng
+
+from conftest import run_python
 
 
 @pytest.fixture()
@@ -251,6 +250,28 @@ def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "t")]) == 1
     assert capsys.readouterr().err.strip() == "error: --bootstrap must be an integer >= 0, got -5"
     assert not (tmp_path / "t" / "test.json").exists()
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "builtin:nope"], "no builtin model named 'nope'"),
+    (["generate", "{spec}", "--seed", "-1"], "root seed must be non-negative, got -1"),
+    (["embed", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+    (["embed", "{edges}", "--scree-m", "0"], "--scree-m must be an integer >= 1, got 0"),
+    (["cluster", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+    (["test", "{missing}", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+    (["detect", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+    (["detect", "{missing}", "--threads", "0"], "--threads must be an integer >= 1, got 0"),
+], ids=["generate-builtin", "generate-seed", "embed-missing", "embed-scree-m",
+        "cluster-missing", "test-missing", "detect-missing", "detect-threads"])
+def test_failed_command_leaves_no_out_dir(tmp_path, capsys, small_spec, small_edges,
+                                          argv, message):
+    # the output directory is made at the first artifact, not before the input is read
+    names = {"spec": small_spec, "edges": small_edges, "missing": tmp_path / "nope.txt"}
+    out = tmp_path / "out"
+    assert main([a.format(**names) for a in argv] + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == "error: " + message.format(**names)
+    assert not out.exists()
 
 
 def test_test_dimension_mismatch_is_named(tmp_path, capsys):
@@ -373,19 +394,91 @@ def test_threads_flag_rejected_where_unused(tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
-def test_cli_import_leaves_out_scipy_stats_and_optimize():
-    # scipy.stats alone added ~0.6 s and ~30 MB to every CLI process
-    script = (
-        "import sys\n"
-        "import hsbm_motif.cli\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))\n"
-    )
-    src = str(Path(hsbm_motif.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                          capture_output=True, text=True)
-    assert done.stdout.strip() == "[]"
+def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    done = run_python("-c", script, *args)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+# runs the CLI on its arguments (none: only imports it), then prints the
+# loaded modules as the last line of stdout
+_CLI_THEN_MODULES = """
+import json, sys
+from hsbm_motif.cli import main
+if sys.argv[1:]:
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # --version
+        code = exc.code
+    assert code == 0, code
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize(tmp_path, small_spec):
+    # scipy.stats alone added ~0.6 s and ~30 MB to every CLI process; ARPACK,
+    # scipy.linalg, scipy.spatial and scipy.cluster are loaded on first use,
+    # so commands that never solve, test or cluster start without them
+    gen, det = tmp_path / "gen", tmp_path / "det"
+    assert main(["generate", str(small_spec), "--out-dir", str(gen), "--seed", "5"]) == 0
+    assert main(["detect", str(gen / "edges.txt"), "--D", "2", "--d", "1", "--R", "2",
+                 "--M", "2", "--min-cluster-size", "40", "--max-depth", "1",
+                 "--out-dir", str(det), "--seed", "5"]) == 0
+    for argv in ([],
+                 ["generate", str(small_spec), "--out-dir", str(tmp_path / "gen2"), "--seed", "5"],
+                 ["report", str(det)],
+                 ["--version"]):
+        modules = json.loads(_fresh_python(_CLI_THEN_MODULES, *argv).stdout.splitlines()[-1])
+        assert sorted(m for m in modules
+                      if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"])) == []
+        deferred = ("scipy.linalg", "scipy.spatial", "scipy.cluster", "scipy.sparse.csgraph")
+        assert [m for m in modules if m.startswith(deferred)] == [], argv
+        assert "scipy.sparse.linalg._eigen" not in modules, argv
+    assert (tmp_path / "gen2" / "edges.txt").read_bytes() == (gen / "edges.txt").read_bytes()
+    assert (det / "report.html").is_file()
+
+    # a detect that makes every first-use import gives the in-process bytes
+    fresh = tmp_path / "det_fresh"
+    _fresh_python(_CLI_THEN_MODULES, "detect", str(gen / "edges.txt"), "--D", "2", "--d", "1",
+                  "--R", "2", "--M", "2", "--min-cluster-size", "40", "--max-depth", "1",
+                  "--out-dir", str(fresh), "--seed", "5")
+    names = sorted(p.name for p in det.iterdir() if p.name not in ("manifest.json", "report.html"))
+    assert sorted(p.name for p in fresh.iterdir() if p.name != "manifest.json") == names
+    for name in names:
+        assert (fresh / name).read_bytes() == (det / name).read_bytes(), name
+
+
+def test_first_use_imports_are_safe_from_two_threads():
+    # both threads reach ARPACK's, then scipy.spatial's, first import at once
+    script = """
+import sys, threading
+import numpy as np
+import hsbm_motif as hm
+assert "scipy.sparse.linalg._eigen" not in sys.modules
+assert "scipy.spatial" not in sys.modules
+rng = np.random.default_rng(0)
+mask = np.triu(rng.random((60, 60)) < 0.25, k=1)
+g = hm.graph_from_edges(60, *np.nonzero(mask))
+x, y = rng.normal(size=(50, 3)), rng.normal(size=(40, 3))
+barrier = threading.Barrier(2, timeout=60)  # a failed thread breaks it, not hangs
+out = [None, None]
+def run(i):
+    barrier.wait()
+    emb = hm.ase(g, 3)
+    barrier.wait()
+    out[i] = (emb, hm.mmd_statistic(x, y))
+threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+again = hm.ase(g, 3)
+for emb, t_value in out:
+    assert np.array_equal(emb.positions, again.positions)
+    assert t_value == hm.mmd_statistic(x, y)
+print("ok")
+"""
+    assert _fresh_python(script).stdout.strip() == "ok"
 
 
 def test_malformed_graph_reports_line(tmp_path, capsys):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackError
 from scipy.stats import norm
 
 import hsbm_motif as hm
@@ -94,6 +96,30 @@ class TestAse:
         assert emb.eigenvalues[0] == pytest.approx(3.0)
         assert np.all(emb.eigenvalues[1:] < 0)
         assert np.all(emb.magnitudes > 0)
+
+
+def raising(exc):
+    def eigsh(*args, **kwargs):
+        raise exc
+    return eigsh
+
+
+class TestSolverFailures:
+    """ARPACK's own failures reach callers as ``EmbedError``; anything else
+    the solver raises is not a data error and propagates as it is."""
+
+    def test_arpack_error_becomes_embed_error(self, monkeypatch):
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", raising(ArpackError(-9999)))
+        with pytest.raises(EmbedError) as info:
+            hm.ase(er_graph(60, 0.25, 9), 3)
+        assert str(info.value) == str(ArpackError(-9999))
+        assert isinstance(info.value.__cause__, ArpackError)
+
+    def test_other_solver_errors_propagate(self, monkeypatch):
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", raising(ValueError("solver bug")))
+        with pytest.raises(ValueError, match="solver bug") as info:
+            hm.ase(er_graph(60, 0.25, 9), 3)
+        assert type(info.value) is ValueError
 
 
 class TestSolveOnSharedIndices:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackError
 
 import hsbm_motif as hm
 from hsbm_motif import pipeline
@@ -232,6 +234,28 @@ class TestDetectHierarchy:
                                 min_cluster_size=50, max_depth=1, seed=0)
         with pytest.raises(TypeError, match="bug in a stage"):
             hm.detect_hierarchy(g, cfg)
+
+    @staticmethod
+    def detect_with_failing_solver(monkeypatch, exc):
+        def eigsh(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        g, _ = two_group_graph(200)
+        cfg = hm.PipelineConfig(top_dim=2, sub_dim=2, n_subgraphs=2, n_motifs=2,
+                                min_cluster_size=50, max_depth=1, seed=0)
+        return hm.detect_hierarchy(g, cfg)
+
+    def test_arpack_failure_marks_node_degenerate(self, monkeypatch):
+        # the node path, then ARPACK's own message
+        root = self.detect_with_failing_solver(monkeypatch, ArpackError(-9999))
+        assert root.degenerate and root.children == []
+        assert root.error == "node root: ARPACK error -9999: Unknown error"
+
+    def test_other_solver_error_propagates(self, monkeypatch):
+        with pytest.raises(ValueError, match="solver bug") as info:
+            self.detect_with_failing_solver(monkeypatch, ValueError("solver bug"))
+        assert type(info.value) is ValueError
 
     @pytest.mark.parametrize("sub_dim", [2, "auto"])
     def test_single_pass_per_child(self, monkeypatch, eigensolve_widths, sub_dim):
