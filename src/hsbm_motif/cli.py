@@ -117,13 +117,14 @@ class Manifest:
             fh.write("\n")
 
 
-def _threads(args) -> int:
+def _threads(args) -> int | None:
+    """``--threads``, else ``$HSBM_MOTIF_THREADS``, else None."""
     if args.threads is not None:
         source, value = "--threads", args.threads
     else:
         text = os.environ.get("HSBM_MOTIF_THREADS")
         if not text:
-            return 1
+            return None
         source = "HSBM_MOTIF_THREADS"
         try:
             value = int(text)
@@ -279,24 +280,10 @@ def cmd_test(args) -> int:
     return 0
 
 
-# detect flag (argparse dest) -> the PipelineConfig field it overrides; a
-# flag left unset (None) keeps the config file's value
-_DETECT_OVERRIDES = {
-    "D": "top_dim",
-    "d": "sub_dim",
-    "R": "n_subgraphs",
-    "M": "n_motifs",
-    "sigma": "kernel",
-    "bootstrap": "n_bootstrap",
-    "min_cluster_size": "min_cluster_size",
-    "max_depth": "max_depth",
-    "sphere": "sphere_projection",
-}
-
-
 def cmd_detect(args) -> int:
+    # checked before the graph loads; $HSBM_MOTIF_THREADS stands in for --threads
+    args.threads = _threads(args)
     manifest = Manifest("detect", args)
-    threads = _threads(args)
     manifest.add_input(args.graph)
     graph = load_edge_list(args.graph)
     before = graph.n_vertices
@@ -314,17 +301,14 @@ def cmd_detect(args) -> int:
     else:
         cfg = PipelineConfig()
     overrides = {
-        field: getattr(args, flag)
-        for flag, field in _DETECT_OVERRIDES.items()
-        if getattr(args, flag) is not None
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(cfg)
+        if getattr(args, f.name, None) is not None
     }
-    if "kernel" in overrides:
-        overrides["kernel"] = KernelConfig(bandwidth=overrides["kernel"])
-    overrides["seed"] = args.seed
-    overrides["threads"] = threads
     with manifest.capture_warnings():
         cfg = dataclasses.replace(cfg, **overrides)
         root = detect_hierarchy(graph, cfg)
+    manifest.data["seed"] = cfg.seed
     manifest.stage("detect")
 
     report = hierarchy_report(root, cfg)
@@ -341,7 +325,7 @@ def cmd_detect(args) -> int:
     for node in root.walk():
         if node.dissimilarity is None:
             continue
-        key = "root" if not node.path else "node_" + "-".join(map(str, node.path))
+        key = f"node_{node.key.replace('/', '-')}" if node.path else "root"
         matrix_to_csv(node.dissimilarity.statistics, manifest.output(f"{key}_dissimilarity.csv"),
                       header="pairwise statistics")
         if node.dissimilarity.p_values is not None:
@@ -486,19 +470,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="full recursive hierarchy detection")
     p.add_argument("graph", help="edge list path")
     p.add_argument("--config", help="pipeline config JSON (CLI flags override)")
-    p.add_argument("--D", type=_int_or_auto, default=None, help="top-level embedding dim")
-    p.add_argument("--d", type=_int_or_auto, default=None, help="recursion embedding dim")
-    p.add_argument("--R", type=_int_or_auto, default=None, help="subgraph count per round")
-    p.add_argument("--M", type=int, default=None, help="motif count per round")
-    p.add_argument("--sigma", type=_sigma, default=None)
-    p.add_argument("--bootstrap", type=int, default=None)
-    p.add_argument("--min-cluster-size", type=int, default=None)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--sphere", action="store_true", default=None)
+    # the dest of every flag but --config and --out-dir is the PipelineConfig
+    # field it sets; a flag not given is None and keeps the file's value
+    p.add_argument("--D", dest="top_dim", type=_int_or_auto, help="top-level embedding dim")
+    p.add_argument("--d", dest="sub_dim", type=_int_or_auto, help="recursion embedding dim")
+    p.add_argument("--R", dest="n_subgraphs", type=_int_or_auto, help="subgraph count per round")
+    p.add_argument("--M", dest="n_motifs", type=int, help="motif count per round")
+    p.add_argument("--sigma", dest="bandwidth", type=_sigma)
+    p.add_argument("--bootstrap", dest="n_bootstrap", type=int)
+    p.add_argument("--min-cluster-size", type=int)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--sphere", dest="sphere_projection", action="store_true", default=None)
     common(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="pairwise tests run in parallel (default: $HSBM_MOTIF_THREADS or 1)")
-    p.set_defaults(func=cmd_detect)
+    p.add_argument("--threads", type=int,
+                   help="pairwise tests run in parallel (default: $HSBM_MOTIF_THREADS, "
+                        "else the config file's, else 1)")
+    p.set_defaults(func=cmd_detect, seed=None)
 
     p = sub.add_parser("report", help="render a static HTML summary of a detect run")
     p.add_argument("run_dir", help="output directory of a detect run")

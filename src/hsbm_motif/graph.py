@@ -114,13 +114,6 @@ class SparseGraph:
     def n_edges(self) -> int:
         return self.adjacency.nnz // 2
 
-    @property
-    def density(self) -> float:
-        n = self.n_vertices
-        if n < 2:
-            return 0.0
-        return self.n_edges / (n * (n - 1) / 2)
-
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) array with u < v, sorted lexicographically."""
         return np.column_stack(self._upper_ends()).astype(np.int64)

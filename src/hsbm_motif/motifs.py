@@ -587,7 +587,6 @@ class DissimilarityMatrix:
 
     statistics: np.ndarray
     p_values: np.ndarray | None
-    subgraph_sizes: np.ndarray
     bandwidths: np.ndarray | None = None
 
     @property
@@ -600,18 +599,17 @@ def dissimilarity_matrix(
     kernel: KernelConfig | None = None,
     n_boot: int = 0,
     rng: np.random.Generator | None = None,
-    align: bool = True,
     threads: int = 1,
 ) -> DissimilarityMatrix:
     """All pairwise two-sample statistics between subgraph embeddings.
 
-    All embeddings must share a dimension.  With ``align=True`` (default),
-    the second embedding of every pair is rotated onto the first with
-    :func:`align_embeddings` before testing; the raw statistic is otherwise
-    sensitive to the per-graph orthogonal indeterminacy at finite sizes.
-    Each pair then runs :func:`pair_test`: the bandwidth is frozen on its
-    pooled rows, the statistic computed, and with ``n_boot > 0`` the batched
-    permutation null drawn from the pair's own generator.  Those generators
+    All embeddings must share a dimension.  The second embedding of every
+    pair is rotated onto the first with :func:`align_embeddings` before
+    testing; the raw statistic is otherwise sensitive to the per-graph
+    orthogonal indeterminacy at finite sizes.  Each pair then runs
+    :func:`pair_test`: the bandwidth is frozen on its pooled rows, the
+    statistic computed, and with ``n_boot > 0`` the batched permutation null
+    drawn from the pair's own generator.  Those generators
     are seeded from ``rng`` before any pair runs, so ``threads`` (pairs
     tested in parallel) never changes the output.  A negative ``n_boot`` is
     refused before any pair is tested.
@@ -635,8 +633,7 @@ def dissimilarity_matrix(
     def run_pair(args) -> tuple[float, float, float | None]:
         (i, j), seed = args
         a, b = mats[i], mats[j]
-        if align:
-            b = b @ align_embeddings(a, b)
+        b = b @ align_embeddings(a, b)
         return pair_test(a, b, kernel, n_boot, np.random.default_rng(int(seed)))
 
     jobs = list(zip(pairs, pair_seeds))
@@ -650,12 +647,7 @@ def dissimilarity_matrix(
         bands[i, j] = bands[j, i] = sigma
         if p is not None:
             pvals[i, j] = pvals[j, i] = p
-    return DissimilarityMatrix(
-        statistics=stats,
-        p_values=pvals,
-        subgraph_sizes=np.array([m.shape[0] for m in mats]),
-        bandwidths=bands,
-    )
+    return DissimilarityMatrix(statistics=stats, p_values=pvals, bandwidths=bands)
 
 
 @dataclass(frozen=True, eq=False)
@@ -681,15 +673,13 @@ class MotifAssignment:
 def cluster_motifs(
     dissimilarity: DissimilarityMatrix | np.ndarray,
     source: Literal["statistic", "pvalue"] = "statistic",
-    linkage: Literal["average", "complete", "single"] = "average",
     n_motifs: int | None = None,
-    height: float | None = None,
 ) -> MotifAssignment:
-    """Agglomerative clustering of subgraphs into motifs.
+    """Average-linkage agglomerative clustering of subgraphs into motifs.
 
     ``source="pvalue"`` clusters ``1 - p`` instead of the raw statistics.
-    Cut selection: ``n_motifs`` wins when given, else ``height``, else the
-    cut through the largest gap between consecutive merge heights.  Labels
+    The tree is cut into ``n_motifs`` clusters when that is given, else
+    through the largest gap between consecutive merge heights.  Labels
     are renumbered in order of first appearance, so any relabeling of the
     input subgraphs permutes the output labels accordingly.
     """
@@ -712,11 +702,9 @@ def cluster_motifs(
 
     work = np.maximum((mat + mat.T) / 2.0, 0.0)
     np.fill_diagonal(work, 0.0)
-    z = hierarchy.linkage(squareform(work, checks=False), method=linkage)
+    z = hierarchy.linkage(squareform(work, checks=False), method="average")
     if n_motifs is not None:
         raw = hierarchy.fcluster(z, t=n_motifs, criterion="maxclust")
-    elif height is not None:
-        raw = hierarchy.fcluster(z, t=height, criterion="distance")
     else:
         heights = z[:, 2]
         if len(heights) == 1:

@@ -16,7 +16,6 @@ aborting the run; any other exception is a bug and propagates.
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, fields
@@ -56,26 +55,27 @@ class PipelineConfig:
     the dimension used for community re-embeds and every deeper level;
     either may be ``"auto"`` for scree-based selection.  ``n_subgraphs`` (R)
     is the community count per round, or ``"auto"`` for the seed-overlap
-    estimate.  Recursion stops when a subgraph has at most
-    ``min_cluster_size`` vertices (default: 100x the embedding dimension of
-    the node) or at ``max_depth``.
+    estimate.  ``bandwidth`` is the pair tests' kernel width, as
+    :class:`~hsbm_motif.motifs.KernelConfig` takes it.  Motifs are cut from
+    the average-linkage tree of the pairwise statistics, or of ``1 - p``
+    with ``motif_source="pvalue"``, which needs ``n_bootstrap >= 1``.
+    Recursion stops when a subgraph has at most ``min_cluster_size``
+    vertices (default: 100x the embedding dimension of the node) or at
+    ``max_depth``.
     """
 
     top_dim: int | str = "auto"
     sub_dim: int | str = "auto"
     n_subgraphs: int | str = "auto"
     n_motifs: int | None = None
-    motif_height: float | None = None
-    kernel: KernelConfig = field(default_factory=KernelConfig)
+    bandwidth: float | str = "median"
     n_bootstrap: int = 0
     sphere_projection: bool = False
-    align: bool = True
     min_cluster_size: int | None = None
     max_depth: int = 4
     n_mc: int = 5
     max_scree: int = 50
     motif_source: Literal["statistic", "pvalue"] = "statistic"
-    linkage: Literal["average", "complete", "single"] = "average"
     seed: int = 0
     threads: int = 1
 
@@ -93,19 +93,18 @@ class PipelineConfig:
         for name in ("n_motifs", "min_cluster_size"):
             if getattr(self, name) is not None:
                 _set_int(self, name, 1)
-        height = self.motif_height
-        if height is not None:
-            if (isinstance(height, bool) or not isinstance(height, numbers.Real)
-                    or not math.isfinite(height) or height < 0):
-                raise PipelineError(
-                    f"motif_height must be None or a finite real >= 0, got {height!r}"
-                )
-            object.__setattr__(self, "motif_height", float(height))
-        for name, allowed in (("motif_source", ("statistic", "pvalue")),
-                              ("linkage", ("average", "complete", "single"))):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise PipelineError(f"{name} must be one of {allowed}, got {value!r}")
+        try:
+            KernelConfig(bandwidth=self.bandwidth)
+        except (MotifError, TypeError):
+            raise PipelineError(
+                f"bandwidth must be a positive finite float or 'median', got {self.bandwidth!r}"
+            ) from None
+        if self.motif_source not in ("statistic", "pvalue"):
+            raise PipelineError(
+                f"motif_source must be one of ('statistic', 'pvalue'), got {self.motif_source!r}"
+            )
+        if self.motif_source == "pvalue" and self.n_bootstrap == 0:
+            raise PipelineError("motif_source 'pvalue' needs p-values: set n_bootstrap >= 1")
         if not isinstance(self.sub_dim, str):
             if self.min_cluster_size is not None and self.min_cluster_size < 2 * self.sub_dim:
                 raise PipelineError(
@@ -160,6 +159,18 @@ class HierarchyNode:
     @property
     def n_vertices(self) -> int:
         return int(self.vertex_indices.size)
+
+    @property
+    def key(self) -> str:
+        """The node path as outputs write it: child indices joined by "/",
+        "" at the root.  It also labels the node's random streams, so its
+        format fixes every seeded result below the root."""
+        return "/".join(map(str, self.path))
+
+    @property
+    def name(self) -> str:
+        """The node as messages name it: its ``key``, or "root"."""
+        return self.key or "root"
 
     @property
     def degenerate(self) -> bool:
@@ -274,14 +285,13 @@ def _detect_node(
         if _splits(cfg, n, dim, depth):
             _split_node(sub, node, cfg, solve, dim)
     except _BRANCH_ERRORS as exc:
-        node.error = f"node {'/'.join(map(str, path)) or 'root'}: {exc}"
+        node.error = f"node {node.name}: {exc}"
     return node
 
 
 def _split_node(
     sub: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, solve: Embedding, dim: int
 ) -> None:
-    path_key = "/".join(map(str, node.path))
     emb = _embedding(cfg, solve, dim)
     node.dim_used = dim
     node.eigenvalues = emb.eigenvalues
@@ -293,11 +303,11 @@ def _split_node(
                 emb.positions,
                 d_hat=max(dim, 2),
                 n_mc=cfg.n_mc,
-                rng=derive_rng(cfg.seed, "count", path_key),
+                rng=derive_rng(cfg.seed, "count", node.key),
             )
         # re-issued with the node's path, so a caller can tell nodes apart
         for w in caught:
-            warnings.warn(f"node {path_key or 'root'}: {w.message}", w.category)
+            warnings.warn(f"node {node.name}: {w.message}", w.category)
         r = est.n_subgraphs
     else:
         r = min(int(cfg.n_subgraphs), sub.n_vertices)
@@ -305,7 +315,7 @@ def _split_node(
         return  # nothing to split
 
     part, _ = seeded_subspace_cluster(
-        emb.positions, r, derive_rng(cfg.seed, "cluster", path_key)
+        emb.positions, r, derive_rng(cfg.seed, "cluster", node.key)
     )
     if not part.is_proper():
         sizes = part.sizes().tolist()
@@ -314,7 +324,7 @@ def _split_node(
         part = VertexPartition(labels=labels, n_clusters=occupied.size)
         if part.n_clusters < 2:
             warnings.warn(
-                f"node {path_key or 'root'}: seeded sweep collapsed, requested "
+                f"node {node.name}: seeded sweep collapsed, requested "
                 f"R={r}, cluster sizes {sizes}; the node stays an unsplit leaf"
             )
             return
@@ -335,19 +345,12 @@ def _split_node(
 
     dissimilarity = dissimilarity_matrix(
         child_mats,
-        kernel=cfg.kernel,
+        kernel=KernelConfig(bandwidth=cfg.bandwidth),
         n_boot=cfg.n_bootstrap,
-        rng=derive_rng(cfg.seed, "test", path_key),
-        align=cfg.align,
+        rng=derive_rng(cfg.seed, "test", node.key),
         threads=cfg.threads,
     )
-    motifs = cluster_motifs(
-        dissimilarity,
-        source=cfg.motif_source,
-        linkage=cfg.linkage,
-        n_motifs=cfg.n_motifs,
-        height=cfg.motif_height,
-    )
+    motifs = cluster_motifs(dissimilarity, source=cfg.motif_source, n_motifs=cfg.n_motifs)
     child_indices = [node.vertex_indices[m] for m in members]
     reps = representative_subgraph(child_indices, motifs)
 
@@ -386,7 +389,7 @@ def hierarchy_report(root: HierarchyNode, cfg: PipelineConfig) -> dict:
 
     def node_dict(node: HierarchyNode) -> dict:
         out: dict = {
-            "path": "/".join(map(str, node.path)),
+            "path": node.key,
             "depth": node.depth,
             "n_vertices": node.n_vertices,
             "is_representative": node.is_representative,
@@ -424,26 +427,16 @@ def hierarchy_report(root: HierarchyNode, cfg: PipelineConfig) -> dict:
 
 
 def config_dict(cfg: PipelineConfig) -> dict:
-    """``cfg`` as flat JSON-ready fields, with the kernel as its ``bandwidth``."""
-    out = {}
-    for f in fields(cfg):
-        if f.name == "kernel":
-            out["bandwidth"] = cfg.kernel.bandwidth
-        else:
-            out[f.name] = getattr(cfg, f.name)
-    return out
+    """``cfg``'s fields by name, JSON-ready."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     """Inverse of :func:`config_dict`; omitted keys take their defaults."""
-    kwargs = dict(data)
-    known = {f.name for f in fields(PipelineConfig)} - {"kernel"} | {"bandwidth"}
-    unknown = set(kwargs) - known
+    unknown = set(data) - {f.name for f in fields(PipelineConfig)}
     if unknown:
         raise PipelineError(f"unknown pipeline config keys: {sorted(unknown)}")
-    if "bandwidth" in kwargs:
-        kwargs["kernel"] = KernelConfig(bandwidth=kwargs.pop("bandwidth"))
-    return PipelineConfig(**kwargs)
+    return PipelineConfig(**data)
 
 
 def vertex_assignments(root: HierarchyNode, graph: SparseGraph) -> list[tuple[str, str]]:
@@ -453,7 +446,7 @@ def vertex_assignments(root: HierarchyNode, graph: SparseGraph) -> list[tuple[st
     id_of = {int(v): ids[k] for k, v in enumerate(root.vertex_indices)}
     deepest: dict[int, str] = {int(v): "" for v in root.vertex_indices}
     for node in root.walk():
-        key = "/".join(map(str, node.path))
+        key = node.key
         for v in node.vertex_indices:
             deepest[int(v)] = key
     return [(id_of[v], deepest[v]) for v in sorted(deepest)]

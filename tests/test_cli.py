@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -262,12 +263,25 @@ def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
     (["test", "{missing}", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
     (["detect", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
     (["detect", "{missing}", "--threads", "0"], "--threads must be an integer >= 1, got 0"),
+    (["detect", "{edges}", "--config", "{pvalue}"],
+     "motif_source 'pvalue' needs p-values: set n_bootstrap >= 1"),
+    (["detect", "{edges}", "--config", "{removed}"],
+     "unknown pipeline config keys: ['align', 'kernel', 'linkage', 'motif_height']"),
 ], ids=["generate-builtin", "generate-seed", "embed-missing", "embed-scree-m",
-        "cluster-missing", "test-missing", "detect-missing", "detect-threads"])
+        "cluster-missing", "test-missing", "detect-missing", "detect-threads",
+        "detect-pvalue-without-bootstrap", "detect-removed-keys"])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, small_spec, small_edges,
                                           argv, message):
     # the output directory is made at the first artifact, not before the input is read
+    configs = {
+        "pvalue": {"motif_source": "pvalue"},
+        "removed": {"align": True, "linkage": "average", "motif_height": None,
+                    "kernel": {"bandwidth": "median"}},
+    }
     names = {"spec": small_spec, "edges": small_edges, "missing": tmp_path / "nope.txt"}
+    for name, data in configs.items():
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps(data))
     out = tmp_path / "out"
     assert main([a.format(**names) for a in argv] + ["--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.strip() == "error: " + message.format(**names)
@@ -344,11 +358,43 @@ def test_detect_flags_override_config_fields(tmp_path, small_spec, monkeypatch):
     from_file = config_from_dict(fields)
     assert seen[0] == dataclasses.replace(from_file, seed=2, threads=1)
     assert seen[1] == PipelineConfig(
-        top_dim=4, sub_dim=1, n_subgraphs=2, n_motifs=1, kernel=KernelConfig(bandwidth=0.5),
+        top_dim=4, sub_dim=1, n_subgraphs=2, n_motifs=1, bandwidth=0.5,
         n_bootstrap=0, min_cluster_size=40, max_depth=1,
         sphere_projection=True, seed=2,
     )
     assert seen[2] == PipelineConfig(sphere_projection=True, seed=2)
+
+
+def test_detect_flags_name_config_fields():
+    # a flag whose dest is not a field would be dropped without an error
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in commands.choices["detect"]._actions}
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert dests - fields == {"help", "graph", "config", "out_dir"}
+
+
+def test_detect_config_file_seed_and_threads_hold(tmp_path, small_spec, monkeypatch):
+    # a config file's seed and threads hold unless --seed, --threads or
+    # $HSBM_MOTIF_THREADS is given
+    monkeypatch.delenv("HSBM_MOTIF_THREADS", raising=False)
+    gen = tmp_path / "gen"
+    assert main(["generate", str(small_spec), "--out-dir", str(gen), "--seed", "2"]) == 0
+    flags = ["--D", "2", "--d", "1", "--R", "2", "--M", "2", "--bootstrap", "10",
+             "--min-cluster-size", "40", "--max-depth", "1"]
+    first = tmp_path / "first"
+    assert main(["detect", str(gen / "edges.txt"), *flags, "--seed", "5", "--threads", "2",
+                 "--out-dir", str(first)]) == 0
+    report = json.loads((first / "hierarchy.json").read_text())
+    assert (report["config"]["seed"], report["config"]["threads"]) == (5, 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(report["config"]))
+    again = tmp_path / "again"
+    assert main(["detect", str(gen / "edges.txt"), "--config", str(cfg),
+                 "--out-dir", str(again)]) == 0
+    for name in ("hierarchy.json", "assignments.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    assert json.loads((again / "manifest.json").read_text())["seed"] == 5
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "Infinity"])

@@ -697,7 +697,7 @@ class TestDissimilarityMatrix:
         a = rng.normal(size=(100, 2))
         b = rng.normal(size=(120, 2))
         c = rng.normal(size=(110, 2)) + 4.0
-        dm = hm.dissimilarity_matrix([a, b, c], align=False, rng=derive_rng(1, "d"))
+        dm = hm.dissimilarity_matrix([a, b, c], rng=derive_rng(1, "d"))
         s = dm.statistics
         assert s[0, 2] > s[0, 1] and s[1, 2] > s[0, 1]
 
@@ -709,7 +709,6 @@ class TestDissimilarityMatrix:
         assert np.all(np.diag(dm.p_values) == 1.0)
         assert np.all((dm.p_values >= 0) & (dm.p_values <= 1))
         assert np.all(dm.bandwidths[np.triu_indices(3, 1)] > 0)
-        assert dm.subgraph_sizes.tolist() == [30, 30, 30]
 
     def test_dimension_mismatch(self):
         with pytest.raises(MotifError, match="dimension"):
@@ -726,8 +725,8 @@ class TestDissimilarityMatrix:
     def test_threads_identical_on_aligned_clouds(self):
         rng = np.random.default_rng(8)
         mats = [rng.normal(size=(300 + 17 * k, 3)) * (1.0 + 0.1 * k) for k in range(4)]
-        runs = [hm.dissimilarity_matrix(mats, n_boot=20, rng=derive_rng(9, "d"), align=True,
-                                        threads=threads) for threads in (1, 2)]
+        runs = [hm.dissimilarity_matrix(mats, n_boot=20, rng=derive_rng(9, "d"), threads=threads)
+                for threads in (1, 2)]
         for field in ("statistics", "p_values", "bandwidths"):
             assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
 
@@ -772,16 +771,12 @@ class TestClusterMotifs:
     def test_pvalue_source(self):
         stats = np.zeros((3, 3))
         pvals = np.array([[1.0, 0.9, 0.01], [0.9, 1.0, 0.02], [0.01, 0.02, 1.0]])
-        dm = hm.DissimilarityMatrix(
-            statistics=stats, p_values=pvals, subgraph_sizes=np.array([5, 5, 5])
-        )
+        dm = hm.DissimilarityMatrix(statistics=stats, p_values=pvals)
         motifs = hm.cluster_motifs(dm, source="pvalue", n_motifs=2)
         assert motifs.labels[0] == motifs.labels[1] != motifs.labels[2]
 
     def test_pvalue_source_requires_pvalues(self):
-        dm = hm.DissimilarityMatrix(
-            statistics=np.zeros((2, 2)), p_values=None, subgraph_sizes=np.array([3, 3])
-        )
+        dm = hm.DissimilarityMatrix(statistics=np.zeros((2, 2)), p_values=None)
         with pytest.raises(MotifError):
             hm.cluster_motifs(dm, source="pvalue")
 
@@ -790,11 +785,6 @@ class TestClusterMotifs:
         motifs = hm.cluster_motifs(s, n_motifs=3)
         assert len(motifs.merges) == 6  # r - 1 merges
         assert all(set(m) == {"left", "right", "height"} for m in motifs.merges)
-
-    def test_height_cut(self):
-        s, _ = self.ideal_matrix()
-        motifs = hm.cluster_motifs(s, height=0.5)
-        assert motifs.n_motifs == 3
 
 
 def test_matrix_csv(tmp_path):

@@ -49,11 +49,13 @@ class TestConfig:
         assert hm.PipelineConfig(threads=np.int64(2)).threads == 2
 
     @pytest.mark.parametrize("kwargs", [
-        {"n_mc": 0}, {"motif_source": "pval"}, {"linkage": "avg"},
-        {"max_scree": 0}, {"n_motifs": 0}, {"top_dim": 2.7}, {"sub_dim": True},
-        {"n_subgraphs": 2.0}, {"n_bootstrap": -1}, {"min_cluster_size": 0},
-        {"seed": -1}, {"seed": 1.5}, {"motif_height": "abc"}, {"motif_height": -1.0},
-        {"motif_height": float("nan")}, {"motif_height": float("inf")}, {"motif_height": True},
+        {"n_mc": 0}, {"motif_source": "pval"}, {"max_scree": 0}, {"n_motifs": 0},
+        {"top_dim": 2.7}, {"sub_dim": True}, {"n_subgraphs": 2.0}, {"n_bootstrap": -1},
+        {"min_cluster_size": 0}, {"seed": -1}, {"seed": 1.5},
+        {"bandwidth": 0.0}, {"bandwidth": "widest"}, {"bandwidth": float("inf")},
+        {"bandwidth": True}, {"bandwidth": None},
+        # p-value clustering without p-values is refused before any solve
+        {"motif_source": "pvalue", "n_bootstrap": 0},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(PipelineError, match=next(iter(kwargs))):
@@ -67,10 +69,6 @@ class TestConfig:
                                 max_scree=np.int64(20), min_cluster_size=np.int64(6))
         assert (cfg.top_dim, cfg.sub_dim, cfg.max_scree) == (8, 3, 20)
         assert json.loads(json.dumps(config_dict(cfg)))["n_motifs"] == 2
-        for height in (np.float32(0.5), 1):
-            cfg = hm.PipelineConfig(motif_height=height)
-            assert type(cfg.motif_height) is float and cfg.motif_height == height
-            assert json.loads(json.dumps(config_dict(cfg)))["motif_height"] == height
         with pytest.raises(PipelineError, match="min_cluster_size"):
             hm.PipelineConfig(sub_dim=np.int64(4), min_cluster_size=5)
 
@@ -81,8 +79,10 @@ class TestConfig:
         assert config_dict(again) == config_dict(cfg)
 
     def test_unknown_key_rejected(self):
-        # "mode" is no longer a field: a file that still holds it is refused
-        for data in ({"verbosity": 3}, {"mode": "exact"}):
+        # removed fields: a file that still holds one is refused
+        for data in ({"verbosity": 3}, {"mode": "exact"}, {"align": True},
+                     {"linkage": "average"}, {"motif_height": None},
+                     {"kernel": {"bandwidth": "median"}}):
             with pytest.raises(PipelineError, match="unknown"):
                 config_from_dict(data)
 
@@ -114,7 +114,7 @@ class TestEstimateBlockMatrix:
             g, hm.VertexPartition(np.zeros(100, dtype=int), 1)
         )
         assert p_hat.shape == (1, 1)
-        assert p_hat[0, 0] == pytest.approx(g.density)
+        assert p_hat[0, 0] == pytest.approx(g.n_edges / (100 * 99 / 2))
         assert pi_hat.tolist() == [1.0]
 
     def test_concentrates_on_generating_probabilities(self):
