@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -115,24 +114,6 @@ class Manifest:
         with open(self.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2)
             fh.write("\n")
-
-
-def _threads(args) -> int | None:
-    """``--threads``, else ``$HSBM_MOTIF_THREADS``, else None."""
-    if args.threads is not None:
-        source, value = "--threads", args.threads
-    else:
-        text = os.environ.get("HSBM_MOTIF_THREADS")
-        if not text:
-            return None
-        source = "HSBM_MOTIF_THREADS"
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(f"{source} must be an integer >= 1, got {text!r}") from None
-    if value < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {value}")
-    return value
 
 
 def _int_or_auto(text: str):
@@ -281,9 +262,22 @@ def cmd_test(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    # checked before the graph loads; $HSBM_MOTIF_THREADS stands in for --threads
-    args.threads = _threads(args)
     manifest = Manifest("detect", args)
+    # the whole config is settled before the graph loads: the file, then
+    # the flags over it
+    with manifest.capture_warnings():
+        if args.config:
+            manifest.add_input(args.config)
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = config_from_dict(json.load(fh))
+        else:
+            cfg = PipelineConfig()
+        overrides = {
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(cfg)
+            if getattr(args, f.name, None) is not None
+        }
+        cfg = dataclasses.replace(cfg, **overrides)
     manifest.add_input(args.graph)
     graph = load_edge_list(args.graph)
     before = graph.n_vertices
@@ -294,19 +288,7 @@ def cmd_detect(args) -> int:
         )
     manifest.stage("load")
 
-    if args.config:
-        manifest.add_input(args.config)
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = config_from_dict(json.load(fh))
-    else:
-        cfg = PipelineConfig()
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(cfg)
-        if getattr(args, f.name, None) is not None
-    }
     with manifest.capture_warnings():
-        cfg = dataclasses.replace(cfg, **overrides)
         root = detect_hierarchy(graph, cfg)
     manifest.data["seed"] = cfg.seed
     manifest.stage("detect")
@@ -483,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sphere", dest="sphere_projection", action="store_true", default=None)
     common(p)
     p.add_argument("--threads", type=int,
-                   help="pairwise tests run in parallel (default: $HSBM_MOTIF_THREADS, "
-                        "else the config file's, else 1)")
+                   help="pairwise tests run in parallel (default: the config file's, else 1)")
     p.set_defaults(func=cmd_detect, seed=None)
 
     p = sub.add_parser("report", help="render a static HTML summary of a detect run")

@@ -31,6 +31,12 @@ from .embedding import Embedding
 _SCAN_BLOCK = 1 << 18
 # fewest rows per group of the sample that brackets the median distance
 _SAMPLE_GROUP = 128
+# alignment: most rows of each cloud fitted (larger clouds are thinned by an
+# even stride), transport-Procrustes rounds per refined start, and the change
+# in the rotation that ends them early
+_ALIGN_POINTS = 300
+_ALIGN_ITER = 25
+_ALIGN_TOL = 1e-5
 
 
 class MotifError(ValueError):
@@ -41,10 +47,13 @@ class MotifError(ValueError):
 class KernelConfig:
     """Gaussian RBF kernel ``exp(-||a - b||^2 / bandwidth^2)``.
 
-    ``bandwidth`` is either a positive finite float or the string
-    ``"median"``, which resolves to the median pairwise distance of the
-    pooled sample at test time (scale-adaptive; the resolved value is
-    recorded in outputs).
+    ``bandwidth`` is either a positive float whose square is finite and
+    non-zero (about 1.6e-162 to 1.3e154), or the string ``"median"``, which
+    resolves to the median pairwise distance of the pooled sample at test
+    time (scale-adaptive; the resolved value is recorded in outputs).  The
+    square bound keeps every kernel entry finite and the kernel's diagonal
+    exactly 1.0: a finite row is at squared distance 0.0 from itself, and
+    ``exp(0.0 / -(bandwidth**2))`` is 1.0 unless that square is 0 or inf.
     """
 
     bandwidth: float | str = "median"
@@ -54,9 +63,11 @@ class KernelConfig:
             if self.bandwidth != "median":
                 raise MotifError(f"bandwidth must be a float or 'median', got {self.bandwidth!r}")
         elif isinstance(self.bandwidth, (bool, np.bool_)) or not (
-            self.bandwidth > 0 and math.isfinite(self.bandwidth)
+            self.bandwidth > 0 and 0.0 < float(self.bandwidth) * float(self.bandwidth) < math.inf
         ):
-            raise MotifError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
+            raise MotifError(
+                f"bandwidth must be positive with a finite, non-zero square, got {self.bandwidth!r}"
+            )
 
     def resolve(self, pooled: np.ndarray) -> float:
         """The bandwidth for the pooled rows.
@@ -181,7 +192,14 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise MotifError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     if x.shape[0] < 2 or y.shape[0] < 2:
         raise MotifError("both samples need at least two rows")
+    _check_finite(x, y)
     return x, y
+
+
+def _check_finite(*samples: np.ndarray) -> None:
+    # a NaN or inf row has a NaN kernel entry with itself
+    if not all(np.isfinite(a).all() for a in samples):
+        raise MotifError("samples must be finite")
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -197,9 +215,7 @@ def _rbf(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(kern, out=kern)
 
 
-def _kernel_sum(
-    a: np.ndarray, b: np.ndarray, sigma: float, diag: np.ndarray | None = None
-) -> float:
+def _kernel_sum(a: np.ndarray, b: np.ndarray, sigma: float) -> float:
     """``_rbf(a, b, sigma).sum()`` bit for bit, from flat segments of at
     most ``_SCAN_BLOCK`` values.
 
@@ -209,8 +225,7 @@ def _kernel_sum(
     holds at most ``_SCAN_BLOCK`` values, so ``np.add.reduce`` of each
     segment is a node of that recursion.  A segment is built from the rows
     it touches (only its columns when it lies in one row), so it may cut a
-    row mid-way.  With ``diag``, the square kernel's diagonal is copied
-    into it from the segments as they are built.
+    row mid-way.
     """
     m = b.shape[0]
 
@@ -221,9 +236,6 @@ def _kernel_sum(
             values = _rbf(a[first:last], b[col : col + stop - start], sigma).ravel()
         else:
             values = _rbf(a[first:last], b, sigma).ravel()[col : col + stop - start]
-        if diag is not None:
-            on = np.arange(-(-start // (m + 1)), -(-stop // (m + 1)))
-            diag[on] = values[on * (m + 1) - start]
         return np.add.reduce(values)
 
     def segment(start: int, size: int) -> float:
@@ -236,10 +248,9 @@ def _kernel_sum(
 
 
 def _off_diagonal_mean(a: np.ndarray, sigma: float) -> float:
+    # the diagonal is n ones, and a sum of n ones is exact
     n = a.shape[0]
-    diag = np.empty(n)
-    total = _kernel_sum(a, a, sigma, diag)
-    return (total - np.add.reduce(diag)) / (n * (n - 1))
+    return (_kernel_sum(a, a, sigma) - n) / (n * (n - 1))
 
 
 def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = None) -> float:
@@ -252,16 +263,16 @@ def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = No
 
     No kernel block is held whole: each of ``kxx``, ``kxy`` and ``kyy`` is
     summed by :func:`_kernel_sum` from flat segments of at most 2**18
-    values, in numpy's pairwise order, and the diagonals are taken from the
-    segments as they are built.  The memory is one segment plus the n
-    diagonal values, and the terms are combined as
+    values, in numpy's pairwise order.  The within-sample diagonals are
+    exactly 1.0 (see :class:`KernelConfig`), so their traces are the sample
+    sizes.  The memory is one segment, and the terms are combined as
     ``oracle.mmd_from_kernel`` combines them, with the same bits.
     """
     kernel = kernel or KernelConfig()
     x, y = _check_pair(x, y)
     if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
         x, y = y, x
-    sigma = kernel.resolve(np.vstack([x, y]))
+    sigma = KernelConfig(bandwidth=kernel.resolve(np.vstack([x, y]))).bandwidth
     term_x = _off_diagonal_mean(x, sigma)
     term_xy = 2.0 * (_kernel_sum(x, y, sigma) / (x.shape[0] * y.shape[0]))
     term_y = _off_diagonal_mean(y, sigma)
@@ -269,7 +280,7 @@ def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = No
 
 
 def _permutation_statistics(
-    pooled: np.ndarray, idx: np.ndarray, sigma: float | None = None
+    pooled: np.ndarray, idx: np.ndarray, sigma: float
 ) -> tuple[float, np.ndarray]:
     """Observed and replicate statistics of re-splits of the pooled rows.
 
@@ -280,15 +291,13 @@ def _permutation_statistics(
     y-side sums ``S_xy`` and ``S_yy`` without the cancellation of
     ``1'K1 - 2 S_xy - S_xx``.  The pooled kernel K is never held whole: it
     is built in row blocks, ``_rbf(pooled[rows], pooled, sigma)``, of at
-    most 2**18 values of K and of KZ, and each block adds its row sums, its
-    diagonal and its rows of ``K @ Z`` to the sums.  The memory is one
-    block and its rows of KZ, plus Z (N x (B+1) x 8 bytes) and the index
-    matrix; the diagonal's x-side sums are gathered in blocks of index rows
-    of the same size, not all at once.  With ``sigma=None``,
-    ``pooled`` is a finished N x N kernel and its row blocks are sliced,
-    not built.  A replicate that re-draws the observed split (the same x
-    rows, or at n = m the swapped ones) takes the observed value exactly:
-    BLAS may round two equal columns of the product differently.
+    most 2**18 values of K and of KZ, and each block adds its row sums and
+    its rows of ``K @ Z`` to the sums.  The diagonal of K is exactly 1.0
+    (see :class:`KernelConfig`), so each side's trace is its size.  The
+    memory is one block and its rows of KZ, plus Z (N x (B+1) x 8 bytes)
+    and the index matrix.  A replicate that re-draws the observed split
+    (the same x rows, or at n = m the swapped ones) takes the observed value
+    exactly: BLAS may round two equal columns of the product differently.
     """
     total = pooled.shape[0]
     splits, n = idx.shape
@@ -296,28 +305,19 @@ def _permutation_statistics(
     z = np.zeros((total, splits))
     z[idx.T, np.arange(splits)] = 1.0
     s_xx, s_xy, s_y = (np.zeros(splits) for _ in range(3))
-    diag = np.empty(total)
     step = max(1, _SCAN_BLOCK // max(total, splits))
     for start in range(0, total, step):
-        rows = slice(start, start + step)
-        kern = pooled[rows] if sigma is None else _rbf(pooled[rows], pooled, sigma)
-        diag[rows] = kern.diagonal(start)
+        kern = _rbf(pooled[start : start + step], pooled, sigma)
         kz = kern @ z
-        z_rows = z[rows]
+        z_rows = z[start : start + step]
         s_xx += np.einsum("ij,ij->j", z_rows, kz)
         ky = np.subtract(kern.sum(axis=1)[:, None], kz, out=kz)
         s_xy += np.einsum("ij,ij->j", z_rows, ky)
         s_y += ky.sum(axis=0)
         del kern, kz, ky  # the next block's buffers replace these, not join them
     s_yy = s_y - s_xy
-    # the x rows' diagonal sums, gathered a block of index rows at a time
-    stride = max(1, _SCAN_BLOCK // n)
-    tr_x = np.concatenate(
-        [diag[idx[start : start + stride]].sum(axis=1) for start in range(0, splits, stride)]
-    )
-    tr_y = diag.sum() - tr_x
-    term_x = (s_xx - tr_x) / (n * (n - 1))
-    term_y = (s_yy - tr_y) / (m * (m - 1))
+    term_x = (s_xx - n) / (n * (n - 1))
+    term_y = (s_yy - m) / (m * (m - 1))
     stats = term_x - 2.0 * (s_xy / (n * m)) + term_y
     redrawn = (idx[1:] < n).all(axis=1)
     if n == m:
@@ -473,7 +473,6 @@ def _ot_procrustes(
     mo: np.ndarray,
     w0: np.ndarray,
     max_iter: int,
-    tol: float,
     sinkhorn_iter: int = 60,
 ) -> tuple[np.ndarray, float]:
     """Alternate an entropic transport plan with the plan-weighted orthogonal
@@ -494,7 +493,7 @@ def _ot_procrustes(
         w_new = u @ vt
         delta = np.linalg.norm(w_new - w)
         w = w_new
-        if delta < tol:
+        if delta < _ALIGN_TOL:
             break
     return w, final_cost
 
@@ -522,13 +521,7 @@ def _sign_inits(ra: np.ndarray, mo: np.ndarray) -> list[np.ndarray]:
     return [np.eye(d), np.diag(signs)]
 
 
-def align_embeddings(
-    reference: np.ndarray,
-    moving: np.ndarray,
-    max_iter: int = 25,
-    tol: float = 1e-5,
-    max_points: int = 300,
-) -> np.ndarray:
+def align_embeddings(reference: np.ndarray, moving: np.ndarray) -> np.ndarray:
     """Orthogonal matrix W such that ``moving @ W`` matches ``reference``.
 
     Embeddings of two graphs estimate their latent clouds only up to
@@ -545,25 +538,26 @@ def align_embeddings(
     mov = np.asarray(moving, dtype=np.float64)
     if ref.ndim != 2 or mov.ndim != 2 or ref.shape[1] != mov.shape[1]:
         raise MotifError("alignment needs 2-d inputs of equal dimension")
+    _check_finite(ref, mov)
 
     def thin(arr: np.ndarray) -> np.ndarray:
-        if arr.shape[0] <= max_points:
+        if arr.shape[0] <= _ALIGN_POINTS:
             return arr
-        # the stride (n - 1) / (max_points - 1) exceeds 1, so the truncated
-        # indices are already strictly increasing
-        return arr[np.linspace(0, arr.shape[0] - 1, max_points).astype(np.int64)]
+        # the stride (n - 1) / (_ALIGN_POINTS - 1) exceeds 1, so the
+        # truncated indices are already strictly increasing
+        return arr[np.linspace(0, arr.shape[0] - 1, _ALIGN_POINTS).astype(np.int64)]
 
     ra, mo = thin(ref), thin(mov)
     # two-phase multistart: probe every reflection briefly, then run the
     # most promising few to convergence
     probes = []
     for w0 in _sign_inits(ra, mo):
-        w, cost = _ot_procrustes(ra, mo, w0, max_iter=2, tol=tol, sinkhorn_iter=30)
+        w, cost = _ot_procrustes(ra, mo, w0, max_iter=2, sinkhorn_iter=30)
         probes.append((cost, w))
     probes.sort(key=lambda item: item[0])
     best_w, best_cost = None, np.inf
     for cost0, w0 in probes[:3]:
-        w, cost = _ot_procrustes(ra, mo, w0, max_iter=max_iter, tol=tol)
+        w, cost = _ot_procrustes(ra, mo, w0, max_iter=_ALIGN_ITER)
         if cost < best_cost:
             best_w, best_cost = w, cost
     return best_w
@@ -611,8 +605,9 @@ def dissimilarity_matrix(
     statistic computed, and with ``n_boot > 0`` the batched permutation null
     drawn from the pair's own generator.  Those generators
     are seeded from ``rng`` before any pair runs, so ``threads`` (pairs
-    tested in parallel) never changes the output.  A negative ``n_boot`` is
-    refused before any pair is tested.
+    tested in parallel) never changes the output.  A negative ``n_boot``,
+    embeddings of different dimensions and a non-finite value are refused
+    before any pair is aligned.
     """
     kernel = kernel or KernelConfig()
     _check_test(n_boot, 0)
@@ -622,6 +617,7 @@ def dissimilarity_matrix(
     dims = {m.shape[1] for m in mats}
     if len(dims) != 1:
         raise MotifError(f"embeddings disagree on dimension: {sorted(dims)}")
+    _check_finite(*mats)
     r = len(mats)
     rng = rng or np.random.default_rng()
     stats = np.zeros((r, r))

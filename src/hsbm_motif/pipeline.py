@@ -97,8 +97,12 @@ class PipelineConfig:
             KernelConfig(bandwidth=self.bandwidth)
         except (MotifError, TypeError):
             raise PipelineError(
-                f"bandwidth must be a positive finite float or 'median', got {self.bandwidth!r}"
+                "bandwidth must be 'median' or a positive float with a finite, non-zero "
+                f"square, got {self.bandwidth!r}"
             ) from None
+        if not isinstance(self.bandwidth, str):
+            # a numpy scalar would not survive json.dumps of the config
+            object.__setattr__(self, "bandwidth", float(self.bandwidth))
         if self.motif_source not in ("statistic", "pvalue"):
             raise PipelineError(
                 f"motif_source must be one of ('statistic', 'pvalue'), got {self.motif_source!r}"
@@ -152,13 +156,16 @@ class HierarchyNode:
     dissimilarity: DissimilarityMatrix | None = None
     block_matrix: np.ndarray | None = None
     block_weights: np.ndarray | None = None
-    is_representative: bool = True
     structure_from: int | None = None
     error: str | None = None
 
     @property
     def n_vertices(self) -> int:
         return int(self.vertex_indices.size)
+
+    @property
+    def is_representative(self) -> bool:
+        return self.structure_from is None
 
     @property
     def key(self) -> str:
@@ -366,7 +373,6 @@ def _split_node(
                 vertex_indices=idx,
                 depth=node.depth + 1,
                 path=child_path,
-                is_representative=False,
                 structure_from=reps[int(motifs.labels[c])],
             )
         children.append(child)

@@ -229,16 +229,12 @@ def test_error_exit_code(tmp_path):
     assert main(["embed", str(missing), "--out-dir", str(tmp_path / "x")]) == 1
 
 
-@pytest.mark.parametrize("flag, env, message", [
-    (["--threads", "0"], None, "--threads must be an integer >= 1, got 0"),
-    (["--threads", "-4"], None, "--threads must be an integer >= 1, got -4"),
-    ([], "two", "HSBM_MOTIF_THREADS must be an integer >= 1, got 'two'"),
-    ([], "0", "HSBM_MOTIF_THREADS must be an integer >= 1, got 0"),
-], ids=["flag-zero", "flag-negative", "env-word", "env-zero"])
-def test_bad_threads_rejected_before_load(tmp_path, capsys, monkeypatch, flag, env, message):
+@pytest.mark.parametrize("flag, message", [
+    (["--threads", "0"], "threads must be an int >= 1, got 0"),
+    (["--threads", "-4"], "threads must be an int >= 1, got -4"),
+], ids=["flag-zero", "flag-negative"])
+def test_bad_threads_rejected_before_load(tmp_path, capsys, flag, message):
     # the graph does not exist: the threads error must come first
-    if env is not None:
-        monkeypatch.setenv("HSBM_MOTIF_THREADS", env)
     missing = str(tmp_path / "nope.txt")
     assert main(["detect", missing, "--out-dir", str(tmp_path / "d"), *flag]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
@@ -262,14 +258,17 @@ def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
     (["cluster", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
     (["test", "{missing}", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
     (["detect", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
-    (["detect", "{missing}", "--threads", "0"], "--threads must be an integer >= 1, got 0"),
+    (["detect", "{missing}", "--threads", "0"], "threads must be an int >= 1, got 0"),
     (["detect", "{edges}", "--config", "{pvalue}"],
      "motif_source 'pvalue' needs p-values: set n_bootstrap >= 1"),
     (["detect", "{edges}", "--config", "{removed}"],
      "unknown pipeline config keys: ['align', 'kernel', 'linkage', 'motif_height']"),
+    # the config is settled before the graph is read
+    (["detect", "{missing}", "--config", "{removed}"],
+     "unknown pipeline config keys: ['align', 'kernel', 'linkage', 'motif_height']"),
 ], ids=["generate-builtin", "generate-seed", "embed-missing", "embed-scree-m",
         "cluster-missing", "test-missing", "detect-missing", "detect-threads",
-        "detect-pvalue-without-bootstrap", "detect-removed-keys"])
+        "detect-pvalue-without-bootstrap", "detect-removed-keys", "detect-config-before-graph"])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, small_spec, small_edges,
                                           argv, message):
     # the output directory is made at the first artifact, not before the input is read
@@ -299,6 +298,26 @@ def test_test_dimension_mismatch_is_named(tmp_path, capsys):
     assert main(["test", *paths, "--no-align", "--out-dir", str(tmp_path / "t")]) == 1
     assert capsys.readouterr().err.strip() == "error: dimension mismatch: 2 vs 3"
     assert not (tmp_path / "t" / "test.json").exists()
+
+
+@pytest.mark.parametrize("align", [[], ["--no-align"]], ids=["aligned", "no-align"])
+def test_test_non_finite_row_is_named(tmp_path, capsys, align):
+    # a NaN row has a NaN kernel entry: no statistic or p-value is reported
+    rng = np.random.default_rng(4)
+    paths = []
+    for k in range(2):
+        positions = rng.normal(size=(20, 2))
+        if k == 0:
+            positions[7] = np.nan
+        path = tmp_path / f"emb{k}.csv"
+        embedding_to_csv(Embedding(positions=positions, eigenvalues=np.ones(2)),
+                         tuple(map(str, range(20))), path)
+        paths.append(str(path))
+    out = tmp_path / "t"
+    assert main(["test", *paths, *align, "--bootstrap", "20", "--sigma", "1.0",
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == "error: samples must be finite"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_boot", [0, 40])
@@ -374,10 +393,8 @@ def test_detect_flags_name_config_fields():
     assert dests - fields == {"help", "graph", "config", "out_dir"}
 
 
-def test_detect_config_file_seed_and_threads_hold(tmp_path, small_spec, monkeypatch):
-    # a config file's seed and threads hold unless --seed, --threads or
-    # $HSBM_MOTIF_THREADS is given
-    monkeypatch.delenv("HSBM_MOTIF_THREADS", raising=False)
+def test_detect_config_file_seed_and_threads_hold(tmp_path, small_spec):
+    # a config file's seed and threads hold unless --seed or --threads is given
     gen = tmp_path / "gen"
     assert main(["generate", str(small_spec), "--out-dir", str(gen), "--seed", "2"]) == 0
     flags = ["--D", "2", "--d", "1", "--R", "2", "--M", "2", "--bootstrap", "10",

@@ -52,7 +52,7 @@ class TestKernelConfig:
         assert KernelConfig().resolve(np.zeros((5, 2))) == 1.0
 
     @pytest.mark.parametrize("bandwidth", [True, False, np.bool_(True), np.inf, -np.inf,
-                                           np.nan, float("inf")])
+                                           np.nan, float("inf"), 1e-170, 1e155])
     def test_bool_and_non_finite_bandwidth_rejected(self, bandwidth):
         with pytest.raises(MotifError):
             KernelConfig(bandwidth=bandwidth)
@@ -62,6 +62,41 @@ class TestKernelConfig:
         pooled = np.random.default_rng(0).normal(size=(50, 2))
         resolved = KernelConfig(bandwidth=bandwidth).resolve(pooled)
         assert resolved == 2.0 and type(resolved) is float
+
+
+class TestUnitDiagonal:
+    """A finite row is at squared distance 0.0 from itself, and every
+    accepted bandwidth has a finite, non-zero square, so each kernel entry
+    is finite and the diagonal is exactly 1.0: the pair test takes each
+    sample's trace to be its size."""
+
+    # the smallest and largest accepted bandwidths, and some between
+    BANDWIDTHS = [1.5717277847026288e-162, 1e-100, 1e-5, 1.0, 1e5, 1e100, 1.3407807929942596e154]
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-75, 1e-5, 1.0, 1e5, 1e75, 1e150])
+    def test_finite_rows(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 200)
+        a = rng.normal(size=(40, 3)) * scale
+        a[5] = a[17]  # a duplicated row
+        for sigma in self.BANDWIDTHS:
+            with np.errstate(over="ignore"):  # D / sigma**2 may round to inf: exp gives 0
+                kern = _rbf(a, a, KernelConfig(bandwidth=sigma).bandwidth)
+            assert (kern.diagonal() == 1.0).all(), sigma
+            assert np.isfinite(kern).all(), sigma
+
+    def test_accepted_range_ends(self):
+        low, high = self.BANDWIDTHS[0], self.BANDWIDTHS[-1]
+        for outside in (np.nextafter(low, 0.0), np.nextafter(high, np.inf)):
+            with pytest.raises(MotifError, match="finite, non-zero square"):
+                KernelConfig(bandwidth=float(outside))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_has_nan_diagonal(self, bad):
+        # why such rows are refused: their own kernel entry is NaN
+        a = np.random.default_rng(1).normal(size=(6, 2))
+        a[2, 1] = bad
+        diag = _rbf(a, a, 1.0).diagonal()
+        assert np.isnan(diag[2]) and (np.delete(diag, 2) == 1.0).all()
 
 
 class TestMmdStatistic:
@@ -228,17 +263,12 @@ BLOCK_BYTES = motifs._SCAN_BLOCK * 8
 
 
 class TestSegmentedKernelSum:
-    """The kernel summed from flat segments has the bits of ``_rbf(...).sum()``,
-    and the diagonal taken from the segments is the kernel's."""
+    """The kernel summed from flat segments has the bits of ``_rbf(...).sum()``."""
 
     @staticmethod
     def assert_same_sum(a, b, sigma):
-        kern = _rbf(a, b, sigma)
-        diag = np.empty(a.shape[0]) if a is b else None
-        got = _kernel_sum(a, b, sigma, diag)
-        assert np.float64(got).tobytes() == kern.sum().tobytes()
-        if diag is not None:
-            assert diag.tobytes() == kern.diagonal().tobytes()
+        got = _kernel_sum(a, b, sigma)
+        assert np.float64(got).tobytes() == _rbf(a, b, sigma).sum().tobytes()
 
     @pytest.mark.parametrize("cap", [128, 129, 1000])
     @pytest.mark.parametrize("shape", [
@@ -430,10 +460,11 @@ class TestBootstrapPvalue:
             assert p <= 0.005
 
 
-def pooled_kernel(n, m, d, rng):
+def pooled_rows(n, m, d, rng):
+    """Pooled rows of two shifted samples and their median bandwidth."""
     pooled = rng.normal(size=(n + m, d)) * rng.uniform(0.05, 3.0)
     pooled[n:] += rng.uniform(0.0, 1.0)
-    return _rbf(pooled, pooled, KernelConfig().resolve(pooled))
+    return pooled, KernelConfig().resolve(pooled)
 
 
 def x_rows(n, perms):
@@ -452,10 +483,10 @@ class TestBatchedPermutationNull:
                 n, m = (int(v) for v in rng.integers(2, 9, size=2))
             d = int(rng.integers(1, 4))
             n_boot = int(rng.integers(1, 201))
-            kern = pooled_kernel(n, m, d, rng)
+            pooled, sigma = pooled_rows(n, m, d, rng)
             perms = [rng.permutation(n + m) for _ in range(n_boot)]
-            t_loop, null_loop = permutation_statistics_loop(kern, n, perms)
-            t_fast, null_fast = _permutation_statistics(kern, x_rows(n, perms))
+            t_loop, null_loop = permutation_statistics_loop(_rbf(pooled, pooled, sigma), n, perms)
+            t_fast, null_fast = _permutation_statistics(pooled, x_rows(n, perms), sigma)
             chunked += n_boot + 1 > n + m
             assert abs(t_fast - t_loop) <= 1e-12
             assert np.abs(null_fast - null_loop).max() <= 1e-12
@@ -468,23 +499,18 @@ class TestBatchedPermutationNull:
     @pytest.mark.parametrize("cap", [1, 500, 4096])
     def test_row_blocks_match_replicate_loop(self, monkeypatch, cap):
         # small caps split the pooled kernel into many row blocks, down to
-        # one row each; building the blocks from the rows gives the bits of
-        # slicing them from the finished kernel
+        # one row each
         monkeypatch.setattr(motifs, "_SCAN_BLOCK", cap)
         rng = np.random.default_rng(cap)
         for n, m, n_boot in ((2, 2, 30), (7, 3, 5), (40, 61, 120), (150, 90, 60)):
             pooled = rng.normal(size=(n + m, 2))
             pooled[n:] += 0.3
             sigma = KernelConfig().resolve(pooled)
-            kern = _rbf(pooled, pooled, sigma)
             perms = [rng.permutation(n + m) for _ in range(n_boot)]
-            t_loop, null_loop = permutation_statistics_loop(kern, n, perms)
-            t_built, null_built = _permutation_statistics(pooled, x_rows(n, perms), sigma)
-            t_sliced, null_sliced = _permutation_statistics(kern, x_rows(n, perms))
-            assert abs(t_built - t_loop) <= 1e-12
-            assert np.abs(null_built - null_loop).max() <= 1e-12
-            assert np.float64(t_built).tobytes() == np.float64(t_sliced).tobytes()
-            assert null_built.tobytes() == null_sliced.tobytes()
+            t_loop, null_loop = permutation_statistics_loop(_rbf(pooled, pooled, sigma), n, perms)
+            t_fast, null_fast = _permutation_statistics(pooled, x_rows(n, perms), sigma)
+            assert abs(t_fast - t_loop) <= 1e-12
+            assert np.abs(null_fast - null_loop).max() <= 1e-12
 
     def test_redrawn_observed_split_is_counted(self):
         # separated samples: only a re-draw of the observed split (x rows,
@@ -496,8 +522,7 @@ class TestBatchedPermutationNull:
         perms = [draw.permutation(6) for _ in range(n_boot)]
         redrawn = sum(set(p[:3]) in ({0, 1, 2}, {3, 4, 5}) for p in perms)
         assert redrawn >= 5
-        kern = _rbf(np.vstack([x, y]), np.vstack([x, y]), 1.0)
-        t_obs, null = _permutation_statistics(kern, x_rows(3, perms))
+        t_obs, null = _permutation_statistics(np.vstack([x, y]), x_rows(3, perms), 1.0)
         assert np.count_nonzero(null == t_obs) == redrawn
         assert np.count_nonzero(null >= t_obs) == redrawn
         p = hm.bootstrap_pvalue(x, y, KernelConfig(bandwidth=1.0), n_boot=n_boot,
@@ -546,6 +571,12 @@ class TestBatchedPermutationNull:
 class TestPairTestArguments:
     @pytest.mark.parametrize("kwargs, message", [
         ({"n_boot": -3}, "bootstrap replicate count must be >= 0, got -3"),
+        # the non-finite value is in the last embedding: no pair may run first
+        ({"embeddings": [np.zeros((5, 2)), np.ones((5, 2)),
+                         np.array([[0.0, 1.0]] * 4 + [[np.nan, 0.0]])]},
+         "^samples must be finite$"),
+        ({"embeddings": [np.zeros((5, 2)), np.full((5, 2), -np.inf)], "n_boot": 4},
+         "^samples must be finite$"),
     ])
     def test_dissimilarity_matrix_refuses_before_pair_work(self, monkeypatch, kwargs, message):
         def pair_work(*args, **kw):
@@ -554,8 +585,9 @@ class TestPairTestArguments:
         monkeypatch.setattr(motifs, "align_embeddings", pair_work)
         monkeypatch.setattr(motifs, "pair_test", pair_work)
         x, y = gaussian_pair(20, 20)
+        args = {"embeddings": [x, y, x + 1.0], "rng": derive_rng(0, "args"), **kwargs}
         with pytest.raises(MotifError, match=message):
-            hm.dissimilarity_matrix([x, y, x + 1.0], rng=derive_rng(0, "args"), **kwargs)
+            hm.dissimilarity_matrix(**args)
 
     @pytest.mark.parametrize("n_boot", [0, 5])
     def test_pair_test_checks_dimensions_first(self, n_boot):
@@ -563,6 +595,37 @@ class TestPairTestArguments:
         y = gaussian_pair(12, 12, d=3)[1]
         with pytest.raises(MotifError, match="dimension mismatch: 2 vs 3"):
             motifs.pair_test(x, y, KernelConfig(), n_boot, derive_rng(0, "dims"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_refused(self, bad):
+        x, y = gaussian_pair(10, 12)
+        y[4, 1] = bad
+        calls = {
+            "mmd_statistic": lambda a, b: hm.mmd_statistic(a, b, KernelConfig(bandwidth=1.0)),
+            "median mmd_statistic": hm.mmd_statistic,
+            "bootstrap_pvalue": lambda a, b: hm.bootstrap_pvalue(
+                a, b, n_boot=5, rng=derive_rng(0, "finite")),
+            "pair_test": lambda a, b: motifs.pair_test(
+                a, b, KernelConfig(), 5, derive_rng(0, "finite")),
+            "align_embeddings": hm.align_embeddings,
+        }
+        for name, call in calls.items():
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(MotifError, match="^samples must be finite$"):
+                    call(a, b)
+                    pytest.fail(name)
+
+    @pytest.mark.parametrize("n_boot", [0, 5])
+    def test_pair_test_refuses_bandwidths_outside_the_range(self, n_boot):
+        # a fixed bandwidth whose square is 0 or inf, or a median that is inf
+        x, y = gaussian_pair(10, 12)
+        for kernel, (a, b) in (
+            (lambda: KernelConfig(bandwidth=1e-170), (x, y)),
+            (lambda: KernelConfig(bandwidth=1e155), (x, y)),
+            (KernelConfig, (x * 1e155, y * 1e155)),
+        ):
+            with pytest.raises(MotifError, match="bandwidth must be positive"):
+                motifs.pair_test(a, b, kernel(), n_boot, derive_rng(0, "range"))
 
 
 class TestSinkhornPlan:
@@ -638,7 +701,7 @@ class TestAlignEmbeddings:
             d = (1, 2, 3, 4, 7)[case % 5]
             n, m = (int(v) for v in rng.integers(3, 90, size=2))
             max_points = 300
-            if case % 9 == 0:  # above the default max_points: thinned
+            if case % 9 == 0:  # above the shipped cap: thinned
                 n, m = 320, 310
             elif case % 4 == 0:  # thinned below a smaller cap
                 max_points = 40
@@ -648,11 +711,16 @@ class TestAlignEmbeddings:
             cases.append((ref, mov, max_points))
         cases.append((np.zeros((30, 3)), np.zeros((20, 3)), 300))  # every cost 0
         cases.append((np.ones((25, 2)), np.ones((40, 2)), 300))  # identity cost 0
-        fast = [hm.align_embeddings(ref, mov, max_points=cap) for ref, mov, cap in cases]
+
+        def align(ref, mov, cap):
+            monkeypatch.setattr(motifs, "_ALIGN_POINTS", cap)
+            return hm.align_embeddings(ref, mov)
+
+        fast = [align(*case) for case in cases]
         monkeypatch.setattr(motifs, "_sinkhorn_plan", sinkhorn_plan_loop)
         monkeypatch.setattr(motifs, "_median", np.median)
-        for (ref, mov, cap), w in zip(cases, fast):
-            assert np.array_equal(w, hm.align_embeddings(ref, mov, max_points=cap))
+        for case, w in zip(cases, fast):
+            assert np.array_equal(w, align(*case))
 
     def test_dimension_check(self):
         with pytest.raises(MotifError):
@@ -668,9 +736,10 @@ class TestAlignEmbeddings:
             assert np.array_equal(idx, np.unique(idx)), n
 
     @pytest.mark.parametrize("max_points", [40, 300])
-    def test_thinning_keeps_the_unique_rows(self, max_points):
+    def test_thinning_keeps_the_unique_rows(self, monkeypatch, max_points):
         # thinning keeps the rows the np.unique form kept: aligning the clouds
         # thinned that way gives the same rotation
+        monkeypatch.setattr(motifs, "_ALIGN_POINTS", max_points)
         rng = np.random.default_rng(max_points)
         ref = rng.normal(size=(max_points + 57, 3))
         mov = rng.normal(size=(3 * max_points + 1, 3))
@@ -679,8 +748,8 @@ class TestAlignEmbeddings:
             idx = np.linspace(0, arr.shape[0] - 1, max_points).astype(np.int64)
             return arr[np.unique(idx)]
 
-        w = hm.align_embeddings(ref, mov, max_points=max_points)
-        expected = hm.align_embeddings(thinned(ref), thinned(mov), max_points=max_points)
+        w = hm.align_embeddings(ref, mov)
+        expected = hm.align_embeddings(thinned(ref), thinned(mov))
         assert np.array_equal(w, expected)
 
 

@@ -72,6 +72,13 @@ class TestConfig:
         with pytest.raises(PipelineError, match="min_cluster_size"):
             hm.PipelineConfig(sub_dim=np.int64(4), min_cluster_size=5)
 
+    @pytest.mark.parametrize("bandwidth", [np.float32(0.5), np.float64(0.5), np.int64(2), 2])
+    def test_numeric_bandwidth_stored_as_float(self, bandwidth):
+        # a numpy scalar kept as given fails json.dumps after the whole run
+        cfg = hm.PipelineConfig(bandwidth=bandwidth)
+        assert type(cfg.bandwidth) is float and cfg.bandwidth == float(bandwidth)
+        assert json.loads(json.dumps(config_dict(cfg)))["bandwidth"] == float(bandwidth)
+
     def test_round_trip(self):
         cfg = hm.PipelineConfig(top_dim=8, sub_dim=3, n_subgraphs=4, n_motifs=2,
                                 n_bootstrap=50, seed=11)
