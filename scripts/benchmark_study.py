@@ -36,7 +36,7 @@ def main() -> int:
     graph, latents = hm.sample_hsbm(spec, derive_rng(args.seed, "study-sample"))
 
     print("scree (top 30 magnitudes)")
-    mags = hm.scree(graph, 30)
+    mags = hm.ase(graph, 30).magnitudes
     with open(out / "scree.csv", "w") as fh:
         fh.write("index,magnitude\n")
         for i, v in enumerate(mags, start=1):
@@ -45,7 +45,7 @@ def main() -> int:
     print(f"  largest relative drop after index {int(np.argmax(drops)) + 1}"
           f" (model rank is 24; weak contrast directions sink below the noise floor)")
 
-    d_hat = max(hm.select_dimension(graph, 30, elbow=2), 8)
+    d_hat = max(hm.select_dimension(mags, elbow=2), 8)
     print(f"phi curve at the scree-selected dimension {d_hat}, k = 2..12, "
           f"{args.mc} repeats each")
     emb = hm.ase(graph, d_hat)

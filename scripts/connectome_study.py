@@ -39,10 +39,11 @@ def main() -> int:
     print(f"loaded {graph.n_vertices} vertices; largest component {lcc.n_vertices}")
     print("(directed inputs are symmetrized by the loader)")
 
-    d_hat = hm.select_dimension(lcc, min(40, lcc.n_vertices - 2))
+    solve = hm.ase(lcc, min(40, lcc.n_vertices - 2))
+    d_hat = hm.select_dimension(solve.magnitudes)
     print(f"dimension estimate: {d_hat} (published: {PUBLISHED['dimension']})")
 
-    emb = hm.project_to_sphere(hm.ase(lcc, d_hat))
+    emb = hm.project_to_sphere(solve.leading(d_hat))
     est = hm.estimate_num_subgraphs(
         emb.positions, max(d_hat, 8), 10, derive_rng(args.seed, "fly-count")
     )
@@ -58,13 +59,13 @@ def main() -> int:
     tree = hm.detect_hierarchy(lcc, cfg)
     with open(out / "hierarchy.json", "w") as fh:
         json.dump(hierarchy_report(tree, cfg), fh, indent=2)
-    if tree.dissimilarity is not None and tree.dissimilarity.p_values is not None:
+    if tree.children and tree.dissimilarity.p_values is not None:
         p = tree.dissimilarity.p_values
         iu = np.triu_indices(p.shape[0], k=1)
         print(f"pairwise p-values: min={p[iu].min():.3f} median={np.median(p[iu]):.3f} "
               f"max={p[iu].max():.3f}")
         print(f"(published examples for three pairs: {PUBLISHED['p_values']})")
-    if tree.motifs is not None:
+    if tree.children:
         print(f"motif sizes: {sorted(tree.motifs.sizes().tolist())}")
     print(f"report written to {out}/hierarchy.json")
     return 0

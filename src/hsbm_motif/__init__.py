@@ -37,7 +37,6 @@ from .embedding import (
     ase,
     profile_likelihood_elbow,
     project_to_sphere,
-    scree,
     select_dimension,
 )
 from .clustering import (

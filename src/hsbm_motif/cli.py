@@ -26,11 +26,11 @@ import numpy as np
 from . import __version__
 from .clustering import estimate_num_subgraphs, phi_curve_to_csv, seeded_subspace_cluster
 from .embedding import (
-    _scree_elbow,
     ase,
     embedding_from_csv,
     embedding_to_csv,
     project_to_sphere,
+    select_dimension,
 )
 from .generate import builtin_spec_path, load_spec, sample_hsbm
 from .graph import (
@@ -183,7 +183,7 @@ def cmd_embed(args) -> int:
     manifest.stage("scree")
 
     if dim is None:
-        dim = _scree_elbow(mags)
+        dim = select_dimension(mags)
     emb = solve.leading(dim)
     if args.sphere:
         emb = project_to_sphere(emb)
@@ -305,7 +305,7 @@ def cmd_detect(args) -> int:
             fh.write(f"{vid},{path}\n")
 
     for node in root.walk():
-        if node.dissimilarity is None:
+        if not node.children:
             continue
         key = f"node_{node.key.replace('/', '-')}" if node.path else "root"
         matrix_to_csv(node.dissimilarity.statistics, manifest.output(f"{key}_dissimilarity.csv"),

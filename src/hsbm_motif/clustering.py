@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import profile_likelihood_elbow
-from .graph import VertexPartition
+from .graph import VertexPartition, open_text
 
 
 class ClusterError(ValueError):
@@ -193,12 +193,7 @@ def estimate_num_subgraphs(
 
 
 def phi_curve_to_csv(est: SubgraphCountEstimate, sink) -> None:
-    import os
-
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            phi_curve_to_csv(est, fh)
-            return
-    sink.write("k,phi\n")
-    for k, value in zip(est.k_values, est.phi):
-        sink.write(f"{int(k)},{repr(float(value))}\n")
+    with open_text(sink, "w") as fh:
+        fh.write("k,phi\n")
+        for k, value in zip(est.k_values, est.phi):
+            fh.write(f"{int(k)},{repr(float(value))}\n")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SparseGraph
+from .graph import SparseGraph, open_text
 
 # fixed start-vector seed so the iterative eigensolver is run-to-run deterministic
 _SOLVER_SEED = 7
@@ -121,23 +121,6 @@ def _sparse_eigs(a, d: int):
     return _order_by_magnitude(values, vectors, d)
 
 
-def _top_eigenpairs(g: SparseGraph, k: int, name: str, sym: str):
-    """The ``k`` adjacency eigenpairs of largest magnitude (all zeros for an
-    edgeless graph); ``name`` and ``sym`` name ``k`` in the range error."""
-    n = g.n_vertices
-    if not 1 <= k < n:
-        raise EmbedError(f"{name} must satisfy 1 <= {sym} < n, got {sym}={k}, n={n}")
-    if g.n_edges == 0:
-        return np.zeros(k), np.zeros((n, k))
-    # float64 entries on the adjacency's own index arrays: astype would copy
-    # those too
-    adj = g.adjacency
-    a = type(adj)((adj.data.astype(np.float64), adj.indices, adj.indptr), shape=adj.shape)
-    if n <= _DENSE_FALLBACK or k > n - 2:
-        return _dense_eigs(a.toarray(), k)
-    return _sparse_eigs(a, k)
-
-
 def ase(g: SparseGraph, d: int) -> Embedding:
     """Adjacency spectral embedding into ``d`` dimensions.
 
@@ -146,21 +129,31 @@ def ase(g: SparseGraph, d: int) -> Embedding:
     spectral embedding of ``(A^T A)^(1/2)``, which shares eigenvectors with
     ``A``.  The solver runs on ``A`` itself to avoid squaring the condition
     number.  Deterministic: fixed solver start vector, fixed sign convention.
+    The solve's ``magnitudes`` are the top-``d`` scree, descending, from
+    which :func:`select_dimension` reads a dimension.
 
     An edgeless graph embeds to all zeros (with a warning) rather than
     erroring, so degenerate recursion branches stay recoverable.  An ARPACK
     failure raises ``EmbedError``.
     """
-    values, vectors = _top_eigenpairs(g, d, "embedding dimension", "d")
+    n = g.n_vertices
+    if not 1 <= d < n:
+        raise EmbedError(f"embedding dimension must satisfy 1 <= d < n, got d={d}, n={n}")
     if g.n_edges == 0:
         warnings.warn("embedding an edgeless graph: returning all-zero positions")
+        return Embedding(positions=np.zeros((n, d)), eigenvalues=np.zeros(d))
+    # float64 entries on the adjacency's own index arrays: astype would copy
+    # those too
+    adj = g.adjacency
+    a = type(adj)((adj.data.astype(np.float64), adj.indices, adj.indptr), shape=adj.shape)
+    if n <= _DENSE_FALLBACK or d > n - 2:
+        values, vectors = _dense_eigs(a.toarray(), d)
+    else:
+        values, vectors = _sparse_eigs(a, d)
+    # freed before the positions are formed: 8 bytes per stored entry
+    del a
     positions = _fix_signs(vectors) * np.sqrt(np.abs(values))
     return Embedding(positions=positions, eigenvalues=values)
-
-
-def scree(g: SparseGraph, m: int) -> np.ndarray:
-    """Top-``m`` adjacency eigenvalue magnitudes, descending."""
-    return np.abs(_top_eigenpairs(g, m, "scree length", "m")[0])
 
 
 def _norm_logpdf(x: np.ndarray, loc: float, scale: float) -> np.ndarray:
@@ -205,19 +198,16 @@ def profile_likelihood_elbow(values: np.ndarray, n_elbows: int = 1) -> int:
     return elbow
 
 
-def select_dimension(g: SparseGraph, max_dim: int, elbow: int = 1) -> int:
-    """Estimate the embedding dimension from the top-``max_dim`` scree.
+def select_dimension(magnitudes: np.ndarray, elbow: int = 1) -> int:
+    """Embedding dimension from a descending scree, such as the
+    ``magnitudes`` of an :func:`ase` solve.
 
     Uses the profile-likelihood elbow (first elbow by default; set
     ``elbow=2`` for the second).  A flat spectrum (all magnitudes within
     1e-12 of each other) returns 1 with a warning.
     """
-    return _scree_elbow(scree(g, max_dim), elbow)
-
-
-def _scree_elbow(mags: np.ndarray, elbow: int = 1) -> int:
-    """:func:`select_dimension`'s rule on a given descending scree."""
-    if mags.max() - mags.min() <= 1e-12:
+    mags = np.asarray(magnitudes, dtype=np.float64)
+    if mags.size and mags.max() - mags.min() <= 1e-12:
         warnings.warn("flat eigenvalue spectrum: selecting dimension 1")
         return 1
     return profile_likelihood_elbow(mags, n_elbows=elbow)
@@ -242,42 +232,33 @@ def project_to_sphere(e: Embedding) -> Embedding:
 
 def embedding_to_csv(e: Embedding, ids, sink) -> None:
     """CSV export: a comment line with the eigenvalues, then one row per vertex."""
-    import os
-
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            embedding_to_csv(e, ids, fh)
-            return
-    sink.write("# eigenvalues: " + ",".join(repr(float(v)) for v in e.eigenvalues) + "\n")
-    sink.write("vertex_id," + ",".join(f"x{j}" for j in range(e.dim)) + "\n")
-    for label, row in zip(ids, e.positions):
-        sink.write(str(label) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    with open_text(sink, "w") as fh:
+        fh.write("# eigenvalues: " + ",".join(repr(float(v)) for v in e.eigenvalues) + "\n")
+        fh.write("vertex_id," + ",".join(f"x{j}" for j in range(e.dim)) + "\n")
+        for label, row in zip(ids, e.positions):
+            fh.write(str(label) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def embedding_from_csv(source) -> tuple[Embedding, tuple[str, ...]]:
     """Read the CSV written by :func:`embedding_to_csv`."""
-    import os
-
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return embedding_from_csv(fh)
     eigenvalues: np.ndarray | None = None
     ids: list[str] = []
     rows: list[list[float]] = []
-    for raw in source:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# eigenvalues:"):
-            eigenvalues = np.array(
-                [float(tok) for tok in line.split(":", 1)[1].split(",") if tok.strip()]
-            )
-            continue
-        if line.startswith("vertex_id,"):
-            continue
-        parts = line.split(",")
-        ids.append(parts[0])
-        rows.append([float(tok) for tok in parts[1:]])
+    with open_text(source) as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("# eigenvalues:"):
+                eigenvalues = np.array(
+                    [float(tok) for tok in line.split(":", 1)[1].split(",") if tok.strip()]
+                )
+                continue
+            if line.startswith("vertex_id,"):
+                continue
+            parts = line.split(",")
+            ids.append(parts[0])
+            rows.append([float(tok) for tok in parts[1:]])
     if not rows:
         raise EmbedError("embedding CSV holds no rows")
     positions = np.asarray(rows)

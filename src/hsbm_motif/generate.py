@@ -17,7 +17,7 @@ from typing import IO, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SparseGraph
+from .graph import SparseGraph, index_dtype, open_text
 
 _PSD_TOL = 1e-10
 _WEIGHT_TOL = 1e-8
@@ -398,7 +398,7 @@ def sample_rdpg(
 
     counts = np.zeros(n + 1, dtype=np.int64)
     cols: list[np.ndarray] = []
-    column = np.int32 if n < 2**31 else np.int64
+    column = index_dtype(n)
     bits = rng.bit_generator
     # advance counts 64-bit outputs, one per double, and clears the half
     skips = isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM))
@@ -443,8 +443,7 @@ def sample_rdpg(
         state["has_uint32"], state["uinteger"] = half["has_uint32"], half["uinteger"]
         bits.state = state
     nnz = int(counts.sum())
-    # graph_from_edges's rule: int32 indices whenever the symmetric CSR fits
-    index = np.int32 if max(n, 2 * nnz) < 2**31 else np.int64
+    index = index_dtype(n, 2 * nnz)
     indices = np.concatenate(cols, dtype=index)
     del cols
     upper = sp.csr_array(
@@ -545,10 +544,8 @@ def spec_from_json(text: str) -> HsbmSpec:
 
 
 def load_spec(path: str | os.PathLike | IO[str]) -> HsbmSpec:
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "r", encoding="utf-8") as fh:
-            return spec_from_json(fh.read())
-    return spec_from_json(path.read())
+    with open_text(path) as fh:
+        return spec_from_json(fh.read())
 
 
 def builtin_spec_path(name: str = "eight_block_three_motif") -> str:

@@ -7,6 +7,7 @@ so graphs are safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import os
 from dataclasses import dataclass, field
@@ -25,13 +26,32 @@ _MAX_DIGITS = 18
 # bytes per piece of the canonical-format scan, which cuts pieces at newlines
 _SCAN_CHUNK = 1 << 18
 # CSR indices and indptr are int32 while vertex and entry counts stay below this
-_INT32_LIMIT = 2**31
+_INT32_LIMIT = int(np.iinfo(np.int32).max) + 1
 # stored entries per block of block_density's count, which bounds its
 # temporaries at two 8 MB int64 arrays.  Blocks of 2**18 raised detect's peak
 # RSS on the shipped 4100-vertex graph (825k entries, one block here) by
 # 2.6 MB: glibc raises its mmap threshold to the size of a freed mapping, so
 # smaller blocks left it lower for the pairwise tests that follow
 _COUNT_BLOCK = 1 << 20
+
+
+def index_dtype(*counts: int) -> type:
+    """The CSR index type for vertex and entry counts ``counts``: int32 while
+    every one is below ``_INT32_LIMIT``, so that matvecs stream half the
+    index bytes, else int64."""
+    return np.int32 if max(counts) < _INT32_LIMIT else np.int64
+
+
+@contextlib.contextmanager
+def open_text(target: IO[str] | str | os.PathLike, mode: str = "r"):
+    """``target`` opened as UTF-8 text in ``mode`` and closed after the
+    block when it is a path; any other ``target`` is a caller's stream,
+    yielded as it is and left open."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield target
 
 
 class GraphError(ValueError):
@@ -197,8 +217,7 @@ def _build_graph(
         raise GraphError("edge endpoint out of range")
     keep = u != v
     n_loops = u.size - int(np.count_nonzero(keep))
-    # int32 indices whenever they fit: matvecs stream half the index bytes
-    index = np.int32 if max(n, 2 * u.size) < _INT32_LIMIT else np.int64
+    index = index_dtype(n, 2 * u.size)
     u, v = u[keep].astype(index, copy=False), v[keep].astype(index, copy=False)
     del keep
     keys = np.empty(2 * u.size, dtype=np.int64)
@@ -277,8 +296,7 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> SparseGraph:
     if tokens is None:
         with open(source, "r", encoding="utf-8") as fh:
             return _load_lines(fh)
-    if max(int(tokens.max()), tokens.size) < _INT32_LIMIT:
-        tokens = tokens.astype(np.int32)
+    tokens = tokens.astype(index_dtype(int(tokens.max()), tokens.size), copy=False)
     index, ids = _first_appearance(tokens)
     del tokens
     ids = tuple(map(str, ids.tolist()))
@@ -295,15 +313,14 @@ def _first_appearance(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A table indexed by token holds each one's first position, so the tokens
     must lie below ``tokens.size``; larger ones are ranked by ``np.unique``
     first.  The table and the index have the dtype of the tokens, or of
-    their ranks: int32 whenever the token count is below 2**31, as the
-    ranks then are.
+    their ranks: :func:`index_dtype` of the token count, which bounds the
+    ranks.
     """
     n = tokens.size
     values = None
     if tokens.max() >= n:
         values, tokens = np.unique(tokens, return_inverse=True)
-        if n < _INT32_LIMIT:
-            tokens = tokens.astype(np.int32)
+        tokens = tokens.astype(index_dtype(n), copy=False)
     first = np.full(int(tokens.max()) + 1, n, dtype=tokens.dtype)
     np.minimum.at(first, tokens, np.arange(n, dtype=tokens.dtype))
     present = np.flatnonzero(first < n)
@@ -440,11 +457,6 @@ def save_edge_list(g: SparseGraph, sink: IO[str] | str | os.PathLike) -> None:
     is a fixed-width matrix of label, space, label, newline, from which a
     length mask keeps the real bytes.
     """
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            save_edge_list(g, fh)
-            return
-
     ids = g.vertex_ids or tuple(map(str, range(g.n_vertices)))
     encoded = [label.encode("utf-8") for label in ids]
     lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
@@ -460,19 +472,20 @@ def save_edge_list(g: SparseGraph, sink: IO[str] | str | os.PathLike) -> None:
     labels = table.view(f"V{width}")[:, 0]
     masks = present.view(f"V{width}")[:, 0]
 
-    def write_lines(u: np.ndarray, v: np.ndarray) -> None:
+    def write_lines(fh: IO[str], u: np.ndarray, v: np.ndarray) -> None:
         for start in range(0, u.size, _WRITE_CHUNK_ROWS):
             cu = u[start : start + _WRITE_CHUNK_ROWS]
             cv = v[start : start + _WRITE_CHUNK_ROWS]
             text, keep = np.empty(cu.size, line), np.empty(cu.size, line)
             text["u"], text["space"], text["v"], text["nl"] = labels[cu], _SP, labels[cv], _NL
             keep["u"], keep["space"], keep["v"], keep["nl"] = masks[cu], 1, masks[cv], 1
-            sink.write(str(text.view(np.uint8)[keep.view(np.bool_)], "utf-8"))
+            fh.write(str(text.view(np.uint8)[keep.view(np.bool_)], "utf-8"))
 
-    sink.write("# undirected edge list; leading 'v v' lines declare vertices\n")
-    loops = np.arange(g.n_vertices)
-    write_lines(loops, loops)
-    write_lines(*g._upper_ends())
+    with open_text(sink, "w") as fh:
+        fh.write("# undirected edge list; leading 'v v' lines declare vertices\n")
+        loops = np.arange(g.n_vertices)
+        write_lines(fh, loops, loops)
+        write_lines(fh, *g._upper_ends())
 
 
 def largest_connected_component(g: SparseGraph) -> SparseGraph:
@@ -505,8 +518,8 @@ def induced_subgraph(g: SparseGraph, vertices: Iterable[int] | np.ndarray) -> Sp
     """Restrict the adjacency to ``vertices`` (order preserved).
 
     ``vertex_ids`` of the result map back to the parent graph.  The CSR
-    ``indices`` and ``indptr`` are int32 whenever the counts fit (the slice
-    keeps the parent's index type, so only an int64 parent is narrowed).
+    ``indices`` and ``indptr`` have the :func:`index_dtype` of its vertex
+    and entry counts.
     """
     idx = np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices)
     idx = idx.astype(np.int64)
@@ -521,9 +534,9 @@ def induced_subgraph(g: SparseGraph, vertices: Iterable[int] | np.ndarray) -> Sp
     if np.any(ordered[1:] == ordered[:-1]):
         raise GraphError("vertex set contains duplicates")
     adj = g.adjacency[idx][:, idx].tocsr()
-    if adj.indices.dtype != np.int32 and max(adj.shape[0], adj.nnz) < 2**31:
-        adj.indices = adj.indices.astype(np.int32)
-        adj.indptr = adj.indptr.astype(np.int32)
+    index = index_dtype(adj.shape[0], adj.nnz)
+    adj.indices = adj.indices.astype(index, copy=False)
+    adj.indptr = adj.indptr.astype(index, copy=False)
     ids = None
     if g.vertex_ids is not None:
         ids = tuple(g.vertex_ids[int(i)] for i in idx)
@@ -611,10 +624,7 @@ def block_density(g: SparseGraph, part: VertexPartition) -> np.ndarray:
 
 def partition_to_csv(part: VertexPartition, ids: Iterable[str], sink: IO[str] | str | os.PathLike) -> None:
     """Write ``vertex_id,cluster`` rows with a header line."""
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            partition_to_csv(part, ids, fh)
-            return
-    sink.write("vertex_id,cluster\n")
-    for label, cluster in zip(ids, part.labels):
-        sink.write(f"{label},{int(cluster)}\n")
+    with open_text(sink, "w") as fh:
+        fh.write("vertex_id,cluster\n")
+        for label, cluster in zip(ids, part.labels):
+            fh.write(f"{label},{int(cluster)}\n")

@@ -18,6 +18,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .embedding import Embedding
+from .graph import open_text
 
 # scipy.spatial and scipy.cluster are imported where they are used: together
 # they add ~0.2 s to every process that imports this package, and only a pair
@@ -211,7 +212,10 @@ def _rbf(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     from scipy.spatial.distance import cdist
 
     kern = cdist(a, b, "sqeuclidean")
-    np.divide(kern, -(sigma**2), out=kern)
+    # at a tiny accepted bandwidth a distance over sigma**2 may round to
+    # -inf, whose exp is the kernel's correct 0
+    with np.errstate(over="ignore"):
+        np.divide(kern, -(sigma**2), out=kern)
     return np.exp(kern, out=kern)
 
 
@@ -581,7 +585,7 @@ class DissimilarityMatrix:
 
     statistics: np.ndarray
     p_values: np.ndarray | None
-    bandwidths: np.ndarray | None = None
+    bandwidths: np.ndarray
 
     @property
     def n_subgraphs(self) -> int:
@@ -724,13 +728,8 @@ def cluster_motifs(
 
 
 def matrix_to_csv(matrix: np.ndarray, sink, header: str | None = None) -> None:
-    import os
-
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            matrix_to_csv(matrix, fh, header)
-            return
-    if header:
-        sink.write(f"# {header}\n")
-    for row in np.atleast_2d(matrix):
-        sink.write(",".join(repr(float(v)) for v in row) + "\n")
+    with open_text(sink, "w") as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        for row in np.atleast_2d(matrix):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")

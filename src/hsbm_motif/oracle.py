@@ -195,7 +195,7 @@ def graph_from_edges_coo(
     """:func:`hsbm_motif.graph.graph_from_edges` through a COO matrix: the
     kept endpoints in both orientations, ``tocsr`` (which sums duplicates
     and sorts each row), then every entry set back to 1.  The index type
-    follows the builder's ``_INT32_LIMIT``, read at call time."""
+    is the builder's, :func:`hsbm_motif.graph.index_dtype`."""
     if n_vertices <= 0:
         raise GraphError("graph must have at least one vertex")
     u = np.asarray(edges_u, dtype=np.int64)
@@ -207,7 +207,7 @@ def graph_from_edges_coo(
     keep = u != v
     n_loops = int(np.count_nonzero(~keep))
     # scipy keeps the coordinates' index type
-    index = np.int32 if max(n_vertices, 2 * u.size) < _graph._INT32_LIMIT else np.int64
+    index = _graph.index_dtype(n_vertices, 2 * u.size)
     row = np.concatenate([u[keep], v[keep]], dtype=index, casting="same_kind")
     col = np.concatenate([v[keep], u[keep]], dtype=index, casting="same_kind")
     data = np.ones(row.size, dtype=np.uint8)

@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from .clustering import ClusterError, estimate_num_subgraphs, seeded_subspace_cluster
-from .embedding import EmbedError, Embedding, _scree_elbow, ase, project_to_sphere
+from .embedding import EmbedError, Embedding, ase, project_to_sphere, select_dimension
 from .graph import (
     GraphError,
     SparseGraph,
@@ -138,7 +138,10 @@ class HierarchyNode:
     :func:`detect_hierarchy`; nodes hold no graph of their own.  When the
     node was split, ``children`` partition its vertex set, ``motifs`` groups
     the children, and ``dissimilarity`` holds the pairwise statistics between
-    them.  A node that is not its motif's representative carries the
+    them.  The six split fields (those three, ``child_partition``,
+    ``block_matrix`` and ``block_weights``) are set together, so a node is
+    split exactly when ``children`` is non-empty.  ``depth`` is the length
+    of ``path``.  A node that is not its motif's representative carries the
     representative's child index in ``structure_from`` instead of its own
     subtree.  A degenerate node (``error`` set by one of the data errors
     listed in the module docstring) has no children and no split fields;
@@ -146,7 +149,6 @@ class HierarchyNode:
     """
 
     vertex_indices: np.ndarray
-    depth: int
     path: tuple[int, ...] = ()
     dim_used: int | None = None
     eigenvalues: np.ndarray | None = None
@@ -162,6 +164,10 @@ class HierarchyNode:
     @property
     def n_vertices(self) -> int:
         return int(self.vertex_indices.size)
+
+    @property
+    def depth(self) -> int:
+        return len(self.path)
 
     @property
     def is_representative(self) -> bool:
@@ -219,14 +225,14 @@ def estimate_block_matrix(
 def _solve(cfg: PipelineConfig, g: SparseGraph, depth: int) -> tuple[Embedding, int]:
     """The graph's one eigensolve and the node's own dimension: ``ase`` at
     the fixed dimension, or for ``"auto"`` at ``max_scree`` columns, whose
-    magnitudes give the dimension by :func:`select_dimension`'s rule."""
+    magnitudes give the dimension by :func:`select_dimension`."""
     wanted = cfg.top_dim if depth == 0 else cfg.sub_dim
     n = g.n_vertices
     if wanted != "auto":
         dim = min(int(wanted), n - 1)
         return ase(g, dim), dim
     solve = ase(g, min(cfg.max_scree, n - 1))
-    return solve, _scree_elbow(solve.magnitudes)
+    return solve, select_dimension(solve.magnitudes)
 
 
 def _splits(cfg: PipelineConfig, n: int, dim: int, depth: int) -> bool:
@@ -255,7 +261,7 @@ def detect_hierarchy(g: SparseGraph, cfg: PipelineConfig) -> HierarchyNode:
 
     The run is a deterministic function of the graph and ``cfg.seed``.
     """
-    return _detect_node(g, np.arange(g.n_vertices, dtype=np.int64), cfg, depth=0, path=())
+    return _detect_node(g, np.arange(g.n_vertices, dtype=np.int64), cfg, path=())
 
 
 # data errors that mark a branch degenerate; anything else is a bug
@@ -273,23 +279,22 @@ def _detect_node(
     sub: SparseGraph,
     vertex_indices: np.ndarray,
     cfg: PipelineConfig,
-    depth: int,
     path: tuple[int, ...],
     solved: tuple[Embedding, int] | None = None,
 ) -> HierarchyNode:
     """Node for ``sub``, the subgraph on ``vertex_indices``.  ``solved`` is
     its ``(solve, dim)`` from :func:`_solve`, which the parent has already
     made for every node but the root; no node is embedded twice."""
-    node = HierarchyNode(vertex_indices=vertex_indices, depth=depth, path=path)
+    node = HierarchyNode(vertex_indices=vertex_indices, path=path)
     n = sub.n_vertices
     try:
         if solved is None:
             # a fixed dimension decides whether the root stops before any solve
             if cfg.top_dim != "auto" and not _splits(cfg, n, min(int(cfg.top_dim), n - 1), 0):
                 return node
-            solved = _solve(cfg, sub, depth)
+            solved = _solve(cfg, sub, node.depth)
         solve, dim = solved
-        if _splits(cfg, n, dim, depth):
+        if _splits(cfg, n, dim, node.depth):
             _split_node(sub, node, cfg, solve, dim)
     except _BRANCH_ERRORS as exc:
         node.error = f"node {node.name}: {exc}"
@@ -365,13 +370,10 @@ def _split_node(
     for c, idx in enumerate(child_indices):
         child_path = node.path + (c,)
         if c in reps.values():
-            child = _detect_node(
-                child_graphs[c], idx, cfg, node.depth + 1, child_path, child_solves[c]
-            )
+            child = _detect_node(child_graphs[c], idx, cfg, child_path, child_solves[c])
         else:
             child = HierarchyNode(
                 vertex_indices=idx,
-                depth=node.depth + 1,
                 path=child_path,
                 structure_from=reps[int(motifs.labels[c])],
             )
@@ -407,21 +409,18 @@ def hierarchy_report(root: HierarchyNode, cfg: PipelineConfig) -> dict:
             out["eigenvalues"] = [float(v) for v in node.eigenvalues]
         if node.error is not None:
             out["error"] = node.error
-        if node.motifs is not None:
+        if node.children:
             out["motif_labels"] = [int(l) for l in node.motifs.labels]
             out["motif_dendrogram"] = node.motifs.merges
-        if node.dissimilarity is not None:
             out["dissimilarity"] = node.dissimilarity.statistics.tolist()
             if node.dissimilarity.p_values is not None:
                 out["p_values"] = node.dissimilarity.p_values.tolist()
             out["bandwidths"] = node.dissimilarity.bandwidths.tolist()
-        if node.block_matrix is not None:
             out["block_matrix"] = [
                 [None if np.isnan(v) else float(v) for v in row]
                 for row in node.block_matrix
             ]
             out["block_weights"] = [float(v) for v in node.block_weights]
-        if node.children:
             out["children"] = [node_dict(c) for c in node.children]
         return out
 

@@ -69,7 +69,7 @@ def run_bench_trial(spec, trial: int) -> BenchTrial:
     # scree-selected dimension (second elbow, floored at the known subgraph
     # count): the weak within-subgraph contrast directions sit below this
     # graph's noise floor, and embedding into them degrades the sweep
-    d_hat = max(hm.select_dimension(graph, 30, elbow=2), 8)
+    d_hat = max(hm.select_dimension(hm.ase(graph, 30).magnitudes, elbow=2), 8)
     emb = hm.ase(graph, d_hat)
     part, _ = hm.seeded_subspace_cluster(emb.positions, 8, derive_rng(trial, "accept-cluster"))
     mis = hm.misclustering_rate(part, truth)
@@ -387,7 +387,7 @@ class TestCriterion8RealDataRecorded:
             pytest.skip("no connectome edge list supplied")
         graph = hm.load_edge_list(path)
         lcc = hm.largest_connected_component(graph)
-        d_hat = hm.select_dimension(lcc, min(40, lcc.n_vertices - 2))
+        d_hat = hm.select_dimension(hm.ase(lcc, min(40, lcc.n_vertices - 2)).magnitudes)
         emb = hm.project_to_sphere(hm.ase(lcc, d_hat))
         est = hm.estimate_num_subgraphs(
             emb.positions, max(d_hat, 8), 5, derive_rng(0, "fly-count")

@@ -206,7 +206,7 @@ def test_embed_makes_one_eigensolve(tmp_path, small_edges, eigensolve_widths, di
     graph = hsbm_motif.load_edge_list(small_edges)
     rows = (out / "scree.csv").read_text().splitlines()[1:]
     mags = np.array([float(row.split(",")[1]) for row in rows])
-    assert np.allclose(mags, hsbm_motif.scree(graph, 8), rtol=1e-12, atol=0)
+    assert np.allclose(mags, hsbm_motif.ase(graph, 8).magnitudes, rtol=1e-12, atol=0)
     emb, _ = hsbm_motif.embedding.embedding_from_csv(out / "embedding.csv")
     if dim != "auto":
         assert emb.dim == int(dim)

@@ -136,7 +136,7 @@ class TestSolveOnSharedIndices:
                 return _fn(a, kk)
 
             monkeypatch.setattr(embedding, name, solver)
-        values, vectors = embedding._top_eigenpairs(g, k, "d", "d")
+        emb = embedding.ase(g, k)
         monkeypatch.undo()
         (name, a), = seen
         ref = g.adjacency.astype(np.float64)
@@ -147,8 +147,9 @@ class TestSolveOnSharedIndices:
             ref_values, ref_vectors = embedding._sparse_eigs(ref, k)
         else:
             ref_values, ref_vectors = embedding._dense_eigs(ref.toarray(), k)
-        assert np.array_equal(values, ref_values)
-        assert np.array_equal(vectors, ref_vectors)
+        assert np.array_equal(emb.eigenvalues, ref_values)
+        ref_positions = embedding._fix_signs(ref_vectors) * np.sqrt(np.abs(ref_values))
+        assert np.array_equal(emb.positions, ref_positions)
 
 
 class TestLeadingColumns:
@@ -194,13 +195,15 @@ class TestLeadingColumns:
 
 
 class TestScree:
+    """An ``ase`` solve's magnitudes are its graph's scree."""
+
     def test_complete_graph_spectrum(self):
-        mags = hm.scree(complete_graph(4), 3)
+        mags = hm.ase(complete_graph(4), 3).magnitudes
         assert np.allclose(mags, [3.0, 1.0, 1.0])
 
     def test_descending(self):
         g = er_graph(70, 0.3, 1)
-        mags = hm.scree(g, 10)
+        mags = hm.ase(g, 10).magnitudes
         assert np.all(np.diff(mags) <= 1e-12)
 
     def test_rank_two_model_has_gap_after_two(self):
@@ -208,9 +211,9 @@ class TestScree:
             np.array([[0.6, 0.1], [0.1, 0.5]]), 500, weights=np.array([0.5, 0.5])
         )
         g, _ = hm.sample_hsbm(spec, derive_rng(0, "gap"))
-        mags = hm.scree(g, 8)
+        mags = hm.ase(g, 8).magnitudes
         assert mags[1] / mags[2] > 3  # clear gap after index 2
-        assert hm.select_dimension(g, 8) == 2
+        assert hm.select_dimension(mags) == 2
 
 
 class TestProfileLikelihoodElbow:
@@ -274,13 +277,19 @@ class TestSelectDimension:
         ring = hm.graph_from_edges(4, np.array([0, 1, 2, 3]), np.array([1, 2, 3, 0]))
         # C4 spectrum: 2, 0, 0, -2 -> top-2 magnitudes (2, 2): flat
         with pytest.warns(UserWarning, match="flat"):
-            assert hm.select_dimension(ring, 2) == 1
+            assert hm.select_dimension(hm.ase(ring, 2).magnitudes) == 1
+
+    def test_reads_a_given_magnitude_profile(self):
+        values = [10.0, 9.5, 1.0, 0.9, 0.8, 0.7, 0.6]
+        assert hm.select_dimension(values) == profile_likelihood_elbow(np.array(values)) == 2
+        with pytest.raises(EmbedError, match="non-empty"):
+            hm.select_dimension([])
 
     def test_benchmark_sample_scree_shape(self, bench_sample):
         # the precise gap location is recorded by scripts/benchmark_study.py,
         # not asserted; here only the head/plateau shape is checked
         graph, _ = bench_sample
-        mags = hm.scree(graph, 30)
+        mags = hm.ase(graph, 30).magnitudes
         assert mags[0] > 4 * mags[-1]  # strong structure above the noise floor
         assert mags[20] / mags[29] < 1.1  # flat noise plateau at the tail
 

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsbm_motif as hm
+from hsbm_motif import graph as graph_module
 from hsbm_motif.generate import GeneratorError, LatentPositions, SpecError
 from hsbm_motif.oracle import sample_rdpg_via_edges
 from hsbm_motif.seeding import derive_rng
@@ -224,6 +227,26 @@ class TestSampleRdpg:
         sparse = hm.sample_rdpg(lat, 0.25, derive_rng(1, "a"))
         ratio = sparse.n_edges / dense.n_edges
         assert 0.15 < ratio < 0.35
+
+
+class TestSampledIndexType:
+    """The sampler's columns and CSR follow ``graph.index_dtype``."""
+
+    @pytest.mark.parametrize("limit", ["vertices", "entries"])
+    def test_int64_below_the_limit(self, limit):
+        spec = single_leaf_spec(np.array([[0.5, 0.1], [0.1, 0.4]]), 150,
+                                weights=np.array([0.5, 0.5]))
+        lat = hm.build_latent_positions(spec, rng())
+        narrow = hm.sample_rdpg(lat, 1.0, derive_rng(3, "index"))
+        assert narrow.adjacency.indices.dtype == narrow.adjacency.indptr.dtype == np.int32
+        # below the vertex count, or above it and at the entry count
+        low = 1 if limit == "vertices" else narrow.adjacency.nnz
+        assert low == 1 or low > lat.n_vertices
+        with mock.patch.object(graph_module, "_INT32_LIMIT", low):
+            wide = hm.sample_rdpg(lat, 1.0, derive_rng(3, "index"))
+        assert wide.adjacency.indices.dtype == wide.adjacency.indptr.dtype == np.int64
+        assert np.array_equal(wide.adjacency.indptr, narrow.adjacency.indptr)
+        assert np.array_equal(wide.edge_array(), narrow.edge_array())
 
 
 def as_latents(x):

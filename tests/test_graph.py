@@ -29,6 +29,8 @@ from hsbm_motif.oracle import (
 
 from conftest import traced_peak
 
+INT32_MAX = int(np.iinfo(np.int32).max)
+
 
 def load(text: str) -> hm.SparseGraph:
     return hm.load_edge_list(io.StringIO(text))
@@ -339,10 +341,10 @@ class TestChunkedFormatScan:
 @st.composite
 def token_arrays(draw):
     """Non-negative tokens whose largest value is below, at or above their
-    count: int64 up to 18 digits, or int32 up to 2**31 - 1."""
+    count: int64 up to 18 digits, or int32 up to the largest int32."""
     n = draw(st.integers(1, 40))
     dtype = draw(st.sampled_from([np.int64, np.int32]))
-    huge = 10**18 - 1 if dtype == np.int64 else 2**31 - 1
+    huge = 10**18 - 1 if dtype == np.int64 else INT32_MAX
     top = draw(st.sampled_from([n - 1, n, 3 * n, huge]))
     return np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=dtype)
 
@@ -366,7 +368,7 @@ class TestFirstAppearance:
         # the table whenever it is no larger than the tokens
         assert sorted_first == (tokens.max() >= tokens.size)
         # the table keeps the tokens' dtype; ranks from np.unique narrow to
-        # int32, as fewer than 2**31 tokens have ranks below it
+        # int32, as a token count below the int32 limit bounds them
         assert index.dtype == (np.int32 if sorted_first else tokens.dtype)
 
     @pytest.mark.parametrize("top, sorted_first", [(5, False), (6, True)])
@@ -381,8 +383,8 @@ class TestFirstAppearance:
 
 class TestInt32Ids:
     @pytest.mark.parametrize("big, int32", [
-        (2**31 - 1, True),
-        (2**31, False),
+        (INT32_MAX, True),
+        (INT32_MAX + 1, False),
         (10**18 - 1, False),
     ])
     def test_ids_at_the_int32_limit_load_as_lines(self, tmp_path, big, int32):
@@ -835,6 +837,20 @@ class TestInt32Indices:
             assert int32_csr(sub)
             assert sub == hm.induced_subgraph(g, vertices)
             assert int32_csr(hm.induced_subgraph(g, vertices))
+
+    @pytest.mark.parametrize("vertices, limit, index", [
+        ([4, 3, 0, 1], 7, np.int32),  # 4 vertices, 2 * 3 entries
+        ([4, 3, 0, 1], 6, np.int64),
+        ([2], 2, np.int32),  # 1 vertex, no entries
+        ([2], 1, np.int64),
+    ])
+    def test_subgraph_follows_the_limit(self, vertices, limit, index):
+        g = load("0 1\n1 2\n2 0\n3 0\n3 4")
+        assert int32_csr(g)
+        with mock.patch.object(graph_module, "_INT32_LIMIT", limit):
+            sub = hm.induced_subgraph(g, vertices)
+        assert sub.adjacency.indptr.dtype == sub.adjacency.indices.dtype == index
+        assert sub == hm.induced_subgraph(g, vertices)
 
 
 class TestBlockDensity:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,10 +80,19 @@ class TestUnitDiagonal:
         a = rng.normal(size=(40, 3)) * scale
         a[5] = a[17]  # a duplicated row
         for sigma in self.BANDWIDTHS:
-            with np.errstate(over="ignore"):  # D / sigma**2 may round to inf: exp gives 0
-                kern = _rbf(a, a, KernelConfig(bandwidth=sigma).bandwidth)
+            kern = _rbf(a, a, KernelConfig(bandwidth=sigma).bandwidth)
             assert (kern.diagonal() == 1.0).all(), sigma
             assert np.isfinite(kern).all(), sigma
+
+    def test_tiny_bandwidth_does_not_warn(self):
+        # D / sigma**2 rounds to -inf off the diagonal, and exp(-inf) is the
+        # kernel's correct 0: no overflow warning may reach a caller
+        x, y = gaussian_pair(50, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = motifs.pair_test(x, y, KernelConfig(bandwidth=1e-160), 10,
+                                      derive_rng(0, "tiny"))
+        assert result == (0.0, 1e-160, 1.0)
 
     def test_accepted_range_ends(self):
         low, high = self.BANDWIDTHS[0], self.BANDWIDTHS[-1]
@@ -840,12 +850,13 @@ class TestClusterMotifs:
     def test_pvalue_source(self):
         stats = np.zeros((3, 3))
         pvals = np.array([[1.0, 0.9, 0.01], [0.9, 1.0, 0.02], [0.01, 0.02, 1.0]])
-        dm = hm.DissimilarityMatrix(statistics=stats, p_values=pvals)
+        dm = hm.DissimilarityMatrix(statistics=stats, p_values=pvals, bandwidths=np.ones((3, 3)))
         motifs = hm.cluster_motifs(dm, source="pvalue", n_motifs=2)
         assert motifs.labels[0] == motifs.labels[1] != motifs.labels[2]
 
     def test_pvalue_source_requires_pvalues(self):
-        dm = hm.DissimilarityMatrix(statistics=np.zeros((2, 2)), p_values=None)
+        dm = hm.DissimilarityMatrix(statistics=np.zeros((2, 2)), p_values=None,
+                                    bandwidths=np.ones((2, 2)))
         with pytest.raises(MotifError):
             hm.cluster_motifs(dm, source="pvalue")
 

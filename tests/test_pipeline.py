@@ -356,3 +356,23 @@ class TestReport:
         paths = {path for _, path in rows}
         assert paths == {"0", "1"}
         json.dumps(report)  # serializable
+
+    def test_split_keys_written_together_and_depth_from_path(self):
+        g, _ = two_group_graph(300)
+        cfg = hm.PipelineConfig(top_dim=2, sub_dim=2, n_subgraphs=2, n_motifs=2,
+                                n_bootstrap=5, min_cluster_size=120, max_depth=2, seed=0)
+        root = hm.detect_hierarchy(g, cfg)
+        split = ["motif_labels", "motif_dendrogram", "dissimilarity", "p_values",
+                 "bandwidths", "block_matrix", "block_weights", "children"]
+
+        def check(node, out):
+            assert node.depth == len(node.path) == out["depth"]
+            keys = [k for k in out if k in split]
+            assert keys == (split if node.children else [])
+            for child, child_out in zip(node.children, out.get("children", [])):
+                check(child, child_out)
+
+        check(root, hierarchy_report(root, cfg)["tree"])
+        nodes = list(root.walk())
+        assert any(n.children for n in nodes) and not all(n.children for n in nodes)
+        assert hm.HierarchyNode(vertex_indices=np.arange(3), path=(1, 0)).depth == 2
