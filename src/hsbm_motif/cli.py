@@ -36,6 +36,7 @@ from .generate import builtin_spec_path, load_spec, sample_hsbm
 from .graph import (
     largest_connected_component,
     load_edge_list,
+    open_text,
     partition_to_csv,
     save_edge_list,
 )
@@ -56,6 +57,14 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _write_json(path, data) -> None:
+    """``data`` as strict JSON (a NaN or infinity is refused before the file
+    is opened), indented 2, with a trailing newline."""
+    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
+    with open_text(path, "w") as fh:
+        fh.write(text)
 
 
 class Manifest:
@@ -111,9 +120,7 @@ class Manifest:
 
     def write(self) -> None:
         self.data["timings_s"]["total"] = round(time.time() - self._t0, 3)
-        with open(self.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=2)
-            fh.write("\n")
+        _write_json(self.out_dir / "manifest.json", self.data)
 
 
 def _int_or_auto(text: str):
@@ -144,7 +151,7 @@ def cmd_generate(args) -> int:
     save_edge_list(graph, edges_path)
 
     labels_path = manifest.output("labels.csv")
-    with open(labels_path, "w", encoding="utf-8") as fh:
+    with open_text(labels_path, "w") as fh:
         fh.write("vertex_id,subgraph,block,path\n")
         top = latents.top_level_labels()
         for v in range(latents.n_vertices):
@@ -158,6 +165,8 @@ def cmd_generate(args) -> int:
 
 def cmd_embed(args) -> int:
     manifest = Manifest("embed", args)
+    if args.scree_m < 1:
+        raise ValueError(f"--scree-m must be an integer >= 1, got {args.scree_m}")
     manifest.add_input(args.graph)
     graph = load_edge_list(args.graph)
     if args.lcc:
@@ -169,14 +178,12 @@ def cmd_embed(args) -> int:
             )
     manifest.stage("load")
 
-    if args.scree_m < 1:
-        raise ValueError(f"--scree-m must be an integer >= 1, got {args.scree_m}")
     m = min(args.scree_m, graph.n_vertices - 1)
     dim = None if args.dim == "auto" else int(args.dim)
     # one solve serves both outputs; an out-of-range --dim fails in it with ase's error
     solve = ase(graph, m if dim is None or 1 <= dim <= m else dim)
     mags = solve.magnitudes[:m]
-    with open(manifest.output("scree.csv"), "w", encoding="utf-8") as fh:
+    with open_text(manifest.output("scree.csv"), "w") as fh:
         fh.write("index,magnitude\n")
         for i, v in enumerate(mags, start=1):
             fh.write(f"{i},{repr(float(v))}\n")
@@ -198,6 +205,8 @@ def cmd_embed(args) -> int:
 
 def cmd_cluster(args) -> int:
     manifest = Manifest("cluster", args)
+    if args.mc < 1:
+        raise ValueError(f"--mc must be an integer >= 1, got {args.mc}")
     manifest.add_input(args.embedding)
     emb, ids = embedding_from_csv(args.embedding)
     manifest.stage("load")
@@ -219,7 +228,8 @@ def cmd_cluster(args) -> int:
         part, seeds = seeded_subspace_cluster(emb.positions, r, derive_rng(args.seed, "cluster"))
     part_path = manifest.output("partition.csv")
     partition_to_csv(part, ids, part_path)
-    manifest.data["config"]["max_pair_dot"] = seeds.max_pair_dot
+    # one seed has no pair, and no max_pair_dot (NaN): written as null
+    manifest.data["config"]["max_pair_dot"] = None if seeds.size < 2 else seeds.max_pair_dot
     manifest.stage("cluster")
     manifest.write()
     print(f"clustered {part.n_vertices} vertices into {r} subgraphs -> {part_path}")
@@ -253,9 +263,7 @@ def cmd_test(args) -> int:
         "n": x.shape[0],
         "m": y.shape[0],
     }
-    with open(manifest.output("test.json"), "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest.output("test.json"), result)
     manifest.write()
     print(json.dumps(result))
     return 0
@@ -268,14 +276,14 @@ def cmd_detect(args) -> int:
     with manifest.capture_warnings():
         if args.config:
             manifest.add_input(args.config)
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open_text(args.config) as fh:
                 cfg = config_from_dict(json.load(fh))
         else:
             cfg = PipelineConfig()
         overrides = {
             f.name: getattr(args, f.name)
             for f in dataclasses.fields(cfg)
-            if getattr(args, f.name, None) is not None
+            if getattr(args, f.name) is not None
         }
         cfg = dataclasses.replace(cfg, **overrides)
     manifest.add_input(args.graph)
@@ -295,11 +303,9 @@ def cmd_detect(args) -> int:
 
     report = hierarchy_report(root, cfg)
     tree_path = manifest.output("hierarchy.json")
-    with open(tree_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(tree_path, report)
 
-    with open(manifest.output("assignments.csv"), "w", encoding="utf-8") as fh:
+    with open_text(manifest.output("assignments.csv"), "w") as fh:
         fh.write("vertex_id,path\n")
         for vid, path in vertex_assignments(root, graph):
             fh.write(f"{vid},{path}\n")
@@ -331,11 +337,11 @@ def cmd_report(args) -> int:
     if not tree_path.is_file():
         print(f"error: {tree_path} not found (run `hsbm-motif detect` first)", file=sys.stderr)
         return 1
-    with open(tree_path, "r", encoding="utf-8") as fh:
+    with open_text(tree_path) as fh:
         report = json.load(fh)
     html = _render_html(report)
     out_path = Path(args.out) if args.out else run_dir / "report.html"
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open_text(out_path, "w") as fh:
         fh.write(html)
     print(f"wrote {out_path}")
     return 0
@@ -416,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", required=True, help="directory for artifacts + manifest")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="root seed of every random stream")
 
     p = sub.add_parser("generate", help="sample a graph from a model description")
     p.add_argument("spec", help="model JSON path, or builtin:<name>")
@@ -453,19 +459,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge list path")
     p.add_argument("--config", help="pipeline config JSON (CLI flags override)")
     # the dest of every flag but --config and --out-dir is the PipelineConfig
-    # field it sets; a flag not given is None and keeps the file's value
-    p.add_argument("--D", dest="top_dim", type=_int_or_auto, help="top-level embedding dim")
-    p.add_argument("--d", dest="sub_dim", type=_int_or_auto, help="recursion embedding dim")
-    p.add_argument("--R", dest="n_subgraphs", type=_int_or_auto, help="subgraph count per round")
-    p.add_argument("--M", dest="n_motifs", type=int, help="motif count per round")
-    p.add_argument("--sigma", dest="bandwidth", type=_sigma)
-    p.add_argument("--bootstrap", dest="n_bootstrap", type=int)
-    p.add_argument("--min-cluster-size", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--sphere", dest="sphere_projection", action="store_true", default=None)
+    # field its help names; a flag not given is None and keeps the file's value
+    p.add_argument("--D", dest="top_dim", type=_int_or_auto, help="top_dim: root dim or 'auto'")
+    p.add_argument("--d", dest="sub_dim", type=_int_or_auto, help="sub_dim: deeper dim or 'auto'")
+    p.add_argument("--R", dest="n_subgraphs", type=_int_or_auto, help="n_subgraphs: count or 'auto'")
+    p.add_argument("--M", dest="n_motifs", type=int,
+                   help="n_motifs: motifs per split (default: cut at the largest gap)")
+    p.add_argument("--sigma", dest="bandwidth", type=_sigma, help="bandwidth: float or 'median'")
+    p.add_argument("--bootstrap", dest="n_bootstrap", type=int,
+                   help="n_bootstrap: permutation replicates per pair (0: no p-values)")
+    p.add_argument("--min-cluster-size", type=int,
+                   help="min_cluster_size: largest unsplit subgraph (default: 100 x its dim)")
+    p.add_argument("--max-depth", type=int, help="max_depth: depth at which splitting stops")
+    p.add_argument("--sphere", dest="sphere_projection", action="store_true", default=None,
+                   help="sphere_projection: project rows onto the unit sphere")
     common(p)
     p.add_argument("--threads", type=int,
-                   help="pairwise tests run in parallel (default: the config file's, else 1)")
+                   help="threads: parallel pair tests (default: the config file's, else 1)")
     p.set_defaults(func=cmd_detect, seed=None)
 
     p = sub.add_parser("report", help="render a static HTML summary of a detect run")

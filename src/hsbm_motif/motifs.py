@@ -4,8 +4,7 @@ Two subgraphs belong to the same motif when their latent distributions agree
 up to an orthogonal transformation.  The statistic below is the unbiased
 Gaussian-kernel maximum mean discrepancy between the two embeddings;
 permutation re-splits of the pooled rows supply p-values, and agglomerative
-clustering of the pairwise statistic (or p-value) matrix groups subgraphs
-into motifs.
+clustering of the pairwise statistic matrix groups subgraphs into motifs.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -672,26 +671,19 @@ class MotifAssignment:
 
 def cluster_motifs(
     dissimilarity: DissimilarityMatrix | np.ndarray,
-    source: Literal["statistic", "pvalue"] = "statistic",
     n_motifs: int | None = None,
 ) -> MotifAssignment:
     """Average-linkage agglomerative clustering of subgraphs into motifs.
 
-    ``source="pvalue"`` clusters ``1 - p`` instead of the raw statistics.
-    The tree is cut into ``n_motifs`` clusters when that is given, else
-    through the largest gap between consecutive merge heights.  Labels
-    are renumbered in order of first appearance, so any relabeling of the
-    input subgraphs permutes the output labels accordingly.
+    A :class:`DissimilarityMatrix` is clustered on its statistics.  The
+    tree is cut into ``n_motifs`` clusters when that is given, else through
+    the largest gap between consecutive merge heights.  Labels are
+    renumbered in order of first appearance, so any relabeling of the input
+    subgraphs permutes the output labels accordingly.
     """
     if isinstance(dissimilarity, DissimilarityMatrix):
-        if source == "pvalue":
-            if dissimilarity.p_values is None:
-                raise MotifError("p-value clustering requested but no p-values present")
-            mat = 1.0 - dissimilarity.p_values
-        else:
-            mat = dissimilarity.statistics
-    else:
-        mat = np.asarray(dissimilarity, dtype=np.float64)
+        dissimilarity = dissimilarity.statistics
+    mat = np.asarray(dissimilarity, dtype=np.float64)
     r = mat.shape[0]
     if mat.shape != (r, r) or not np.allclose(mat, mat.T, atol=1e-12):
         raise MotifError("dissimilarity matrix must be square and symmetric")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Literal
 
 import numpy as np
 
@@ -47,21 +46,27 @@ class PipelineError(ValueError):
     """Raised for invalid pipeline configurations."""
 
 
+# columns of the one solve behind an automatic dimension, and Monte-Carlo
+# repeats of the automatic subgraph count
+_SCREE_COLUMNS = 50
+_COUNT_REPEATS = 5
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for one hierarchy-detection run.
+    """Knobs for one hierarchy-detection run: one field per ``detect`` flag.
 
     ``top_dim`` (D) is the embedding dimension at the root, ``sub_dim`` (d)
     the dimension used for community re-embeds and every deeper level;
-    either may be ``"auto"`` for scree-based selection.  ``n_subgraphs`` (R)
-    is the community count per round, or ``"auto"`` for the seed-overlap
-    estimate.  ``bandwidth`` is the pair tests' kernel width, as
-    :class:`~hsbm_motif.motifs.KernelConfig` takes it.  Motifs are cut from
-    the average-linkage tree of the pairwise statistics, or of ``1 - p``
-    with ``motif_source="pvalue"``, which needs ``n_bootstrap >= 1``.
-    Recursion stops when a subgraph has at most ``min_cluster_size``
-    vertices (default: 100x the embedding dimension of the node) or at
-    ``max_depth``.
+    either may be ``"auto"`` for selection from a 50-column scree.
+    ``n_subgraphs`` (R) is the community count per round, or ``"auto"`` for
+    the seed-overlap estimate.  ``bandwidth`` is the pair tests' kernel
+    width, as :class:`~hsbm_motif.motifs.KernelConfig` takes it, and
+    ``n_bootstrap`` the permutation replicates behind each pair's p-value.
+    Motifs are cut from the average-linkage tree of the pairwise
+    statistics.  Recursion stops when a subgraph has at most
+    ``min_cluster_size`` vertices (default: 100x the embedding dimension of
+    the node) or at ``max_depth``.
     """
 
     top_dim: int | str = "auto"
@@ -73,9 +78,6 @@ class PipelineConfig:
     sphere_projection: bool = False
     min_cluster_size: int | None = None
     max_depth: int = 4
-    n_mc: int = 5
-    max_scree: int = 50
-    motif_source: Literal["statistic", "pvalue"] = "statistic"
     seed: int = 0
     threads: int = 1
 
@@ -87,8 +89,7 @@ class PipelineConfig:
                     raise PipelineError(f"{name} must be an int or 'auto', got {value!r}")
             else:
                 _set_int(self, name, 1)
-        for name, low in (("max_depth", 1), ("n_bootstrap", 0), ("n_mc", 1),
-                          ("max_scree", 1), ("seed", 0), ("threads", 1)):
+        for name, low in (("max_depth", 1), ("n_bootstrap", 0), ("seed", 0), ("threads", 1)):
             _set_int(self, name, low)
         for name in ("n_motifs", "min_cluster_size"):
             if getattr(self, name) is not None:
@@ -103,12 +104,6 @@ class PipelineConfig:
         if not isinstance(self.bandwidth, str):
             # a numpy scalar would not survive json.dumps of the config
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        if self.motif_source not in ("statistic", "pvalue"):
-            raise PipelineError(
-                f"motif_source must be one of ('statistic', 'pvalue'), got {self.motif_source!r}"
-            )
-        if self.motif_source == "pvalue" and self.n_bootstrap == 0:
-            raise PipelineError("motif_source 'pvalue' needs p-values: set n_bootstrap >= 1")
         if not isinstance(self.sub_dim, str):
             if self.min_cluster_size is not None and self.min_cluster_size < 2 * self.sub_dim:
                 raise PipelineError(
@@ -224,14 +219,14 @@ def estimate_block_matrix(
 
 def _solve(cfg: PipelineConfig, g: SparseGraph, depth: int) -> tuple[Embedding, int]:
     """The graph's one eigensolve and the node's own dimension: ``ase`` at
-    the fixed dimension, or for ``"auto"`` at ``max_scree`` columns, whose
+    the fixed dimension, or for ``"auto"`` at ``_SCREE_COLUMNS`` columns, whose
     magnitudes give the dimension by :func:`select_dimension`."""
     wanted = cfg.top_dim if depth == 0 else cfg.sub_dim
     n = g.n_vertices
     if wanted != "auto":
         dim = min(int(wanted), n - 1)
         return ase(g, dim), dim
-    solve = ase(g, min(cfg.max_scree, n - 1))
+    solve = ase(g, min(_SCREE_COLUMNS, n - 1))
     return solve, select_dimension(solve.magnitudes)
 
 
@@ -314,7 +309,7 @@ def _split_node(
             est = estimate_num_subgraphs(
                 emb.positions,
                 d_hat=max(dim, 2),
-                n_mc=cfg.n_mc,
+                n_mc=_COUNT_REPEATS,
                 rng=derive_rng(cfg.seed, "count", node.key),
             )
         # re-issued with the node's path, so a caller can tell nodes apart
@@ -362,7 +357,7 @@ def _split_node(
         rng=derive_rng(cfg.seed, "test", node.key),
         threads=cfg.threads,
     )
-    motifs = cluster_motifs(dissimilarity, source=cfg.motif_source, n_motifs=cfg.n_motifs)
+    motifs = cluster_motifs(dissimilarity, n_motifs=cfg.n_motifs)
     child_indices = [node.vertex_indices[m] for m in members]
     reps = representative_subgraph(child_indices, motifs)
 

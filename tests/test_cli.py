@@ -255,29 +255,32 @@ def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
     (["generate", "{spec}", "--seed", "-1"], "root seed must be non-negative, got -1"),
     (["embed", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
     (["embed", "{edges}", "--scree-m", "0"], "--scree-m must be an integer >= 1, got 0"),
+    # a flag's own error comes before its input is read
+    (["embed", "{missing}", "--scree-m", "0"], "--scree-m must be an integer >= 1, got 0"),
     (["cluster", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+    (["cluster", "{missing}", "--mc", "0"], "--mc must be an integer >= 1, got 0"),
+    (["cluster", "{missing}", "--mc", "-2", "--num-subgraphs", "2"],
+     "--mc must be an integer >= 1, got -2"),
     (["test", "{missing}", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
     (["detect", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
     (["detect", "{missing}", "--threads", "0"], "threads must be an int >= 1, got 0"),
-    (["detect", "{edges}", "--config", "{pvalue}"],
-     "motif_source 'pvalue' needs p-values: set n_bootstrap >= 1"),
-    (["detect", "{edges}", "--config", "{removed}"],
-     "unknown pipeline config keys: ['align', 'kernel', 'linkage', 'motif_height']"),
+    (["detect", "{edges}", "--config", "{removed}"], "unknown pipeline config keys: {keys}"),
     # the config is settled before the graph is read
-    (["detect", "{missing}", "--config", "{removed}"],
-     "unknown pipeline config keys: ['align', 'kernel', 'linkage', 'motif_height']"),
+    (["detect", "{missing}", "--config", "{removed}"], "unknown pipeline config keys: {keys}"),
 ], ids=["generate-builtin", "generate-seed", "embed-missing", "embed-scree-m",
-        "cluster-missing", "test-missing", "detect-missing", "detect-threads",
-        "detect-pvalue-without-bootstrap", "detect-removed-keys", "detect-config-before-graph"])
+        "embed-scree-m-before-graph", "cluster-missing", "cluster-mc-before-embedding",
+        "cluster-fixed-count-mc-before-embedding", "test-missing", "detect-missing",
+        "detect-threads", "detect-removed-keys", "detect-config-before-graph"])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, small_spec, small_edges,
                                           argv, message):
     # the output directory is made at the first artifact, not before the input is read
     configs = {
-        "pvalue": {"motif_source": "pvalue"},
         "removed": {"align": True, "linkage": "average", "motif_height": None,
-                    "kernel": {"bandwidth": "median"}},
+                    "kernel": {"bandwidth": "median"}, "motif_source": "statistic",
+                    "max_scree": 50, "n_mc": 5},
     }
-    names = {"spec": small_spec, "edges": small_edges, "missing": tmp_path / "nope.txt"}
+    names = {"spec": small_spec, "edges": small_edges, "missing": tmp_path / "nope.txt",
+             "keys": sorted(configs["removed"])}
     for name, data in configs.items():
         names[name] = tmp_path / f"{name}.json"
         names[name].write_text(json.dumps(data))
@@ -285,6 +288,32 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, small_spec, small_ed
     assert main([a.format(**names) for a in argv] + ["--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.strip() == "error: " + message.format(**names)
     assert not out.exists()
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_single_subgraph_manifest_is_strict_json(tmp_path, small_edges):
+    # one seed has no seed pair: max_pair_dot is null, not NaN
+    emb = tmp_path / "emb"
+    assert main(["embed", str(small_edges), "--dim", "2", "--out-dir", str(emb)]) == 0
+    out = tmp_path / "clu"
+    assert main(["cluster", str(emb / "embedding.csv"), "--num-subgraphs", "1",
+                 "--out-dir", str(out)]) == 0
+    manifest = _strict_json((out / "manifest.json").read_text())
+    assert manifest["config"]["max_pair_dot"] is None
+
+
+def test_json_artifacts_refuse_non_finite(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(path, {"x": float("nan")})
+    assert not path.exists()
+    cli._write_json(path, {"x": 1.5})
+    assert path.read_text() == '{\n  "x": 1.5\n}\n'
 
 
 def test_test_dimension_mismatch_is_named(tmp_path, capsys):
@@ -385,12 +414,19 @@ def test_detect_flags_override_config_fields(tmp_path, small_spec, monkeypatch):
 
 
 def test_detect_flags_name_config_fields():
-    # a flag whose dest is not a field would be dropped without an error
+    # a flag whose dest is not a field would be dropped without an error,
+    # and a field no flag sets could only come from a config file
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in commands.choices["detect"]._actions}
+    actions = commands.choices["detect"]._actions
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-    assert dests - fields == {"help", "graph", "config", "out_dir"}
+    dests = [a.dest for a in actions]
+    assert sorted(d for d in dests if d in fields) == sorted(fields)
+    assert set(dests) - fields == {"help", "graph", "config", "out_dir"}
+    # each field's flag says in its help which field it sets
+    for action in actions:
+        if action.dest in fields:
+            assert action.help and action.dest in action.help, action.option_strings
 
 
 def test_detect_config_file_seed_and_threads_hold(tmp_path, small_spec):

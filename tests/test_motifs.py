@@ -847,18 +847,16 @@ class TestClusterMotifs:
             hm.VertexPartition.from_labels(b.labels),
         ) == 0
 
-    def test_pvalue_source(self):
-        stats = np.zeros((3, 3))
-        pvals = np.array([[1.0, 0.9, 0.01], [0.9, 1.0, 0.02], [0.01, 0.02, 1.0]])
-        dm = hm.DissimilarityMatrix(statistics=stats, p_values=pvals, bandwidths=np.ones((3, 3)))
-        motifs = hm.cluster_motifs(dm, source="pvalue", n_motifs=2)
-        assert motifs.labels[0] == motifs.labels[1] != motifs.labels[2]
-
-    def test_pvalue_source_requires_pvalues(self):
-        dm = hm.DissimilarityMatrix(statistics=np.zeros((2, 2)), p_values=None,
-                                    bandwidths=np.ones((2, 2)))
-        with pytest.raises(MotifError):
-            hm.cluster_motifs(dm, source="pvalue")
+    def test_dissimilarity_matrix_clustered_on_statistics(self):
+        # p-values, when present, play no part: the statistics alone decide
+        s, _ = self.ideal_matrix()
+        pvals = np.random.default_rng(0).uniform(size=s.shape)
+        dm = hm.DissimilarityMatrix(statistics=s, p_values=(pvals + pvals.T) / 2,
+                                    bandwidths=np.ones(s.shape))
+        for n_motifs in (None, 3):
+            a = hm.cluster_motifs(dm, n_motifs=n_motifs)
+            b = hm.cluster_motifs(s, n_motifs=n_motifs)
+            assert a.labels.tolist() == b.labels.tolist() and a.merges == b.merges
 
     def test_dendrogram_merge_list(self):
         s, _ = self.ideal_matrix()

@@ -49,13 +49,11 @@ class TestConfig:
         assert hm.PipelineConfig(threads=np.int64(2)).threads == 2
 
     @pytest.mark.parametrize("kwargs", [
-        {"n_mc": 0}, {"motif_source": "pval"}, {"max_scree": 0}, {"n_motifs": 0},
+        {"max_depth": 0}, {"n_subgraphs": "many"}, {"n_motifs": 2.5}, {"n_motifs": 0},
         {"top_dim": 2.7}, {"sub_dim": True}, {"n_subgraphs": 2.0}, {"n_bootstrap": -1},
         {"min_cluster_size": 0}, {"seed": -1}, {"seed": 1.5},
         {"bandwidth": 0.0}, {"bandwidth": "widest"}, {"bandwidth": float("inf")},
-        {"bandwidth": True}, {"bandwidth": None},
-        # p-value clustering without p-values is refused before any solve
-        {"motif_source": "pvalue", "n_bootstrap": 0},
+        {"bandwidth": True}, {"bandwidth": None}, {"min_cluster_size": True},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(PipelineError, match=next(iter(kwargs))):
@@ -66,8 +64,8 @@ class TestConfig:
     def test_numpy_integers_accepted(self):
         cfg = hm.PipelineConfig(top_dim=np.int64(8), sub_dim=np.int32(3),
                                 n_subgraphs=np.int64(4), n_motifs=np.int64(2),
-                                max_scree=np.int64(20), min_cluster_size=np.int64(6))
-        assert (cfg.top_dim, cfg.sub_dim, cfg.max_scree) == (8, 3, 20)
+                                max_depth=np.int64(20), min_cluster_size=np.int64(6))
+        assert (cfg.top_dim, cfg.sub_dim, cfg.max_depth) == (8, 3, 20)
         assert json.loads(json.dumps(config_dict(cfg)))["n_motifs"] == 2
         with pytest.raises(PipelineError, match="min_cluster_size"):
             hm.PipelineConfig(sub_dim=np.int64(4), min_cluster_size=5)
@@ -89,7 +87,8 @@ class TestConfig:
         # removed fields: a file that still holds one is refused
         for data in ({"verbosity": 3}, {"mode": "exact"}, {"align": True},
                      {"linkage": "average"}, {"motif_height": None},
-                     {"kernel": {"bandwidth": "median"}}):
+                     {"kernel": {"bandwidth": "median"}}, {"motif_source": "statistic"},
+                     {"max_scree": 50}, {"n_mc": 5}):
             with pytest.raises(PipelineError, match="unknown"):
                 config_from_dict(data)
 
@@ -283,7 +282,8 @@ class TestDetectHierarchy:
         tree = hm.InternalNode(children=leaves, weights=np.array([0.5, 0.5]),
                                cross_dot=0.02, sizes=(250, 350))
         g, _ = hm.sample_hsbm(hm.HsbmSpec(tree=tree, n_vertices=600), derive_rng(4, "sp"))
-        cfg = hm.PipelineConfig(top_dim=2, sub_dim=sub_dim, max_scree=8, n_subgraphs=2,
+        monkeypatch.setattr(pipeline, "_SCREE_COLUMNS", 8)
+        cfg = hm.PipelineConfig(top_dim=2, sub_dim=sub_dim, n_subgraphs=2,
                                 n_motifs=1, min_cluster_size=100, max_depth=2, seed=4)
         root = hm.detect_hierarchy(g, cfg)
         nodes = list(root.walk())
@@ -293,14 +293,15 @@ class TestDetectHierarchy:
         assert len(eigensolve_widths) == len(nodes) == 5
 
     @pytest.mark.parametrize("top_dim", [2, "auto"])
-    def test_root_that_stops_solves_only_for_auto(self, eigensolve_widths, top_dim):
+    def test_root_that_stops_solves_only_for_auto(self, monkeypatch, eigensolve_widths, top_dim):
+        monkeypatch.setattr(pipeline, "_SCREE_COLUMNS", 8)
         g, _ = two_group_graph(60)
-        cfg = hm.PipelineConfig(top_dim=top_dim, max_scree=8, min_cluster_size=100, seed=0)
+        cfg = hm.PipelineConfig(top_dim=top_dim, min_cluster_size=100, seed=0)
         root = hm.detect_hierarchy(g, cfg)
         assert root.children == [] and not root.degenerate
         assert eigensolve_widths == ([] if top_dim == 2 else [8])
 
-    def test_collapsed_sweep_warns(self):
+    def test_collapsed_sweep_warns(self, monkeypatch):
         # the 356-vertex representative child is swept into sizes [356, 0]
         leaves = (
             hm.LeafNode(block_matrix=np.array([[0.7, 0.1], [0.1, 0.5]]),
@@ -309,7 +310,8 @@ class TestDetectHierarchy:
         tree = hm.InternalNode(children=leaves, weights=np.array([0.5, 0.5]),
                                cross_dot=0.02, sizes=(250, 350))
         g, _ = hm.sample_hsbm(hm.HsbmSpec(tree=tree, n_vertices=600), derive_rng(4, "sp"))
-        cfg = hm.PipelineConfig(max_scree=8, n_subgraphs=2, n_motifs=1,
+        monkeypatch.setattr(pipeline, "_SCREE_COLUMNS", 8)
+        cfg = hm.PipelineConfig(n_subgraphs=2, n_motifs=1,
                                 min_cluster_size=100, max_depth=2, seed=4)
         with pytest.warns(UserWarning, match=r"node 0: .*R=2, cluster sizes \[356, 0\]"):
             root = hm.detect_hierarchy(g, cfg)
@@ -330,9 +332,10 @@ class TestDetectHierarchy:
         assert all(m.startswith("node ") for m in messages), messages
         assert {w.category for w in caught} == {UserWarning}
 
-    def test_auto_dimensions_smoke(self):
+    def test_auto_dimensions_smoke(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_SCREE_COLUMNS", 8)
         g, _ = two_group_graph(300)
-        cfg = hm.PipelineConfig(max_scree=8, n_subgraphs=2, n_motifs=2,
+        cfg = hm.PipelineConfig(n_subgraphs=2, n_motifs=2,
                                 min_cluster_size=120, max_depth=1, seed=2)
         root = hm.detect_hierarchy(g, cfg)
         assert root.dim_used is not None
