@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import hsbm_motif as hm
-from hsbm_motif.clustering import phi_statistic
+from hsbm_motif.clustering import phi_curve_to_csv
 from hsbm_motif.pipeline import hierarchy_report
 from hsbm_motif.seeding import derive_rng
 
@@ -49,20 +49,12 @@ def main() -> int:
     print(f"phi curve at the scree-selected dimension {d_hat}, k = 2..12, "
           f"{args.mc} repeats each")
     emb = hm.ase(graph, d_hat)
-    ks = np.arange(2, 13)
-    phi = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        vals = [
-            phi_statistic(emb.positions, int(k), derive_rng(args.seed, "study-phi", int(k), r))
-            for r in range(args.mc)
-        ]
-        phi[i] = np.mean(vals)
-    with open(out / "phi_curve.csv", "w") as fh:
-        fh.write("k,phi\n")
-        for k, v in zip(ks, phi):
-            fh.write(f"{int(k)},{float(v)!r}\n")
-    jump = int(ks[:-1][int(np.argmax(np.diff(phi)))])
-    print(f"  maximal increment between k={jump} and k={jump + 1}")
+    est = hm.estimate_num_subgraphs(emb.positions, 12, args.mc,
+                                    derive_rng(args.seed, "study-phi"))
+    phi_curve_to_csv(est, out / "phi_curve.csv")
+    jump = int(est.k_values[:-1][int(np.argmax(np.diff(est.phi)))])
+    print(f"  maximal increment between k={jump} and k={jump + 1}; "
+          f"estimated subgraph count {est.n_subgraphs}")
 
     print(f"full detection run (D={d_hat}, d=3, R=8, M=3)")
     cfg = hm.PipelineConfig(top_dim=d_hat, sub_dim=3, n_subgraphs=8, n_motifs=3,

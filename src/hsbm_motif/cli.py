@@ -23,15 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .clustering import estimate_num_subgraphs, phi_curve_to_csv, seeded_subspace_cluster
-from .embedding import (
-    ase,
-    embedding_from_csv,
-    embedding_to_csv,
-    project_to_sphere,
-    select_dimension,
-)
+from . import __version__, pipeline
+from .clustering import phi_curve_to_csv
+from .embedding import EmbedError, embedding_from_csv, embedding_to_csv
 from .generate import builtin_spec_path, load_spec, sample_hsbm
 from .graph import (
     largest_connected_component,
@@ -115,8 +109,7 @@ class Manifest:
         self._stage_t = now
 
     def record_seed(self, *labels) -> None:
-        if self.data["seed"] is not None:
-            self.data["seed_streams"].append(seed_record(self.data["seed"], *labels))
+        self.data["seed_streams"].append(seed_record(self.data["seed"], *labels))
 
     def write(self) -> None:
         self.data["timings_s"]["total"] = round(time.time() - self._t0, 3)
@@ -163,13 +156,25 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    manifest = Manifest("embed", args)
-    if args.scree_m < 1:
-        raise ValueError(f"--scree-m must be an integer >= 1, got {args.scree_m}")
-    manifest.add_input(args.graph)
-    graph = load_edge_list(args.graph)
-    if args.lcc:
+def _config(args, manifest: Manifest) -> PipelineConfig:
+    """The command's pipeline config, settled before any input is read:
+    detect's ``--config`` file if given, then the flags over it, each set on
+    the field its dest names unless it is None (not given)."""
+    with manifest.capture_warnings():
+        cfg = PipelineConfig()
+        if getattr(args, "config", None):
+            manifest.add_input(args.config)
+            with open_text(args.config) as fh:
+                cfg = config_from_dict(json.load(fh))
+        given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cfg)}
+        return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
+
+
+def _load_graph(manifest: Manifest, path: str, lcc: bool = True):
+    """The edge list at ``path``; with ``lcc``, its largest connected component."""
+    manifest.add_input(path)
+    graph = load_edge_list(path)
+    if lcc:
         before = graph.n_vertices
         graph = largest_connected_component(graph)
         if graph.n_vertices != before:
@@ -177,62 +182,61 @@ def cmd_embed(args) -> int:
                 f"restricted to largest connected component: {graph.n_vertices}/{before} vertices"
             )
     manifest.stage("load")
+    return graph
 
-    m = min(args.scree_m, graph.n_vertices - 1)
-    dim = None if args.dim == "auto" else int(args.dim)
-    # one solve serves both outputs; an out-of-range --dim fails in it with ase's error
-    solve = ase(graph, m if dim is None or 1 <= dim <= m else dim)
-    mags = solve.magnitudes[:m]
+
+def cmd_embed(args) -> int:
+    """Detect's root solve and embedding; refuses a --dim of n or more (detect clamps)."""
+    manifest = Manifest("embed", args)
+    cfg = _config(args, manifest)
+    graph = _load_graph(manifest, args.graph, lcc=args.lcc)
+    n = graph.n_vertices
+    if cfg.top_dim != "auto" and cfg.top_dim >= n:
+        raise EmbedError(f"embedding dimension must satisfy 1 <= d < n, got d={cfg.top_dim}, n={n}")
+
+    solve, dim = pipeline._solve(cfg, graph, 0)
     with open_text(manifest.output("scree.csv"), "w") as fh:
         fh.write("index,magnitude\n")
-        for i, v in enumerate(mags, start=1):
+        for i, v in enumerate(solve.magnitudes, start=1):
             fh.write(f"{i},{repr(float(v))}\n")
     manifest.stage("scree")
 
-    if dim is None:
-        dim = select_dimension(mags)
-    emb = solve.leading(dim)
-    if args.sphere:
-        emb = project_to_sphere(emb)
     emb_path = manifest.output("embedding.csv")
-    embedding_to_csv(emb, graph.ids_for(np.arange(graph.n_vertices)), emb_path)
+    embedding_to_csv(pipeline._embedding(cfg, solve, dim), graph.ids_for(np.arange(n)), emb_path)
     manifest.data["config"]["dim_used"] = dim
     manifest.stage("embed")
     manifest.write()
-    print(f"embedded {graph.n_vertices} vertices into dimension {dim} -> {emb_path}")
+    print(f"embedded {n} vertices into dimension {dim} -> {emb_path}")
     return 0
 
 
 def cmd_cluster(args) -> int:
+    """Detect's root count and sweep; the sweep refuses a count above the rows."""
     manifest = Manifest("cluster", args)
-    if args.mc < 1:
-        raise ValueError(f"--mc must be an integer >= 1, got {args.mc}")
+    cfg = _config(args, manifest)
     manifest.add_input(args.embedding)
     emb, ids = embedding_from_csv(args.embedding)
     manifest.stage("load")
 
+    root = pipeline.HierarchyNode(vertex_indices=np.arange(emb.n_vertices))
     with manifest.capture_warnings():
-        if args.num_subgraphs == "auto":
-            manifest.record_seed("count")
-            est = estimate_num_subgraphs(
-                emb.positions, d_hat=emb.dim, n_mc=args.mc, rng=derive_rng(args.seed, "count")
-            )
-            r = est.n_subgraphs
+        r = cfg.n_subgraphs
+        if r == "auto":
+            manifest.record_seed("count", root.key)
+            est = pipeline._estimate_count(cfg, emb.positions, root)
+            r = manifest.data["config"]["n_subgraphs_used"] = est.n_subgraphs
             phi_curve_to_csv(est, manifest.output("phi_curve.csv"))
-            manifest.data["config"]["n_subgraphs_used"] = r
-        else:
-            r = int(args.num_subgraphs)
         manifest.stage("estimate")
 
-        manifest.record_seed("cluster")
-        part, seeds = seeded_subspace_cluster(emb.positions, r, derive_rng(args.seed, "cluster"))
+        manifest.record_seed("cluster", root.key)
+        part, seeds = pipeline._sweep(cfg, emb.positions, r, root)
     part_path = manifest.output("partition.csv")
     partition_to_csv(part, ids, part_path)
     # one seed has no pair, and no max_pair_dot (NaN): written as null
     manifest.data["config"]["max_pair_dot"] = None if seeds.size < 2 else seeds.max_pair_dot
     manifest.stage("cluster")
     manifest.write()
-    print(f"clustered {part.n_vertices} vertices into {r} subgraphs -> {part_path}")
+    print(f"clustered {part.n_vertices} vertices into {part.n_clusters} subgraphs -> {part_path}")
     return 0
 
 
@@ -271,30 +275,8 @@ def cmd_test(args) -> int:
 
 def cmd_detect(args) -> int:
     manifest = Manifest("detect", args)
-    # the whole config is settled before the graph loads: the file, then
-    # the flags over it
-    with manifest.capture_warnings():
-        if args.config:
-            manifest.add_input(args.config)
-            with open_text(args.config) as fh:
-                cfg = config_from_dict(json.load(fh))
-        else:
-            cfg = PipelineConfig()
-        overrides = {
-            f.name: getattr(args, f.name)
-            for f in dataclasses.fields(cfg)
-            if getattr(args, f.name) is not None
-        }
-        cfg = dataclasses.replace(cfg, **overrides)
-    manifest.add_input(args.graph)
-    graph = load_edge_list(args.graph)
-    before = graph.n_vertices
-    graph = largest_connected_component(graph)
-    if graph.n_vertices != before:
-        manifest.warn(
-            f"restricted to largest connected component: {graph.n_vertices}/{before} vertices"
-        )
-    manifest.stage("load")
+    cfg = _config(args, manifest)
+    graph = _load_graph(manifest, args.graph)
 
     with manifest.capture_warnings():
         root = detect_hierarchy(graph, cfg)
@@ -429,19 +411,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("embed", help="spectral embedding + scree of an edge list")
+    # on embed, cluster and detect, the dest of every flag but --lcc,
+    # --config and --out-dir is the PipelineConfig field its help names
+    p = sub.add_parser("embed", help="detect's root embedding + scree of an edge list")
     p.add_argument("graph", help="edge list path")
-    p.add_argument("--dim", type=_int_or_auto, default="auto", help="int or 'auto'")
-    p.add_argument("--scree-m", type=int, default=50, help="scree length for auto selection")
-    p.add_argument("--sphere", action="store_true", help="project rows to the unit sphere")
+    p.add_argument("--dim", dest="top_dim", type=_int_or_auto, default="auto",
+                   help="top_dim: dimension, or 'auto' from a 50-column scree")
+    p.add_argument("--sphere", dest="sphere_projection", action="store_true",
+                   help="sphere_projection: project rows onto the unit sphere")
     p.add_argument("--lcc", action="store_true", help="restrict to the largest component")
     common(p)
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("cluster", help="seeded subspace clustering of an embedding")
+    p = sub.add_parser("cluster", help="detect's root count + seeded sweep of an embedding")
     p.add_argument("embedding", help="embedding CSV path")
-    p.add_argument("--num-subgraphs", type=_int_or_auto, default="auto", help="int or 'auto'")
-    p.add_argument("--mc", type=int, default=5, help="Monte Carlo repeats for auto count")
+    p.add_argument("--num-subgraphs", dest="n_subgraphs", type=_int_or_auto, default="auto",
+                   help="n_subgraphs: count, or 'auto' for the seed-overlap estimate")
     common(p)
     p.set_defaults(func=cmd_cluster)
 
@@ -458,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="full recursive hierarchy detection")
     p.add_argument("graph", help="edge list path")
     p.add_argument("--config", help="pipeline config JSON (CLI flags override)")
-    # the dest of every flag but --config and --out-dir is the PipelineConfig
-    # field its help names; a flag not given is None and keeps the file's value
     p.add_argument("--D", dest="top_dim", type=_int_or_auto, help="top_dim: root dim or 'auto'")
     p.add_argument("--d", dest="sub_dim", type=_int_or_auto, help="sub_dim: deeper dim or 'auto'")
     p.add_argument("--R", dest="n_subgraphs", type=_int_or_auto, help="n_subgraphs: count or 'auto'")

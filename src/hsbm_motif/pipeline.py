@@ -22,7 +22,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .clustering import ClusterError, estimate_num_subgraphs, seeded_subspace_cluster
+from .clustering import (
+    ClusterError,
+    SeedSet,
+    SubgraphCountEstimate,
+    estimate_num_subgraphs,
+    seeded_subspace_cluster,
+)
 from .embedding import EmbedError, Embedding, ase, project_to_sphere, select_dimension
 from .graph import (
     GraphError,
@@ -242,6 +248,38 @@ def _embedding(cfg: PipelineConfig, solve: Embedding, dim: int) -> Embedding:
     return emb
 
 
+def _estimate_count(
+    cfg: PipelineConfig, positions: np.ndarray, node: HierarchyNode
+) -> SubgraphCountEstimate:
+    """The automatic subgraph count of ``node``'s rows, over k = 2..max(columns,
+    2); its warnings are re-issued with the node's name, so a caller can tell
+    nodes apart."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = estimate_num_subgraphs(positions, max(positions.shape[1], 2), _COUNT_REPEATS,
+                                     derive_rng(cfg.seed, "count", node.key))
+    for w in caught:
+        warnings.warn(f"node {node.name}: {w.message}", w.category)
+    return est
+
+
+def _sweep(
+    cfg: PipelineConfig, positions: np.ndarray, r: int, node: HierarchyNode
+) -> tuple[VertexPartition, SeedSet]:
+    """The seeded sweep of ``node``'s rows into ``r`` clusters, less the
+    empty ones; a sweep that leaves fewer than two is warned about."""
+    part, seeds = seeded_subspace_cluster(positions, r, derive_rng(cfg.seed, "cluster", node.key))
+    sizes = part.sizes()
+    if sizes.min() == 0:
+        # the occupied clusters renumbered in order, so labels stay contiguous
+        index = np.cumsum(sizes > 0) - 1
+        part = VertexPartition(labels=index[part.labels], n_clusters=int(index[-1]) + 1)
+        if part.n_clusters < 2:
+            warnings.warn(f"node {node.name}: seeded sweep collapsed, requested R={r}, "
+                          f"cluster sizes {sizes.tolist()}; the node stays an unsplit leaf")
+    return part, seeds
+
+
 def detect_hierarchy(g: SparseGraph, cfg: PipelineConfig) -> HierarchyNode:
     """Recover the hierarchical community structure of ``g``.
 
@@ -304,37 +342,15 @@ def _split_node(
     node.eigenvalues = emb.eigenvalues
 
     if cfg.n_subgraphs == "auto":
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            est = estimate_num_subgraphs(
-                emb.positions,
-                d_hat=max(dim, 2),
-                n_mc=_COUNT_REPEATS,
-                rng=derive_rng(cfg.seed, "count", node.key),
-            )
-        # re-issued with the node's path, so a caller can tell nodes apart
-        for w in caught:
-            warnings.warn(f"node {node.name}: {w.message}", w.category)
-        r = est.n_subgraphs
+        r = _estimate_count(cfg, emb.positions, node).n_subgraphs
     else:
         r = min(int(cfg.n_subgraphs), sub.n_vertices)
     if r < 2:
         return  # nothing to split
 
-    part, _ = seeded_subspace_cluster(
-        emb.positions, r, derive_rng(cfg.seed, "cluster", node.key)
-    )
-    if not part.is_proper():
-        sizes = part.sizes().tolist()
-        # drop empty clusters; keep labels contiguous
-        occupied, labels = np.unique(part.labels, return_inverse=True)
-        part = VertexPartition(labels=labels, n_clusters=occupied.size)
-        if part.n_clusters < 2:
-            warnings.warn(
-                f"node {node.name}: seeded sweep collapsed, requested "
-                f"R={r}, cluster sizes {sizes}; the node stays an unsplit leaf"
-            )
-            return
+    part, _ = _sweep(cfg, emb.positions, r, node)
+    if part.n_clusters < 2:
+        return  # the sweep collapsed
     block_matrix, block_weights = estimate_block_matrix(sub, part)
 
     members = [part.members(c) for c in range(part.n_clusters)]

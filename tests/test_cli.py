@@ -11,7 +11,8 @@ import pytest
 import hsbm_motif
 from hsbm_motif import cli
 from hsbm_motif import graph as graph_module
-from hsbm_motif.cli import main
+from hsbm_motif import pipeline
+from hsbm_motif.cli import _int_or_auto, main
 from hsbm_motif.embedding import Embedding, embedding_from_csv, embedding_to_csv
 from hsbm_motif.motifs import (
     KernelConfig,
@@ -69,11 +70,12 @@ def test_generate_embed_cluster_test_detect_report(tmp_path, small_spec, capsys)
     assert part_lines[0] == "vertex_id,cluster"
     assert len(part_lines) == 151
 
-    # a 2-column embedding gives a one-point phi curve; its warning is kept
+    # a 2-column embedding gives a one-point phi curve; its warning is kept,
+    # named for the root as detect names it
     auto = tmp_path / "clu_auto"
     capsys.readouterr()
     assert main(["cluster", str(emb / "embedding.csv"), "--out-dir", str(auto), "--seed", "5"]) == 0
-    single = "phi curve has a single point; returning k=2"
+    single = "node root: phi curve has a single point; returning k=2"
     assert json.loads((auto / "manifest.json").read_text())["warnings"] == [single]
     assert capsys.readouterr().err == f"warning: {single}\n"
 
@@ -197,16 +199,19 @@ def small_edges(tmp_path, small_spec):
     return gen / "edges.txt"
 
 
-@pytest.mark.parametrize("dim, solved_at", [("auto", 8), ("3", 8), ("12", 12)])
-def test_embed_makes_one_eigensolve(tmp_path, small_edges, eigensolve_widths, dim, solved_at):
+@pytest.mark.parametrize("dim, solved_at", [("auto", 8), ("3", 3), ("12", 12)])
+def test_embed_makes_one_eigensolve(tmp_path, small_edges, eigensolve_widths, monkeypatch,
+                                    dim, solved_at):
+    # an automatic dimension is read from the scree solve, a fixed one is
+    # solved at its own width, and scree.csv lists the magnitudes of that solve
+    monkeypatch.setattr(pipeline, "_SCREE_COLUMNS", 8)
     out = tmp_path / "emb"
-    assert main(["embed", str(small_edges), "--dim", dim, "--scree-m", "8",
-                 "--out-dir", str(out)]) == 0
+    assert main(["embed", str(small_edges), "--dim", dim, "--out-dir", str(out)]) == 0
     assert eigensolve_widths == [solved_at]
     graph = hsbm_motif.load_edge_list(small_edges)
     rows = (out / "scree.csv").read_text().splitlines()[1:]
     mags = np.array([float(row.split(",")[1]) for row in rows])
-    assert np.allclose(mags, hsbm_motif.ase(graph, 8).magnitudes, rtol=1e-12, atol=0)
+    assert np.allclose(mags, hsbm_motif.ase(graph, solved_at).magnitudes, rtol=1e-12, atol=0)
     emb, _ = hsbm_motif.embedding.embedding_from_csv(out / "embedding.csv")
     if dim != "auto":
         assert emb.dim == int(dim)
@@ -216,12 +221,63 @@ def test_embed_makes_one_eigensolve(tmp_path, small_edges, eigensolve_widths, di
 
 @pytest.mark.parametrize("flags, message", [
     (["--dim", "150"], "embedding dimension must satisfy 1 <= d < n, got d=150, n=150"),
-    (["--dim", "0"], "embedding dimension must satisfy 1 <= d < n, got d=0, n=150"),
-    (["--dim", "2", "--scree-m", "0"], "--scree-m must be an integer >= 1, got 0"),
 ])
 def test_embed_bad_width_rejected(tmp_path, small_edges, capsys, flags, message):
     assert main(["embed", str(small_edges), *flags, "--out-dir", str(tmp_path / "e")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_cluster_auto_count_on_one_column_embedding(tmp_path, small_edges):
+    # detect's count rule sweeps k = 2..max(dim, 2), so one column is
+    # enough: a one-point phi curve, warned about as detect warns (and one
+    # column of one sign sweeps into one cluster, warned about too)
+    emb = tmp_path / "emb"
+    assert main(["embed", str(small_edges), "--dim", "1", "--out-dir", str(emb)]) == 0
+    out = tmp_path / "clu"
+    assert main(["cluster", str(emb / "embedding.csv"), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "node root: phi curve has a single point; returning k=2" in manifest["warnings"]
+    assert manifest["config"]["n_subgraphs_used"] == 2
+
+
+# an automatic dimension here is 2: a one-point phi curve, warned about
+@pytest.mark.filterwarnings("ignore:node root. phi curve has a single point")
+@pytest.mark.parametrize("sphere", [[], ["--sphere"]], ids=["plain", "sphere"])
+@pytest.mark.parametrize("count", ["3", "auto"])
+@pytest.mark.parametrize("dim", ["4", "auto"])
+def test_embed_then_cluster_reproduce_detect_root(tmp_path, small_edges, monkeypatch,
+                                                  dim, count, sphere):
+    # the two stage commands are detect's root step: the rows detect sweeps
+    # at its root, and the partition it splits the root by
+    seed = "4"
+    emb = tmp_path / "emb"
+    assert main(["embed", str(small_edges), "--dim", dim, *sphere, "--lcc",
+                 "--out-dir", str(emb), "--seed", seed]) == 0
+    clu = tmp_path / "clu"
+    assert main(["cluster", str(emb / "embedding.csv"), "--num-subgraphs", count,
+                 "--out-dir", str(clu), "--seed", seed]) == 0
+
+    swept = []
+
+    def record(points, r, rng, _fn=pipeline.seeded_subspace_cluster):
+        swept.append(points)
+        return _fn(points, r, rng)
+
+    monkeypatch.setattr(pipeline, "seeded_subspace_cluster", record)
+    graph = hsbm_motif.largest_connected_component(hsbm_motif.load_edge_list(small_edges))
+    cfg = PipelineConfig(top_dim=_int_or_auto(dim), n_subgraphs=_int_or_auto(count),
+                         sphere_projection=bool(sphere), min_cluster_size=10, max_depth=1,
+                         seed=int(seed))
+    root = hsbm_motif.detect_hierarchy(graph, cfg)
+    assert root.children and not root.degenerate
+
+    emb_read, ids = embedding_from_csv(emb / "embedding.csv")
+    assert ids == graph.ids_for(np.arange(graph.n_vertices))
+    assert np.array_equal(emb_read.positions, swept[0])
+    rows = (clu / "partition.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == list(ids)
+    labels = [int(row.split(",")[1]) for row in rows]
+    assert labels == root.child_partition.labels.tolist()
 
 
 def test_error_exit_code(tmp_path):
@@ -254,22 +310,21 @@ def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
     (["generate", "builtin:nope"], "no builtin model named 'nope'"),
     (["generate", "{spec}", "--seed", "-1"], "root seed must be non-negative, got -1"),
     (["embed", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
-    (["embed", "{edges}", "--scree-m", "0"], "--scree-m must be an integer >= 1, got 0"),
-    # a flag's own error comes before its input is read
-    (["embed", "{missing}", "--scree-m", "0"], "--scree-m must be an integer >= 1, got 0"),
+    # the config is settled before the input is read
+    (["embed", "{missing}", "--dim", "0"], "top_dim must be an int >= 1, got 0"),
     (["cluster", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
-    (["cluster", "{missing}", "--mc", "0"], "--mc must be an integer >= 1, got 0"),
-    (["cluster", "{missing}", "--mc", "-2", "--num-subgraphs", "2"],
-     "--mc must be an integer >= 1, got -2"),
+    (["cluster", "{missing}", "--num-subgraphs", "0"], "n_subgraphs must be an int >= 1, got 0"),
+    (["cluster", "{missing}", "--num-subgraphs", "-3"],
+     "n_subgraphs must be an int >= 1, got -3"),
     (["test", "{missing}", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
     (["detect", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
     (["detect", "{missing}", "--threads", "0"], "threads must be an int >= 1, got 0"),
     (["detect", "{edges}", "--config", "{removed}"], "unknown pipeline config keys: {keys}"),
     # the config is settled before the graph is read
     (["detect", "{missing}", "--config", "{removed}"], "unknown pipeline config keys: {keys}"),
-], ids=["generate-builtin", "generate-seed", "embed-missing", "embed-scree-m",
-        "embed-scree-m-before-graph", "cluster-missing", "cluster-mc-before-embedding",
-        "cluster-fixed-count-mc-before-embedding", "test-missing", "detect-missing",
+], ids=["generate-builtin", "generate-seed", "embed-missing", "embed-dim-zero-before-graph",
+        "cluster-missing", "cluster-count-zero-before-embedding",
+        "cluster-count-negative-before-embedding", "test-missing", "detect-missing",
         "detect-threads", "detect-removed-keys", "detect-config-before-graph"])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, small_spec, small_edges,
                                           argv, message):
@@ -429,6 +484,21 @@ def test_detect_flags_name_config_fields():
             assert action.help and action.dest in action.help, action.option_strings
 
 
+def test_stage_flags_name_config_fields():
+    # embed and cluster take their knobs as detect does: every value flag
+    # but --lcc, --out-dir and --seed sets the field its dest and help name
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    for command in ("embed", "cluster"):
+        flags = [a for a in commands.choices[command]._actions
+                 if a.option_strings and a.dest not in ("help", "lcc", "out_dir", "seed")]
+        assert flags, command
+        for action in flags:
+            assert action.dest in fields, (command, action.option_strings)
+            assert action.help and action.dest in action.help, (command, action.option_strings)
+
+
 def test_detect_config_file_seed_and_threads_hold(tmp_path, small_spec):
     # a config file's seed and threads hold unless --seed or --threads is given
     gen = tmp_path / "gen"
@@ -483,9 +553,13 @@ def test_bad_config_bandwidth_rejected(tmp_path, capsys, small_spec, bandwidth):
     ["test", "a", "b", "--threads", "2"],
     ["test", "a", "b", "--mode", "exact"],
     ["detect", "input", "--mode", "exact"],
-], ids=["generate", "embed", "cluster", "test", "test-mode", "detect-mode"])
+    ["embed", "input", "--scree-m", "8"],
+    ["cluster", "input", "--mc", "5"],
+], ids=["generate", "embed", "cluster", "test", "test-mode", "detect-mode",
+        "embed-scree-m", "cluster-mc"])
 def test_threads_flag_rejected_where_unused(tmp_path, capsys, argv):
-    # only detect runs pairs in parallel, and no command picks an estimator
+    # only detect runs pairs in parallel, no command picks an estimator, and
+    # the scree width and the count's repeats are detect's constants
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--out-dir", str(tmp_path / "x")])
     assert exit_info.value.code == 2

@@ -319,6 +319,23 @@ class TestDetectHierarchy:
         assert child.is_representative and child.n_vertices == 356
         assert child.children == [] and child.error is None and child.dim_used == 2
 
+    @pytest.mark.parametrize("labels, n_clusters", [
+        ([0, 2, 2, 0, 5], 6), ([3, 3, 1], 4), ([1, 0, 1], 5), ([4, 0, 2, 2, 4], 5),
+        ([0, 1, 1], 2),
+    ])
+    def test_sweep_drops_empty_clusters_in_order(self, monkeypatch, labels, n_clusters):
+        # the sweep's empty clusters go and the others keep their order:
+        # np.unique's labels, from a table of the cluster sizes
+        swept = hm.VertexPartition(labels, n_clusters)
+        monkeypatch.setattr(pipeline, "seeded_subspace_cluster",
+                            lambda points, r, rng: (swept, None))
+        node = pipeline.HierarchyNode(np.arange(len(labels)))
+        part, _ = pipeline._sweep(hm.PipelineConfig(), np.ones((len(labels), 2)),
+                                  n_clusters, node)
+        occupied, expected = np.unique(labels, return_inverse=True)
+        assert part.n_clusters == occupied.size and part.is_proper()
+        assert part.labels.tolist() == expected.tolist()
+
     def test_count_estimate_warnings_name_their_node(self):
         g, _ = two_group_graph(400)
         cfg = hm.PipelineConfig(top_dim=2, sub_dim=2, n_subgraphs="auto", n_motifs=1,
