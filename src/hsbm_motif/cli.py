@@ -34,7 +34,7 @@ from .graph import (
     partition_to_csv,
     save_edge_list,
 )
-from .motifs import KernelConfig, align_embeddings, matrix_to_csv, pair_test
+from .motifs import KernelConfig, matrix_to_csv, pair_test
 from .pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -241,21 +241,18 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_test(args) -> int:
+    """Detect's pair step on two embeddings: align, then test."""
     manifest = Manifest("test", args)
-    if args.bootstrap < 0:
-        raise ValueError(f"--bootstrap must be an integer >= 0, got {args.bootstrap}")
+    cfg = _config(args, manifest)
     manifest.add_input(args.embedding_a)
     manifest.add_input(args.embedding_b)
-    emb_a, _ = embedding_from_csv(args.embedding_a)
-    emb_b, _ = embedding_from_csv(args.embedding_b)
+    x = embedding_from_csv(args.embedding_a)[0].positions
+    y = embedding_from_csv(args.embedding_b)[0].positions
     manifest.stage("load")
 
-    x, y = emb_a.positions, emb_b.positions
-    if args.align:
-        y = y @ align_embeddings(x, y)
     manifest.record_seed("test")
     t_value, sigma, p_value = pair_test(
-        x, y, KernelConfig(bandwidth=args.sigma), args.bootstrap, derive_rng(args.seed, "test")
+        x, y, KernelConfig(bandwidth=cfg.bandwidth), cfg.n_bootstrap, derive_rng(cfg.seed, "test")
     )
     manifest.stage("test")
 
@@ -263,7 +260,6 @@ def cmd_test(args) -> int:
         "statistic": t_value,
         "p_value": p_value,
         "bandwidth": sigma,
-        "aligned": bool(args.align),
         "n": x.shape[0],
         "m": y.shape[0],
     }
@@ -411,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_generate)
 
-    # on embed, cluster and detect, the dest of every flag but --lcc,
+    # on embed, cluster, test and detect, the dest of every flag but --lcc,
     # --config and --out-dir is the PipelineConfig field its help names
     p = sub.add_parser("embed", help="detect's root embedding + scree of an edge list")
     p.add_argument("graph", help="edge list path")
@@ -430,13 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("test", help="kernel two-sample test between two embeddings")
+    p = sub.add_parser("test", help="detect's pair step: align two embeddings, then test")
     p.add_argument("embedding_a")
-    p.add_argument("embedding_b")
-    p.add_argument("--sigma", type=_sigma, default="median", help="float or 'median'")
-    p.add_argument("--bootstrap", type=int, default=200, help="permutation replicates, >= 0 (0 = skip)")
-    p.add_argument("--no-align", dest="align", action="store_false",
-                   help="skip the orthogonal pre-alignment")
+    p.add_argument("embedding_b", help="embedding rotated onto embedding_a before the test")
+    p.add_argument("--sigma", dest="bandwidth", type=_sigma, default="median",
+                   help="bandwidth: kernel width, float or 'median'")
+    p.add_argument("--bootstrap", dest="n_bootstrap", type=int, default=200,
+                   help="n_bootstrap: permutation replicates (0: no p-value)")
     common(p)
     p.set_defaults(func=cmd_test)
 

@@ -156,7 +156,7 @@ def estimate_num_subgraphs(
 ) -> SubgraphCountEstimate:
     """Estimate the number of subspace cones among the rows of ``points``.
 
-    For each candidate count k = 2..d_hat, the sweep of
+    For each candidate count k = 2..min(d_hat, rows), the sweep of
     :func:`phi_statistic` runs ``n_mc`` times with independent seeds and the
     results are averaged into a curve phi(k).  The curve stays small while
     k does not exceed the true count and jumps once two seeds must share a
@@ -164,12 +164,15 @@ def estimate_num_subgraphs(
     located by the same profile-likelihood elbow applied to the curve's
     increments sorted descending: increments classified into the head
     ("large") group mark jumps, and the smallest k owning one is returned.
+    Fewer than two rows leave no k to try and are refused.
     """
     if n_mc < 1:
         raise ClusterError(f"n_mc must be >= 1, got {n_mc}")
     if d_hat < 2:
         raise ClusterError(f"d_hat must be >= 2, got {d_hat}")
     pts = np.asarray(points, dtype=np.float64)
+    if pts.shape[0] < 2:
+        raise ClusterError(f"the count estimate needs at least two rows, got {pts.shape[0]}")
     d_hat = min(d_hat, pts.shape[0])
     ks = np.arange(2, d_hat + 1)
     sub_seeds = rng.integers(0, 2**63 - 1, size=(len(ks), n_mc))

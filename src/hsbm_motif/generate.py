@@ -241,10 +241,6 @@ class LatentPositions:
         _, first = np.unique(self.block_labels, return_index=True)
         return self.positions[np.sort(first)]
 
-    def max_dot(self) -> float:
-        rows = self.distinct_rows()
-        return float((rows @ rows.T).max())
-
 
 def _psd_sqrt(b: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix; eigenvalues in [-1e-10, 0]
@@ -353,6 +349,14 @@ def build_latent_positions(spec: HsbmSpec, rng: np.random.Generator) -> LatentPo
 _SAMPLE_CHUNK = 512
 
 
+def _check_probabilities(probs: np.ndarray) -> None:
+    """Refuse edge probabilities above ``1 + 1e-12`` or below ``-1e-9``;
+    rounding leaves the products of valid positions inside those."""
+    low, top = probs.min(), probs.max()
+    if top > 1 + 1e-12 or low < -1e-9:
+        raise GeneratorError(f"edge probability out of [0, 1]: range [{low}, {top}]")
+
+
 def sample_rdpg(
     latents: LatentPositions | np.ndarray,
     sparsity: float,
@@ -374,28 +378,15 @@ def sample_rdpg(
     strictly-upper hits.  Those come out of ``nonzero`` row-major with
     sorted columns, so per-row counts and the columns are the
     strictly-upper CSR as they are; the adjacency is that CSR plus its
-    transpose, with no edge arrays, COO or index sort in between.
-
-    Raw positions with n <= 4096 are checked up front: the largest entry
-    of the Gram matrix is the largest over the same upper row blocks
-    ``x[s:e] @ x[s:].T``, one at a time, not of the full n x n product.
+    transpose, with no edge arrays, COO or index sort in between.  Each
+    chunk's probabilities are checked by :func:`_check_probabilities` before
+    they are compared, so positions with a pair out of range are refused at
+    the first chunk that holds it.
     """
     x = latents.positions if isinstance(latents, LatentPositions) else np.asarray(latents)
     n = x.shape[0]
     if n == 0:
         raise GeneratorError("latent positions have no rows: a graph needs a vertex")
-    if isinstance(latents, LatentPositions):
-        top = sparsity * latents.max_dot()
-    elif n <= 4096:
-        top = sparsity * max(
-            float((x[start : start + _SAMPLE_CHUNK] @ x[start:].T).max())
-            for start in range(0, n, _SAMPLE_CHUNK)
-        )
-    else:
-        top = None
-    if top is not None and top > 1 + 1e-12:
-        raise GeneratorError(f"edge probability {top} exceeds 1")
-
     counts = np.zeros(n + 1, dtype=np.int64)
     cols: list[np.ndarray] = []
     column = index_dtype(n)
@@ -412,10 +403,7 @@ def sample_rdpg(
         # in place, and not at all for 1.0: the bits of sparsity * (x @ x.T)
         if sparsity != 1.0:
             probs *= sparsity
-        if probs.max() > 1 + 1e-9 or probs.min() < -1e-9:
-            raise GeneratorError(
-                f"edge probability out of [0, 1]: range [{probs.min()}, {probs.max()}]"
-            )
+        _check_probabilities(probs)
         for r, i in enumerate(range(start, stop)):
             if skips:
                 bits.advance(i + 1)

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .embedding import Embedding, _fix_signs, _order_by_magnitude
-from .generate import GeneratorError, LatentPositions
+from .generate import GeneratorError, LatentPositions, _check_probabilities
 from . import graph as _graph
 from .graph import _MAX_DIGITS, _NINE, _NL, _SP, _ZERO, GraphError, SparseGraph, VertexPartition, graph_from_edges
 from .motifs import _median
@@ -304,22 +304,12 @@ def sample_rdpg_via_edges(latents, sparsity: float, rng: np.random.Generator) ->
     n = x.shape[0]
     if n == 0:
         raise GeneratorError("latent positions have no rows: a graph needs a vertex")
-    if isinstance(latents, LatentPositions):
-        top = sparsity * latents.max_dot()
-    else:
-        top = sparsity * float((x @ x.T).max()) if n <= 4096 else None
-    if top is not None and top > 1 + 1e-12:
-        raise GeneratorError(f"edge probability {top} exceeds 1")
-
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     for start in range(0, n, 512):
         stop = min(start + 512, n)
         probs = sparsity * (x[start:stop] @ x.T)
-        if probs.max() > 1 + 1e-9 or probs.min() < -1e-9:
-            raise GeneratorError(
-                f"edge probability out of [0, 1]: range [{probs.min()}, {probs.max()}]"
-            )
+        _check_probabilities(probs)
         hits = rng.random(probs.shape) < probs
         local_i, local_j = np.nonzero(hits)
         global_i = local_i + start

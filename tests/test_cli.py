@@ -227,6 +227,17 @@ def test_embed_bad_width_rejected(tmp_path, small_edges, capsys, flags, message)
     assert message in capsys.readouterr().err
 
 
+def test_cluster_auto_count_on_one_row_embedding(tmp_path, capsys):
+    # one row leaves no count to try: the estimate refuses it by name
+    emb = tmp_path / "emb.csv"
+    embedding_to_csv(Embedding(positions=np.ones((1, 3)), eigenvalues=np.ones(3)), ("v",), emb)
+    out = tmp_path / "clu"
+    assert main(["cluster", str(emb), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: the count estimate needs at least two rows, got 1")
+    assert not out.exists()
+
+
 def test_cluster_auto_count_on_one_column_embedding(tmp_path, small_edges):
     # detect's count rule sweeps k = 2..max(dim, 2), so one column is
     # enough: a one-point phi curve, warned about as detect warns (and one
@@ -296,16 +307,6 @@ def test_bad_threads_rejected_before_load(tmp_path, capsys, flag, message):
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
-def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
-    # the embeddings do not exist: the bootstrap error must come first
-    missing = str(tmp_path / "nope.csv")
-    assert main(["test", missing, missing, "--bootstrap", "-5",
-                 "--out-dir", str(tmp_path / "t")]) == 1
-    assert capsys.readouterr().err.strip() == "error: --bootstrap must be an integer >= 0, got -5"
-    assert not (tmp_path / "t" / "test.json").exists()
-    assert not (tmp_path / "t").exists()
-
-
 @pytest.mark.parametrize("argv, message", [
     (["generate", "builtin:nope"], "no builtin model named 'nope'"),
     (["generate", "{spec}", "--seed", "-1"], "root seed must be non-negative, got -1"),
@@ -317,6 +318,10 @@ def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
     (["cluster", "{missing}", "--num-subgraphs", "-3"],
      "n_subgraphs must be an int >= 1, got -3"),
     (["test", "{missing}", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+    (["test", "{missing}", "{missing}", "--bootstrap", "-5"],
+     "n_bootstrap must be an int >= 0, got -5"),
+    (["test", "{missing}", "{missing}", "--sigma", "0"],
+     "bandwidth must be 'median' or a positive float with a finite, non-zero square, got 0.0"),
     (["detect", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
     (["detect", "{missing}", "--threads", "0"], "threads must be an int >= 1, got 0"),
     (["detect", "{edges}", "--config", "{removed}"], "unknown pipeline config keys: {keys}"),
@@ -324,7 +329,9 @@ def test_negative_bootstrap_rejected_before_load(tmp_path, capsys):
     (["detect", "{missing}", "--config", "{removed}"], "unknown pipeline config keys: {keys}"),
 ], ids=["generate-builtin", "generate-seed", "embed-missing", "embed-dim-zero-before-graph",
         "cluster-missing", "cluster-count-zero-before-embedding",
-        "cluster-count-negative-before-embedding", "test-missing", "detect-missing",
+        "cluster-count-negative-before-embedding", "test-missing",
+        "test-bootstrap-negative-before-embedding", "test-sigma-zero-before-embedding",
+        "detect-missing",
         "detect-threads", "detect-removed-keys", "detect-config-before-graph"])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, small_spec, small_edges,
                                           argv, message):
@@ -379,13 +386,12 @@ def test_test_dimension_mismatch_is_named(tmp_path, capsys):
         emb = Embedding(positions=rng.normal(size=(20, dim)), eigenvalues=np.ones(dim))
         embedding_to_csv(emb, tuple(map(str, range(20))), path)
         paths.append(str(path))
-    assert main(["test", *paths, "--no-align", "--out-dir", str(tmp_path / "t")]) == 1
+    assert main(["test", *paths, "--out-dir", str(tmp_path / "t")]) == 1
     assert capsys.readouterr().err.strip() == "error: dimension mismatch: 2 vs 3"
     assert not (tmp_path / "t" / "test.json").exists()
 
 
-@pytest.mark.parametrize("align", [[], ["--no-align"]], ids=["aligned", "no-align"])
-def test_test_non_finite_row_is_named(tmp_path, capsys, align):
+def test_test_non_finite_row_is_named(tmp_path, capsys):
     # a NaN row has a NaN kernel entry: no statistic or p-value is reported
     rng = np.random.default_rng(4)
     paths = []
@@ -398,7 +404,7 @@ def test_test_non_finite_row_is_named(tmp_path, capsys, align):
                          tuple(map(str, range(20))), path)
         paths.append(str(path))
     out = tmp_path / "t"
-    assert main(["test", *paths, *align, "--bootstrap", "20", "--sigma", "1.0",
+    assert main(["test", *paths, "--bootstrap", "20", "--sigma", "1.0",
                  "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.strip() == "error: samples must be finite"
     assert not out.exists()
@@ -430,8 +436,30 @@ def test_test_json_matches_inline_recipe(tmp_path, n_boot):
     p = None
     if n_boot:
         p = bootstrap_pvalue(x, y, fixed, n_boot=n_boot, rng=draw)
-    assert got == {"statistic": t, "p_value": p, "bandwidth": sigma,
-                   "aligned": True, "n": 60, "m": 47}
+    assert got == {"statistic": t, "p_value": p, "bandwidth": sigma, "n": 60, "m": 47}
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["bandwidth"], config["n_bootstrap"], config["seed"]) == ("median", n_boot, 9)
+    assert not {"sigma", "bootstrap", "align"} & set(config)
+
+
+def test_test_squared_distance_overflow_is_named(tmp_path, capsys):
+    # finite rows whose squared distances overflow: the alignment refuses
+    # them by name, with no RuntimeWarning and no LinAlgError
+    rng = np.random.default_rng(5)
+    paths = []
+    for k, rows in enumerate((30, 25)):
+        path = tmp_path / f"emb{k}.csv"
+        emb = Embedding(positions=rng.normal(size=(rows, 2)) * 1e155, eigenvalues=np.ones(2))
+        embedding_to_csv(emb, tuple(map(str, range(rows))), path)
+        paths.append(str(path))
+    out = tmp_path / "t"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["test", *paths, "--bootstrap", "10", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alignment needs finite squared distances: the largest row norms")
+    assert err.endswith(", whose square overflows\n")
+    assert not out.exists()
 
 
 def test_detect_flags_override_config_fields(tmp_path, small_spec, monkeypatch):
@@ -485,12 +513,12 @@ def test_detect_flags_name_config_fields():
 
 
 def test_stage_flags_name_config_fields():
-    # embed and cluster take their knobs as detect does: every value flag
-    # but --lcc, --out-dir and --seed sets the field its dest and help name
+    # embed, cluster and test take their knobs as detect does: every value
+    # flag but --lcc, --out-dir and --seed sets the field its dest and help name
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-    for command in ("embed", "cluster"):
+    for command in ("embed", "cluster", "test"):
         flags = [a for a in commands.choices[command]._actions
                  if a.option_strings and a.dest not in ("help", "lcc", "out_dir", "seed")]
         assert flags, command
@@ -546,24 +574,26 @@ def test_bad_config_bandwidth_rejected(tmp_path, capsys, small_spec, bandwidth):
     assert not (det / "hierarchy.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["generate", "input", "--threads", "2"],
-    ["embed", "input", "--threads", "2"],
-    ["cluster", "input", "--threads", "2"],
-    ["test", "a", "b", "--threads", "2"],
-    ["test", "a", "b", "--mode", "exact"],
-    ["detect", "input", "--mode", "exact"],
-    ["embed", "input", "--scree-m", "8"],
-    ["cluster", "input", "--mc", "5"],
+@pytest.mark.parametrize("argv, unused", [
+    (["generate", "input"], ["--threads", "2"]),
+    (["embed", "input"], ["--threads", "2"]),
+    (["cluster", "input"], ["--threads", "2"]),
+    (["test", "a", "b"], ["--threads", "2"]),
+    (["test", "a", "b"], ["--mode", "exact"]),
+    (["detect", "input"], ["--mode", "exact"]),
+    (["embed", "input"], ["--scree-m", "8"]),
+    (["cluster", "input"], ["--mc", "5"]),
+    (["test", "a", "b"], ["--no-align"]),
 ], ids=["generate", "embed", "cluster", "test", "test-mode", "detect-mode",
-        "embed-scree-m", "cluster-mc"])
-def test_threads_flag_rejected_where_unused(tmp_path, capsys, argv):
-    # only detect runs pairs in parallel, no command picks an estimator, and
-    # the scree width and the count's repeats are detect's constants
+        "embed-scree-m", "cluster-mc", "test-no-align"])
+def test_threads_flag_rejected_where_unused(tmp_path, capsys, argv, unused):
+    # only detect runs pairs in parallel, no command picks an estimator, the
+    # scree width and the count's repeats are detect's constants, and test
+    # always aligns, as detect's pair step does
     with pytest.raises(SystemExit) as exit_info:
-        main([*argv, "--out-dir", str(tmp_path / "x")])
+        main([*argv, *unused, "--out-dir", str(tmp_path / "x")])
     assert exit_info.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(unused)}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -155,6 +155,19 @@ class TestEstimateNumSubgraphs:
         with pytest.raises(ClusterError):
             hm.estimate_num_subgraphs(two_cones(), 4, 0, derive_rng(0, "e"))
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_refused(self, rows):
+        # no k in 2..min(d_hat, rows) to try: refused by name, not by the elbow
+        x = np.ones((rows, 3))
+        message = f"^the count estimate needs at least two rows, got {rows}$"
+        with pytest.raises(ClusterError, match=message):
+            hm.estimate_num_subgraphs(x, 3, 2, derive_rng(0, "e"))
+
+    def test_two_rows_give_one_point(self):
+        with pytest.warns(UserWarning, match="single point"):
+            est = hm.estimate_num_subgraphs(two_cones()[:2], 6, 2, derive_rng(0, "e"))
+        assert est.k_values.tolist() == [2]
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(6, 40))

@@ -250,7 +250,7 @@ class TestSampledIndexType:
 
 
 def as_latents(x):
-    """Every row its own block, so that max_dot looks at all of them."""
+    """Raw positions as latents, every row its own block."""
     n = x.shape[0]
     return LatentPositions(positions=x, block_labels=np.arange(n), paths=np.zeros((n, 0), int))
 
@@ -313,15 +313,16 @@ class TestSamplerMatchesEdgeOracle:
     def test_probability_above_one_raises(self):
         x = np.full((700, 1), 0.5)
         x[600] = 3.0
+        # latents whose block labels name one block: the check is on the
+        # products themselves, so the labels cannot hide the large row; the
+        # first chunk, rows 0-511, holds its products with them
+        hidden = LatentPositions(positions=x, block_labels=np.zeros(700, int),
+                                 paths=np.zeros((700, 0), int))
         for sampler in (hm.sample_rdpg, sample_rdpg_via_edges):
-            with pytest.raises(GeneratorError, match="exceeds 1"):
-                sampler(x, 1.0, rng())
-            # latents whose one block row hides the large one: the check on
-            # the products themselves still fires
-            hidden = LatentPositions(positions=x, block_labels=np.zeros(700, int),
-                                     paths=np.zeros((700, 0), int))
-            with pytest.raises(GeneratorError, match="out of"):
-                sampler(hidden, 1.0, rng())
+            for latents in (x, hidden):
+                with pytest.raises(GeneratorError) as refused:
+                    sampler(latents, 1.0, rng())
+                assert str(refused.value) == "edge probability out of [0, 1]: range [0.25, 1.5]"
 
     @staticmethod
     def refusal(sampler, x):
@@ -332,28 +333,31 @@ class TestSamplerMatchesEdgeOracle:
             return str(exc)
         return None
 
-    @pytest.mark.parametrize("n", [2, 511, 512, 513, 1300, 4096])
+    @pytest.mark.parametrize("n", [2, 511, 512, 513, 1300, 4096, 4097])
     def test_up_front_check_matches_full_gram(self, n):
-        # the largest Gram entry over the upper row blocks is the full
-        # Gram's, so positions scaled to either side of 1 + 1e-12 get the
-        # edge oracle's verdict and message
+        # each chunk's probabilities are checked before they are compared,
+        # and the largest over the chunks is the full Gram's: positions
+        # scaled to either side of 1 + 1e-12, raw or as latents, get the
+        # full Gram's verdict at every n, 4096 and 4097 alike, and both
+        # samplers name its largest entry
         local = np.random.default_rng(n)
         for d in (1, 3, 8):
             x = local.random((n, d))
             x /= np.sqrt((x @ x.T).max())
-            for scale in (1.0, 1 + 0.5e-12, 1 + 1e-12, 1 + 2e-12, 1 + 1e-9):
+            for scale in (1.0, 1 + 0.5e-12, 1 + 1e-12, 1 + 2e-12, 1 + 1e-10):
                 scaled = x * np.sqrt(scale)
                 top = float((scaled @ scaled.T).max())
-                ours = self.refusal(hm.sample_rdpg, scaled)
-                assert ours == self.refusal(sample_rdpg_via_edges, scaled)
-                assert (ours is not None) == (top > 1 + 1e-12)
-                if ours is not None:
-                    assert ours == f"edge probability {top} exceeds 1"
+                for latents in (scaled, as_latents(scaled)):
+                    for sampler in (hm.sample_rdpg, sample_rdpg_via_edges):
+                        refusal = self.refusal(sampler, latents)
+                        assert (refusal is not None) == (top > 1 + 1e-12), (d, scale)
+                        if refusal is not None:
+                            assert refusal.startswith("edge probability out of [0, 1]: range [")
+                            assert refusal.endswith(f", {top}]")
 
     def test_up_front_check_peak_at_n_4096(self):
-        # raw positions are checked one 512-row block at a time, not by the
-        # 134 MB Gram matrix, so they peak where the latents route does
-        # (35.7 MB here)
+        # raw positions and latents take the same route: chunk by chunk,
+        # never the 134 MB Gram matrix (35.7 MB here)
         spec = single_leaf_spec(np.array([[0.6, 0.35], [0.35, 0.6]]), 4096)
         lat = hm.build_latent_positions(spec, rng())
         latents_peak = traced_peak(lambda: hm.sample_rdpg(lat, 0.01, rng()))

@@ -578,6 +578,10 @@ class TestBatchedPermutationNull:
         assert peak <= bound, peak / bound
 
 
+OVERFLOW = ("^alignment needs finite squared distances: the largest row norms sum to "
+            r"\S+, whose square overflows$")
+
+
 class TestPairTestArguments:
     @pytest.mark.parametrize("kwargs, message", [
         ({"n_boot": -3}, "bootstrap replicate count must be >= 0, got -3"),
@@ -627,15 +631,75 @@ class TestPairTestArguments:
 
     @pytest.mark.parametrize("n_boot", [0, 5])
     def test_pair_test_refuses_bandwidths_outside_the_range(self, n_boot):
-        # a fixed bandwidth whose square is 0 or inf, or a median that is inf
+        # a fixed bandwidth whose square is 0 or inf; rows whose median
+        # distance is inf are refused earlier, by the alignment
         x, y = gaussian_pair(10, 12)
-        for kernel, (a, b) in (
-            (lambda: KernelConfig(bandwidth=1e-170), (x, y)),
-            (lambda: KernelConfig(bandwidth=1e155), (x, y)),
-            (KernelConfig, (x * 1e155, y * 1e155)),
-        ):
+        for bandwidth in (1e-170, 1e155):
             with pytest.raises(MotifError, match="bandwidth must be positive"):
-                motifs.pair_test(a, b, kernel(), n_boot, derive_rng(0, "range"))
+                motifs.pair_test(x, y, KernelConfig(bandwidth=bandwidth), n_boot,
+                                 derive_rng(0, "range"))
+        with pytest.raises(MotifError, match=OVERFLOW):
+            motifs.pair_test(x * 1e155, y * 1e155, KernelConfig(), n_boot, derive_rng(0, "range"))
+
+    def test_median_bandwidth_of_inf_refused(self):
+        # the steps that do not align resolve the median to inf and refuse it
+        x, y = gaussian_pair(10, 12)
+        for call in (lambda a, b: hm.mmd_statistic(a, b),
+                     lambda a, b: hm.bootstrap_pvalue(a, b, n_boot=5, rng=derive_rng(0, "inf"))):
+            with pytest.raises(MotifError, match="bandwidth must be positive.*got inf"):
+                call(x * 1e155, y * 1e155)
+
+    @pytest.mark.parametrize("scaled", ["both", "moving"])
+    def test_squared_distance_overflow_is_named(self, scaled):
+        # finite rows whose squared distances overflow: refused before any
+        # transport plan is built, with no RuntimeWarning or LinAlgError
+        x, y = gaussian_pair(40, 30)
+        x = x * 1e155 if scaled == "both" else x
+        y = y * 1e155
+        calls = {
+            "align_embeddings": lambda: hm.align_embeddings(x, y),
+            "pair_test": lambda: motifs.pair_test(x, y, KernelConfig(), 5, derive_rng(0, "o")),
+            "dissimilarity_matrix": lambda: hm.dissimilarity_matrix(
+                [x, y], n_boot=5, rng=derive_rng(0, "o"), threads=2),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(MotifError, match=OVERFLOW):
+                    call()
+                    pytest.fail(name)
+
+    def test_alignment_accepts_the_largest_finite_reach(self):
+        # rows just inside the bound are fitted, with no warning
+        x, y = gaussian_pair(40, 30)
+        x /= np.hypot.reduce(x, axis=1).max()
+        y /= np.hypot.reduce(y, axis=1).max()
+        scale = 0.49 * np.sqrt(np.finfo(np.float64).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = hm.align_embeddings(x * scale, y * scale)
+        assert np.allclose(w @ w.T, np.eye(2))
+        with pytest.raises(MotifError, match=OVERFLOW):
+            hm.align_embeddings(x * scale, y * (2.1 * scale))
+
+    def test_pair_test_aligns_the_second_sample(self, monkeypatch):
+        # one alignment, through the module's name, then the test of the
+        # rotated rows at the bandwidth resolved on them
+        x, y = gaussian_pair(50, 40, d=3)
+        calls = []
+
+        def align(a, b):
+            calls.append(1)
+            return hm.align_embeddings(a, b)
+
+        monkeypatch.setattr(motifs, "align_embeddings", align)
+        t, sigma, p = motifs.pair_test(x, y, KernelConfig(), 20, derive_rng(3, "align"))
+        assert len(calls) == 1
+        rotated = y @ hm.align_embeddings(x, y)
+        expected_sigma = KernelConfig().resolve(np.vstack([x, rotated]))
+        fixed = KernelConfig(bandwidth=expected_sigma)
+        assert (t, sigma) == (hm.mmd_statistic(x, rotated, fixed), expected_sigma)
+        assert p == hm.bootstrap_pvalue(x, rotated, fixed, n_boot=20, rng=derive_rng(3, "align"))
 
 
 class TestSinkhornPlan:
