@@ -14,6 +14,7 @@ from .embedding import Embedding, _fix_signs, _order_by_magnitude
 from .generate import GeneratorError, LatentPositions, _check_probabilities
 from . import graph as _graph
 from .graph import _MAX_DIGITS, _NINE, _NL, _SP, _ZERO, GraphError, SparseGraph, VertexPartition, graph_from_edges
+from . import motifs as _motifs
 from .motifs import _median
 
 _DENSE_LIMIT = 2000
@@ -184,6 +185,65 @@ def sinkhorn_plan_loop(cost: np.ndarray, reg: float, n_iter: int = 60) -> np.nda
         u = a / (k @ v)
         v = b / (k.T @ u)
     return (u[:, None] * k) * v[None, :]
+
+
+def ot_procrustes_loop(
+    ra: np.ndarray, mo: np.ndarray, w0: np.ndarray, max_iter: int, sinkhorn_iter: int = 60
+) -> tuple[np.ndarray, float]:
+    """Transport-Procrustes rounds from ``w0``, literally: every round makes
+    a new cost matrix, takes ``np.median`` of it, builds the plan with
+    :func:`sinkhorn_plan_loop` and sums the transport cost."""
+    from scipy.spatial.distance import cdist
+
+    w = w0
+    final_cost = np.inf
+    for _ in range(max_iter):
+        cost = cdist(ra, mo @ w, "sqeuclidean")
+        scale = np.median(cost)
+        if scale == 0:
+            return w, 0.0
+        plan = sinkhorn_plan_loop(cost, 0.05 * scale, sinkhorn_iter)
+        final_cost = float((cost * plan).sum())
+        u, _, vt = np.linalg.svd(mo.T @ plan.T @ ra)
+        w_new = u @ vt
+        delta = np.linalg.norm(w_new - w)
+        w = w_new
+        if delta < _motifs._ALIGN_TOL:
+            break
+    return w, final_cost
+
+
+def align_embeddings_all_starts(reference: np.ndarray, moving: np.ndarray) -> np.ndarray:
+    """The multi-start alignment that refines every one of the three
+    cheapest probes, repeated starts included.
+
+    Clouds above ``motifs._ALIGN_POINTS`` rows are thinned to the unique
+    indices of an even stride; every reflection of ``motifs._sign_inits`` is
+    probed with two :func:`ot_procrustes_loop` rounds, the three cheapest
+    are run to convergence and the smallest final cost wins (the first on a
+    tie).
+    """
+    ref = np.asarray(reference, dtype=np.float64)
+    mov = np.asarray(moving, dtype=np.float64)
+
+    def thin(arr: np.ndarray) -> np.ndarray:
+        if arr.shape[0] <= _motifs._ALIGN_POINTS:
+            return arr
+        idx = np.linspace(0, arr.shape[0] - 1, _motifs._ALIGN_POINTS).astype(np.int64)
+        return arr[np.unique(idx)]
+
+    ra, mo = thin(ref), thin(mov)
+    probes = []
+    for w0 in _motifs._sign_inits(ra, mo):
+        w, cost = ot_procrustes_loop(ra, mo, w0, max_iter=2, sinkhorn_iter=30)
+        probes.append((cost, w))
+    probes.sort(key=lambda item: item[0])
+    best_w, best_cost = None, np.inf
+    for _, w0 in probes[:3]:
+        w, cost = ot_procrustes_loop(ra, mo, w0, max_iter=_motifs._ALIGN_ITER)
+        if cost < best_cost:
+            best_w, best_cost = w, cost
+    return best_w
 
 
 def graph_from_edges_coo(

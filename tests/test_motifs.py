@@ -17,20 +17,23 @@ from hsbm_motif.motifs import (
     MotifError,
     _kernel_sum,
     _median,
+    _ot_procrustes,
     _permutation_statistics,
     _rbf,
     _sinkhorn_plan,
     matrix_to_csv,
 )
 from hsbm_motif.oracle import (
+    align_embeddings_all_starts,
     median_bandwidth_pdist,
     mmd_from_kernel,
+    ot_procrustes_loop,
     permutation_statistics_loop,
     sinkhorn_plan_loop,
 )
 from hsbm_motif.seeding import derive_rng
 
-from conftest import B1, B3, single_leaf_spec, traced_peak
+from conftest import B1, B2, B3, single_leaf_spec, traced_peak
 
 
 def gaussian_pair(n, m, d=2, shift=0.0, seed=0):
@@ -720,6 +723,19 @@ class TestSinkhornPlan:
             assert fast.tobytes() == slow.tobytes(), (case, n, m, n_iter)
         assert floored >= 20
 
+    def test_plan_into_a_stale_buffer(self):
+        # a plan written into a caller's buffer is the plan a new buffer
+        # gets, whatever the buffer held before
+        rng = np.random.default_rng(78)
+        for case, fill in enumerate((np.nan, np.inf, -0.0, 1e300)):
+            n, m = (int(v) for v in rng.integers(1, 301, size=2))
+            cost = cdist(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)), "sqeuclidean")
+            reg = np.median(cost) * (1e-3, 0.05, 1.0, 0.05)[case]
+            out = np.full((n, m), fill)
+            plan = _sinkhorn_plan(cost, reg, 30, out=out)
+            assert plan is out
+            assert out.tobytes() == _sinkhorn_plan(cost, reg, 30).tobytes(), case
+
 
 class TestMedian:
     @staticmethod
@@ -791,10 +807,69 @@ class TestAlignEmbeddings:
             return hm.align_embeddings(ref, mov)
 
         fast = [align(*case) for case in cases]
-        monkeypatch.setattr(motifs, "_sinkhorn_plan", sinkhorn_plan_loop)
+        # the reference loop ignores the buffer and returns a new plan
+        monkeypatch.setattr(motifs, "_sinkhorn_plan",
+                            lambda cost, reg, n_iter, out: sinkhorn_plan_loop(cost, reg, n_iter))
         monkeypatch.setattr(motifs, "_median", np.median)
         for case, w in zip(cases, fast):
             assert np.array_equal(w, align(*case))
+
+    def test_refinement_matches_the_loop_per_start(self):
+        # per start, the rounds in a reused buffer give the rotation and the
+        # cost of the loop that allocates and sums every round, bit for bit
+        rng = np.random.default_rng(32)
+        cases = [(np.zeros((30, 3)), np.zeros((20, 3)))]  # every cost 0
+        for case in range(12):
+            d = (1, 2, 3, 4, 7)[case % 5]
+            n, m = (int(v) for v in rng.integers(3, 301, size=2))
+            ref = rng.normal(size=(n, d)) * rng.uniform(0.2, 2.0, size=d)
+            rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            cases.append((ref, rng.normal(size=(m, d)) @ rotation))
+        for ra, mo in cases:
+            work = np.full((2, ra.shape[0], mo.shape[0]), np.nan)  # stale
+            for w0 in motifs._sign_inits(ra, mo)[:4]:
+                for max_iter, sinkhorn_iter in ((2, 30), (motifs._ALIGN_ITER, 60)):
+                    w, cost = _ot_procrustes(ra, mo, w0, max_iter, work, sinkhorn_iter)
+                    w_ref, cost_ref = ot_procrustes_loop(ra, mo, w0, max_iter, sinkhorn_iter)
+                    assert w.tobytes() == w_ref.tobytes()
+                    assert np.float64(cost).tobytes() == np.float64(cost_ref).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_close_to_all_starts_on_hsbm_leaves(self, monkeypatch, d):
+        # leaves of B1 and B2 embedded at d: the distinct-start alignment
+        # gives the rotation and the pair statistic of refining every start
+        leaves = []
+        for seed, (block, n) in enumerate([(B1, 400), (B1, 520), (B2, 460), (B2, 350)]):
+            g, _ = hm.sample_hsbm(single_leaf_spec(block, n), derive_rng(seed, "al-leaf"))
+            leaves.append(hm.ase(g, d).positions)
+        pairs = [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]]
+        fast = [hm.align_embeddings(x, y) for x, y in pairs]
+        stats = [motifs.pair_test(x, y, KernelConfig(), 0, derive_rng(0, "al"))[0] for x, y in pairs]
+        for (x, y), w, t in zip(pairs, fast, stats):
+            w_ref = align_embeddings_all_starts(x, y)
+            assert np.linalg.norm(w - w_ref) <= 1e-2
+            monkeypatch.setattr(motifs, "align_embeddings", lambda a, b: w_ref)
+            t_ref = motifs.pair_test(x, y, KernelConfig(), 0, derive_rng(0, "al"))[0]
+            assert abs(t - t_ref) <= 1e-4 * abs(t_ref)
+
+    def test_identical_start_refined_once(self, monkeypatch):
+        # above d = 6 every quantile sign here is +1, so both starts are the
+        # identity: two probes, one refine, and the rotation of refining both
+        rng = np.random.default_rng(9)
+        ref = np.abs(rng.normal(size=(240, 7))) + 0.5
+        mov = np.abs(rng.normal(size=(260, 7))) + 0.5
+        starts = motifs._sign_inits(ref, mov)
+        assert len(starts) == 2 and np.array_equal(starts[0], starts[1])
+        rounds = []
+
+        def counted(ra, mo, w0, max_iter, *args, **kwargs):
+            rounds.append(max_iter)
+            return _ot_procrustes(ra, mo, w0, max_iter, *args, **kwargs)
+
+        monkeypatch.setattr(motifs, "_ot_procrustes", counted)
+        w = hm.align_embeddings(ref, mov)
+        assert rounds == [2, 2, motifs._ALIGN_ITER]
+        assert w.tobytes() == align_embeddings_all_starts(ref, mov).tobytes()
 
     def test_dimension_check(self):
         with pytest.raises(MotifError):
