@@ -194,7 +194,9 @@ def cmd_embed(args) -> int:
     if cfg.top_dim != "auto" and cfg.top_dim >= n:
         raise EmbedError(f"embedding dimension must satisfy 1 <= d < n, got d={cfg.top_dim}, n={n}")
 
-    solve, dim = pipeline._solve(cfg, graph, 0)
+    with manifest.capture_warnings():
+        solve, dim = pipeline._named("root", pipeline._solve, cfg, graph, 0)
+        emb = pipeline._named("root", pipeline._embedding, cfg, solve, dim)
     with open_text(manifest.output("scree.csv"), "w") as fh:
         fh.write("index,magnitude\n")
         for i, v in enumerate(solve.magnitudes, start=1):
@@ -202,7 +204,7 @@ def cmd_embed(args) -> int:
     manifest.stage("scree")
 
     emb_path = manifest.output("embedding.csv")
-    embedding_to_csv(pipeline._embedding(cfg, solve, dim), graph.ids_for(np.arange(n)), emb_path)
+    embedding_to_csv(emb, graph.ids_for(np.arange(n)), emb_path)
     manifest.data["config"]["dim_used"] = dim
     manifest.stage("embed")
     manifest.write()

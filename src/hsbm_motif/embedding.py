@@ -239,29 +239,38 @@ def embedding_to_csv(e: Embedding, ids, sink) -> None:
             fh.write(str(label) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _floats(tokens: list[str], where: str) -> list[float]:
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise EmbedError(f"{where}: {exc}") from None
+
+
 def embedding_from_csv(source) -> tuple[Embedding, tuple[str, ...]]:
-    """Read the CSV written by :func:`embedding_to_csv`."""
-    eigenvalues: np.ndarray | None = None
-    ids: list[str] = []
-    rows: list[list[float]] = []
+    """Read the CSV written by :func:`embedding_to_csv`.  A row whose value
+    count differs from the header's (with no header, the first row's), a
+    token that is not a number, or an eigenvalue count that differs from the
+    column count raises ``EmbedError`` naming its line."""
+    eigenvalues, width, ids, rows = None, None, [], []
     with open_text(source) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line:
-                continue
+            where = f"embedding CSV line {lineno}"
             if line.startswith("# eigenvalues:"):
-                eigenvalues = np.array(
-                    [float(tok) for tok in line.split(":", 1)[1].split(",") if tok.strip()]
-                )
-                continue
-            if line.startswith("vertex_id,"):
-                continue
-            parts = line.split(",")
-            ids.append(parts[0])
-            rows.append([float(tok) for tok in parts[1:]])
+                tokens = [tok for tok in line.split(":", 1)[1].split(",") if tok.strip()]
+                eigenvalues, eigen_where = _floats(tokens, where), where
+            elif line:
+                parts = line.split(",")
+                width = len(parts) - 1 if width is None else width
+                if len(parts) - 1 != width:
+                    raise EmbedError(f"{where}: {len(parts) - 1} values, expected {width}")
+                if not line.startswith("vertex_id,"):
+                    ids.append(parts[0])
+                    rows.append(_floats(parts[1:], where))
     if not rows:
         raise EmbedError("embedding CSV holds no rows")
-    positions = np.asarray(rows)
     if eigenvalues is None:
-        eigenvalues = np.zeros(positions.shape[1])
-    return Embedding(positions=positions, eigenvalues=eigenvalues), tuple(ids)
+        eigenvalues = [0.0] * width
+    elif len(eigenvalues) != width:
+        raise EmbedError(f"{eigen_where}: {len(eigenvalues)} eigenvalues for {width} columns")
+    return Embedding(positions=np.asarray(rows), eigenvalues=np.asarray(eigenvalues)), tuple(ids)

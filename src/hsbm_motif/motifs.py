@@ -222,41 +222,15 @@ def _rbf(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _kernel_sum(a: np.ndarray, b: np.ndarray, sigma: float) -> float:
-    """``_rbf(a, b, sigma).sum()`` bit for bit, from flat segments of at
-    most ``_SCAN_BLOCK`` values.
-
-    numpy sums a contiguous array pairwise: a run of more than 128 values
-    splits at ``h = size // 2 - (size // 2) % 8`` and the halves' sums are
-    added.  The segments split the flat kernel the same way until each
-    holds at most ``_SCAN_BLOCK`` values, so ``np.add.reduce`` of each
-    segment is a node of that recursion.  A segment is built from the rows
-    it touches (only its columns when it lies in one row), so it may cut a
-    row mid-way.
-    """
-    m = b.shape[0]
-
-    def leaf(start: int, stop: int) -> float:
-        first, last = start // m, -(-stop // m)
-        col = start - first * m
-        if last - first == 1:
-            values = _rbf(a[first:last], b[col : col + stop - start], sigma).ravel()
-        else:
-            values = _rbf(a[first:last], b, sigma).ravel()[col : col + stop - start]
-        return np.add.reduce(values)
-
-    def segment(start: int, size: int) -> float:
-        if size > _SCAN_BLOCK:
-            half = size // 2 - (size // 2) % 8
-            return segment(start, half) + segment(start + half, size - half)
-        return leaf(start, start + size)
-
-    return segment(0, a.shape[0] * m)
-
-
-def _off_diagonal_mean(a: np.ndarray, sigma: float) -> float:
-    # the diagonal is n ones, and a sum of n ones is exact
-    n = a.shape[0]
-    return (_kernel_sum(a, a, sigma) - n) / (n * (n - 1))
+    """Sum of ``_rbf(a, b, sigma)``, built in row blocks of at most
+    ``_SCAN_BLOCK`` values (one row when a row holds more) and added in row
+    order.  A kernel of at most ``_SCAN_BLOCK`` values is one block, so its
+    sum has the bits of ``_rbf(a, b, sigma).sum()``."""
+    step = max(1, _SCAN_BLOCK // b.shape[0])
+    total = 0.0
+    for start in range(0, a.shape[0], step):
+        total += _rbf(a[start : start + step], b, sigma).sum()
+    return total
 
 
 def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = None) -> float:
@@ -268,20 +242,22 @@ def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = No
     so ``mmd_statistic(x, y) == mmd_statistic(y, x)`` bit for bit).
 
     No kernel block is held whole: each of ``kxx``, ``kxy`` and ``kyy`` is
-    summed by :func:`_kernel_sum` from flat segments of at most 2**18
-    values, in numpy's pairwise order.  The within-sample diagonals are
-    exactly 1.0 (see :class:`KernelConfig`), so their traces are the sample
-    sizes.  The memory is one segment, and the terms are combined as
-    ``oracle.mmd_from_kernel`` combines them, with the same bits.
+    summed by :func:`_kernel_sum` in row blocks of at most 2**18 values.
+    The within-sample diagonals are exactly 1.0 (see :class:`KernelConfig`),
+    so their traces are the sample sizes.  The terms are combined as
+    ``oracle.mmd_from_kernel`` combines them: with the same bits when every
+    kernel is one block, and within rounding of the block sums otherwise.
     """
     kernel = kernel or KernelConfig()
     x, y = _check_pair(x, y)
     if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
         x, y = y, x
     sigma = KernelConfig(bandwidth=kernel.resolve(np.vstack([x, y]))).bandwidth
-    term_x = _off_diagonal_mean(x, sigma)
-    term_xy = 2.0 * (_kernel_sum(x, y, sigma) / (x.shape[0] * y.shape[0]))
-    term_y = _off_diagonal_mean(y, sigma)
+    n, m = x.shape[0], y.shape[0]
+    # the diagonals are n and m ones, and a sum of ones is exact
+    term_x = (_kernel_sum(x, x, sigma) - n) / (n * (n - 1))
+    term_xy = 2.0 * (_kernel_sum(x, y, sigma) / (n * m))
+    term_y = (_kernel_sum(y, y, sigma) - m) / (m * (m - 1))
     return float(term_x - term_xy + term_y)
 
 

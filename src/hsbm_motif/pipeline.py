@@ -248,19 +248,23 @@ def _embedding(cfg: PipelineConfig, solve: Embedding, dim: int) -> Embedding:
     return emb
 
 
+def _named(name: str, step, *args):
+    """``step(*args)``, its warnings re-issued as ``node <name>: ...``; steps
+    do not nest, so no message gets two prefixes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = step(*args)
+    for w in caught:
+        warnings.warn(f"node {name}: {w.message}", w.category)
+    return out
+
+
 def _estimate_count(
     cfg: PipelineConfig, positions: np.ndarray, node: HierarchyNode
 ) -> SubgraphCountEstimate:
-    """The automatic subgraph count of ``node``'s rows, over k = 2..max(columns,
-    2); its warnings are re-issued with the node's name, so a caller can tell
-    nodes apart."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        est = estimate_num_subgraphs(positions, max(positions.shape[1], 2), _COUNT_REPEATS,
-                                     derive_rng(cfg.seed, "count", node.key))
-    for w in caught:
-        warnings.warn(f"node {node.name}: {w.message}", w.category)
-    return est
+    """The automatic subgraph count of ``node``'s rows, over k = 2..max(columns, 2)."""
+    return _named(node.name, estimate_num_subgraphs, positions, max(positions.shape[1], 2),
+                  _COUNT_REPEATS, derive_rng(cfg.seed, "count", node.key))
 
 
 def _sweep(
@@ -325,7 +329,7 @@ def _detect_node(
             # a fixed dimension decides whether the root stops before any solve
             if cfg.top_dim != "auto" and not _splits(cfg, n, min(int(cfg.top_dim), n - 1), 0):
                 return node
-            solved = _solve(cfg, sub, node.depth)
+            solved = _named(node.name, _solve, cfg, sub, node.depth)
         solve, dim = solved
         if _splits(cfg, n, dim, node.depth):
             _split_node(sub, node, cfg, solve, dim)
@@ -337,7 +341,7 @@ def _detect_node(
 def _split_node(
     sub: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, solve: Embedding, dim: int
 ) -> None:
-    emb = _embedding(cfg, solve, dim)
+    emb = _named(node.name, _embedding, cfg, solve, dim)
     node.dim_used = dim
     node.eigenvalues = emb.eigenvalues
 
@@ -355,8 +359,10 @@ def _split_node(
 
     members = [part.members(c) for c in range(part.n_clusters)]
     child_graphs = [induced_subgraph(sub, m) for m in members]
+    child_names = ["/".join(map(str, node.path + (c,))) for c in range(part.n_clusters)]
     # each child's one solve; a child too small to embed fails here
-    child_solves = [_solve(cfg, c, node.depth + 1) for c in child_graphs]
+    child_solves = [_named(name, _solve, cfg, c, node.depth + 1)
+                    for name, c in zip(child_names, child_graphs)]
     # children must share an embedding dimension for the pairwise tests;
     # take the largest per-child dimension so none is under-embedded.  Only
     # those leading columns are kept: a representative's own dimension is
@@ -364,7 +370,8 @@ def _split_node(
     shared_dim = max(d for _, d in child_solves)
     child_solves = [(s.leading(min(shared_dim, s.dim)), d) for s, d in child_solves]
     usable = min(s.dim for s, _ in child_solves)
-    child_mats = [_embedding(cfg, s, s.dim).positions[:, :usable] for s, _ in child_solves]
+    child_mats = [_named(name, _embedding, cfg, s, usable).positions
+                  for name, (s, _) in zip(child_names, child_solves)]
 
     dissimilarity = dissimilarity_matrix(
         child_mats,

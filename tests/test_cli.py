@@ -238,6 +238,18 @@ def test_cluster_auto_count_on_one_row_embedding(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_embed_warnings_name_the_root_in_the_manifest(tmp_path, capsys):
+    # four disjoint edges have a flat spectrum: the solve's warning reaches
+    # the manifest named as detect names it
+    edges = tmp_path / "matching.txt"
+    edges.write_text("0 1\n2 3\n4 5\n6 7\n")
+    out = tmp_path / "emb"
+    assert main(["embed", str(edges), "--out-dir", str(out)]) == 0
+    warning = "node root: flat eigenvalue spectrum: selecting dimension 1"
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == [warning]
+    assert f"warning: {warning}" in capsys.readouterr().err
+
+
 def test_cluster_auto_count_on_one_column_embedding(tmp_path, small_edges):
     # detect's count rule sweeps k = 2..max(dim, 2), so one column is
     # enough: a one-point phi curve, warned about as detect warns (and one
@@ -389,6 +401,33 @@ def test_test_dimension_mismatch_is_named(tmp_path, capsys):
     assert main(["test", *paths, "--out-dir", str(tmp_path / "t")]) == 1
     assert capsys.readouterr().err.strip() == "error: dimension mismatch: 2 vs 3"
     assert not (tmp_path / "t" / "test.json").exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "test"])
+@pytest.mark.parametrize("line, edit, message", [
+    (5, lambda row: row.rsplit(",", 1)[0], "line 5: 2 values, expected 3"),
+    (4, lambda row: row.replace(row.split(",")[2], "abc"),
+     "line 4: could not convert string to float: 'abc'"),
+    (1, lambda row: row.rsplit(",", 1)[0], "line 1: 2 eigenvalues for 3 columns"),
+])
+def test_malformed_embedding_csv_is_named(tmp_path, capsys, command, line, edit, message):
+    # a ragged row, a token that is no number and a short eigenvalue line
+    # are refused with the line number, before any output is written
+    rng = np.random.default_rng(5)
+    paths = []
+    for k in range(2):
+        path = tmp_path / f"emb{k}.csv"
+        emb = Embedding(positions=rng.normal(size=(20, 3)), eigenvalues=np.ones(3))
+        embedding_to_csv(emb, tuple(map(str, range(20))), path)
+        paths.append(path)
+    rows = paths[0].read_text().splitlines()
+    rows[line - 1] = edit(rows[line - 1])
+    paths[0].write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    inputs = paths if command == "test" else paths[:1]
+    assert main([command, *map(str, inputs), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: embedding CSV {message}"
+    assert not out.exists()
 
 
 def test_test_non_finite_row_is_named(tmp_path, capsys):

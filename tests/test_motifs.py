@@ -208,6 +208,8 @@ class TestOneKernelAtATime:
         yield dup[rng.integers(0, 3, size=30)], dup[rng.integers(0, 4, size=25)]
         same = rng.normal(size=(12, 2))
         yield same, same.copy()
+        # 2**18 values in each kernel: still one block
+        yield rng.normal(size=(512, 2)), rng.normal(size=(512, 2)) + 0.1
 
     def test_statistic_equals_three_kernel_formula(self):
         for x, y in self.pairs():
@@ -219,6 +221,29 @@ class TestOneKernelAtATime:
                 kernel = KernelConfig(bandwidth=bandwidth)
                 assert np.float64(hm.mmd_statistic(x, y, kernel)).tobytes() == expected
                 assert np.float64(hm.mmd_statistic(y, x, kernel)).tobytes() == expected
+
+    @pytest.mark.parametrize("cap", [1, 128, 129, 1000, 1 << 18])
+    def test_row_blocks_within_tolerance_of_three_kernel_formula(self, monkeypatch, cap):
+        # a kernel above the cap is summed block by block in row order, which
+        # rounds apart from the whole-kernel sum: cap 1 and rows longer than
+        # 128 or 129 values make one-row blocks
+        monkeypatch.setattr(motifs, "_SCAN_BLOCK", cap)
+        rng = np.random.default_rng(cap)
+        base = rng.normal(size=(4, 2))
+        spread = rng.normal(size=(600, 3)) * 10.0
+        cases = [
+            (rng.normal(size=(700, 3)), rng.normal(size=(650, 3)) + 0.2, 1.0),
+            (rng.normal(size=(300, 2)), rng.normal(size=(37, 2)), 0.7),
+            # duplicate rows
+            (base[rng.integers(0, 4, size=700)], base[rng.integers(0, 2, size=390)], 1.0),
+            # a tiny bandwidth sends almost every off-diagonal entry to 0
+            (spread, spread[:37] + 5.0, 1e-3),
+        ]
+        for x, y, bandwidth in cases:
+            expected = three_kernel_statistic(x, y, bandwidth)
+            kernel = KernelConfig(bandwidth=bandwidth)
+            assert abs(hm.mmd_statistic(x, y, kernel) - expected) <= 1e-13
+        assert (_rbf(spread, spread, 1e-3) == 0.0).mean() > 0.99
 
     def test_rbf_equals_kernel_formula(self):
         for x, y in self.pairs():
@@ -276,12 +301,22 @@ BLOCK_BYTES = motifs._SCAN_BLOCK * 8
 
 
 class TestSegmentedKernelSum:
-    """The kernel summed from flat segments has the bits of ``_rbf(...).sum()``."""
+    """The kernel summed in row blocks has the bits of the whole kernel's
+    rows summed block by block in row order, and a kernel of one block has
+    the bits of ``_rbf(...).sum()``."""
 
     @staticmethod
     def assert_same_sum(a, b, sigma):
+        kern = _rbf(a, b, sigma)
+        step = max(1, motifs._SCAN_BLOCK // b.shape[0])
+        expected = 0.0
+        for start in range(0, a.shape[0], step):
+            expected += kern[start : start + step].sum()
         got = _kernel_sum(a, b, sigma)
-        assert np.float64(got).tobytes() == _rbf(a, b, sigma).sum().tobytes()
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        if a.shape[0] <= step:
+            assert np.float64(got).tobytes() == kern.sum().tobytes()
+        assert abs(got - kern.sum()) <= 1e-13 * kern.sum()
 
     @pytest.mark.parametrize("cap", [128, 129, 1000])
     @pytest.mark.parametrize("shape", [
@@ -289,7 +324,7 @@ class TestSegmentedKernelSum:
         (16, 8), (43, 3), (37, 41), (1, 5000), (5000, 1), (301, 300),
     ])
     def test_small_segments(self, monkeypatch, cap, shape):
-        # small caps make segments that cut rows mid-way
+        # small caps make blocks of a few rows, or of one row longer than the cap
         monkeypatch.setattr(motifs, "_SCAN_BLOCK", cap)
         rng = np.random.default_rng(shape[0] * 7919 + shape[1])
         a, b = rng.normal(size=(shape[0], 3)), rng.normal(size=(shape[1], 3))
@@ -941,12 +976,18 @@ class TestDissimilarityMatrix:
         assert np.array_equal(a.p_values, b.p_values)
 
     def test_threads_identical_on_aligned_clouds(self):
-        rng = np.random.default_rng(8)
-        mats = [rng.normal(size=(300 + 17 * k, 3)) * (1.0 + 0.1 * k) for k in range(4)]
-        runs = [hm.dissimilarity_matrix(mats, n_boot=20, rng=derive_rng(9, "d"), threads=threads)
-                for threads in (1, 2)]
-        for field in ("statistics", "p_values", "bandwidths"):
-            assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+        # at 600 rows every kernel is above 2**18 values and summed in row
+        # blocks; the statistics are also those of a run with no null
+        for rows in (300, 600):
+            rng = np.random.default_rng(8)
+            mats = [rng.normal(size=(rows + 17 * k, 3)) * (1.0 + 0.1 * k) for k in range(4)]
+            runs = [hm.dissimilarity_matrix(mats, n_boot=n_boot, rng=derive_rng(9, "d"),
+                                            threads=threads)
+                    for threads, n_boot in ((1, 20), (2, 20), (1, 0))]
+            for field in ("statistics", "p_values", "bandwidths"):
+                assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+            for field in ("statistics", "bandwidths"):
+                assert getattr(runs[0], field).tobytes() == getattr(runs[2], field).tobytes()
 
 
 class TestClusterMotifs:

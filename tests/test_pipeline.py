@@ -336,18 +336,62 @@ class TestDetectHierarchy:
         assert part.n_clusters == occupied.size and part.is_proper()
         assert part.labels.tolist() == expected.tolist()
 
+    def test_child_matrices_projected_at_the_shared_width(self, monkeypatch):
+        # a 3-vertex child embeds into 2 columns, so every child is tested
+        # on 2: each is projected onto the sphere at that width
+        g, _ = two_group_graph(300)
+        a = 0
+        b, c = g.adjacency[[a]].indices[:2]
+        sweep = pipeline._sweep
+
+        def with_a_triple(cfg, positions, r, node):
+            part, seeds = sweep(cfg, positions, 2, node)
+            labels = part.labels.copy()
+            labels[[a, b, c]] = 2
+            return hm.VertexPartition(labels, 3), seeds
+
+        tested = []
+
+        def recording(mats, **kwargs):
+            tested.extend(mats)
+            return hm.dissimilarity_matrix(mats, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_sweep", with_a_triple)
+        monkeypatch.setattr(pipeline, "dissimilarity_matrix", recording)
+        cfg = hm.PipelineConfig(top_dim=3, sub_dim=3, n_subgraphs=3, n_motifs=1,
+                                sphere_projection=True, min_cluster_size=10, max_depth=1)
+        root = hm.detect_hierarchy(g, cfg)
+        assert root.children[2].n_vertices == 3
+        assert [mat.shape[1] for mat in tested] == [2, 2, 2]
+        for mat in tested:
+            assert np.allclose(np.linalg.norm(mat, axis=1), 1.0, rtol=0, atol=1e-12)
+
     def test_count_estimate_warnings_name_their_node(self):
+        def messages(g, cfg, action):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                hm.detect_hierarchy(g, cfg)
+            assert {w.category for w in caught} == {UserWarning}
+            found = [str(w.message) for w in caught]
+            assert all(m.startswith("node ") for m in found), found
+            return found
+
         g, _ = two_group_graph(400)
         cfg = hm.PipelineConfig(top_dim=2, sub_dim=2, n_subgraphs="auto", n_motifs=1,
                                 min_cluster_size=100, max_depth=2, seed=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            hm.detect_hierarchy(g, cfg)
-        messages = [str(w.message) for w in caught]
+        found = messages(g, cfg, "always")
         single = "phi curve has a single point; returning k=2"
-        assert f"node root: {single}" in messages and f"node 0: {single}" in messages
-        assert all(m.startswith("node ") for m in messages), messages
-        assert {w.category for w in caught} == {UserWarning}
+        assert f"node root: {single}" in found and f"node 0: {single}" in found
+
+        # a random bipartite graph splits into its two sides, both edgeless:
+        # under detect's "default" capture each child's solve still warns
+        mask = np.random.default_rng(0).random((300, 300)) < 0.5
+        u, v = np.nonzero(mask)
+        g = hm.graph_from_edges(600, u, v + 300)
+        cfg = hm.PipelineConfig(top_dim=2, sub_dim=2, n_subgraphs=2, min_cluster_size=10, seed=0)
+        found = messages(g, cfg, "default")
+        edgeless = "embedding an edgeless graph: returning all-zero positions"
+        assert f"node 0: {edgeless}" in found and f"node 1: {edgeless}" in found
 
     def test_auto_dimensions_smoke(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_SCREE_COLUMNS", 8)
