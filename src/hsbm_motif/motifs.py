@@ -26,11 +26,10 @@ from .graph import open_text
 # take the import locks in one order.
 
 
-# values per block of the median heuristic's scan and of the pair test's
-# kernels (2 MiB)
+# values per row block of the pair test's kernels (2 MiB)
 _SCAN_BLOCK = 1 << 18
-# fewest rows per group of the sample that brackets the median distance
-_SAMPLE_GROUP = 128
+# most pooled rows the median-heuristic bandwidth reads (by an even stride)
+_MEDIAN_ROWS = 600
 # alignment: most rows of each cloud fitted (larger clouds are thinned by an
 # even stride), transport-Procrustes rounds per refined start, the change in
 # the rotation that ends them early, and the Frobenius distance within which
@@ -52,8 +51,9 @@ class KernelConfig:
 
     ``bandwidth`` is either a positive float whose square is finite and
     non-zero (about 1.6e-162 to 1.3e154), or the string ``"median"``, which
-    resolves to the median pairwise distance of the pooled sample at test
-    time (scale-adaptive; the resolved value is recorded in outputs).  The
+    resolves to the median pairwise distance of the pooled sample, or of
+    600 stride rows of it, at test time (scale-adaptive; the resolved value
+    is recorded in outputs, see :meth:`resolve`).  The
     square bound keeps every kernel entry finite and the kernel's diagonal
     exactly 1.0: a finite row is at squared distance 0.0 from itself, and
     ``exp(0.0 / -(bandwidth**2))`` is 1.0 unless that square is 0 or inf.
@@ -75,115 +75,38 @@ class KernelConfig:
     def resolve(self, pooled: np.ndarray) -> float:
         """The bandwidth for the pooled rows.
 
-        The median heuristic is the median of the ``pdist`` distances, bit
-        for bit, selected from row blocks by :func:`_median_distance`
-        without forming all of them.  Only when that median is 0 are they
-        formed at once, so that the ``np.mean`` fallback sums them in
-        ``pdist`` order.  ``oracle.median_bandwidth_pdist`` is the
-        one-array reference.
+        The median heuristic is ``_median(pdist(rows))`` over at most
+        ``_MEDIAN_ROWS`` rows of ``pooled``, taken by :func:`_thin`'s even
+        stride: the kernel needs a scale, not an exact order statistic
+        (Garreau, Jitkrittum & Kanagawa, arXiv:1707.07269), and 600 rows
+        cost 1.4 MB of distances whatever N.  A zero median falls back to
+        the ``np.mean`` of the same distances in ``pdist`` order, then to
+        1.0.  ``oracle.median_bandwidth_pdist`` of the same rows is the
+        reference.
         """
         if not isinstance(self.bandwidth, str):
             return float(self.bandwidth)
         from scipy.spatial.distance import pdist
 
-        pooled = np.asarray(pooled, dtype=np.float64)
-        if pooled.shape[0] < 2:
+        rows = _thin(np.asarray(pooled, dtype=np.float64), _MEDIAN_ROWS)
+        if rows.shape[0] < 2:
             return 1.0
-        sigma = _median_distance(pooled)
+        sigma = _median(pdist(rows))
         if sigma == 0.0:
-            sigma = float(np.mean(pdist(pooled)))
+            sigma = float(np.mean(pdist(rows)))
         if sigma == 0.0:
             sigma = 1.0  # all rows identical; any bandwidth gives T = 0
         return sigma
 
 
-def _median_distance(pooled: np.ndarray) -> float:
-    """``_median(pdist(pooled))`` without the N(N-1)/2 distances, bit for bit.
-
-    scipy's euclidean distance is the root of its squared one, bit for bit,
-    and the root is monotone, so the roots of the middle squared distances
-    are ``pdist``'s middle values.  The squared distances come in row
-    blocks: ``pdist`` of a block's rows (its strict upper triangle) and
-    ``cdist`` of those rows against all later rows.  A block holds at most
-    ``min(2**18, (N/2)**2 / 2)`` values, so that with its masks, the sample
-    and the kept values the scan takes less memory than an N/2 x N/2 array.
-
-    A sample brackets the middle ranks.  A fixed random permutation cuts
-    the rows into groups of 128 to 255, and each group gives the pairs
-    between its two halves, so every row is sampled as often as any other.
-    The bracket ``[lo, hi]`` is the sample's quantiles four standard errors
-    (``0.5 / sqrt(k)`` for ``k`` pairs) either side of the middle.  One scan
-    counts the values below ``lo`` and keeps those in the bracket, about 2%
-    of them, and the middle ranks are selected among the kept ones.  When a
-    middle rank falls outside the bracket, that side widens fourfold and the
-    scan repeats.  Clouds of under 128 rows, and rows with a non-finite
-    value, take ``pdist`` whole.
-    """
-    from scipy.spatial.distance import cdist, pdist
-
-    n = pooled.shape[0]
-    if n < _SAMPLE_GROUP or not np.isfinite(pooled).all():
-        return _median(pdist(pooled))
-    total = n * (n - 1) // 2
-    # the middle ranks; one rank when the count is odd
-    lower, upper = (total - 1) // 2, total // 2
-    groups = np.array_split(np.random.default_rng(0).permutation(n), n // _SAMPLE_GROUP)
-    sample = np.concatenate([
-        cdist(pooled[rows[: rows.size // 2]], pooled[rows[rows.size // 2 :]], "sqeuclidean").ravel()
-        for rows in groups
-    ])
-
-    def quantile(q: float) -> float:
-        at = math.floor(q * sample.size)
-        if at < 0:
-            return -math.inf
-        if at >= sample.size:
-            return math.inf
-        sample.partition(at)
-        return float(sample[at])
-
-    low_margin = high_margin = 2.0 / math.sqrt(sample.size)
-    while True:
-        lo = quantile(lower / total - low_margin)
-        hi = quantile(upper / total + high_margin)
-        below, kept = _scan_squared_distances(pooled, lo, hi)
-        if below > lower:
-            low_margin *= 4
-        elif upper >= below + kept.size:
-            high_margin *= 4
-        else:
-            break
-    kept.partition((lower - below, upper - below))
-    # the middle value, or the two in order, rounded as _median rounds them
-    return _median(np.sqrt(kept[lower - below : upper - below + 1]))
-
-
-def _scan_squared_distances(pooled: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
-    """How many squared pairwise distances lie below ``lo``, and those in
-    ``[lo, hi]``, from row blocks of at most ``min(2**18, (N/2)**2 / 2)``
-    values."""
-    from scipy.spatial.distance import cdist, pdist
-
-    below, kept = 0, []
-
-    def take(block: np.ndarray) -> None:
-        # one block and its mask are alive at a time
-        nonlocal below
-        inside = block >= lo
-        below += block.size - np.count_nonzero(inside)
-        inside &= block <= hi
-        kept.append(block[inside])
-
-    n = pooled.shape[0]
-    cap = min(_SCAN_BLOCK, (n // 2) ** 2 // 2)
-    start = 0
-    while start < n:
-        stop = min(n, start + max(1, cap // (n - start)))
-        rows = pooled[start:stop]
-        take(pdist(rows, "sqeuclidean"))
-        take(cdist(rows, pooled[stop:], "sqeuclidean"))
-        start = stop
-    return below, np.concatenate(kept)
+def _thin(arr: np.ndarray, rows: int) -> np.ndarray:
+    """At most ``rows`` rows of ``arr``, taken by an even stride that keeps
+    the first and the last; ``arr`` itself when it has no more."""
+    if arr.shape[0] <= rows:
+        return arr
+    # the stride (n - 1) / (rows - 1) exceeds 1, so the truncated indices
+    # are already strictly increasing
+    return arr[np.linspace(0, arr.shape[0] - 1, rows).astype(np.int64)]
 
 
 def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,9 +160,10 @@ def mmd_statistic(x: np.ndarray, y: np.ndarray, kernel: KernelConfig | None = No
     """Unbiased kernel two-sample statistic between row samples ``x`` and ``y``.
 
     The within-sample terms skip the diagonal, so the estimator is unbiased
-    for the squared population discrepancy and may be negative.  The value
-    is exactly symmetric in its arguments (the computation is canonicalized
-    so ``mmd_statistic(x, y) == mmd_statistic(y, x)`` bit for bit).
+    for the squared population discrepancy and may be negative.  The pair
+    is put in a canonical order before the bandwidth is resolved (the
+    median heuristic's stride rows depend on the order), so
+    ``mmd_statistic(x, y) == mmd_statistic(y, x)`` bit for bit.
 
     No kernel block is held whole: each of ``kxx``, ``kxy`` and ``kyy`` is
     summed by :func:`_kernel_sum` in row blocks of at most 2**18 values.
@@ -366,13 +290,14 @@ def pair_test(
 
     The pair is checked first, then ``y`` is rotated onto ``x`` with
     :func:`align_embeddings`, then the bandwidth is resolved once on the
-    pooled rows and frozen; the statistic is :func:`mmd_statistic` at that
-    bandwidth, and with ``n_boot > 0`` the permutation null of
-    :func:`bootstrap_pvalue` runs at the same bandwidth with draws from
-    ``rng``.  With ``n_boot = 0`` there is no null and the p-value is
-    ``None``.  Both build their kernels in blocks of at most 2**18 values,
-    so the memory is linear in the pooled rows; with ``n_boot > 0`` the
-    kernel is built twice, once for each.
+    pooled rows (the median heuristic reads at most 600 of them, see
+    :meth:`KernelConfig.resolve`) and frozen; the statistic is
+    :func:`mmd_statistic` at that bandwidth, and with ``n_boot > 0`` the
+    permutation null of :func:`bootstrap_pvalue` runs at the same bandwidth
+    with draws from ``rng``.  With ``n_boot = 0`` there is no null and the
+    p-value is ``None``.  Both build their kernels in blocks of at most
+    2**18 values, so the memory is linear in the pooled rows; with
+    ``n_boot > 0`` the kernel is built twice, once for each.
     """
     x, y = _check_pair(x, y)
     # each step is called by its module-level name, which the benchmark's
@@ -547,15 +472,7 @@ def align_embeddings(reference: np.ndarray, moving: np.ndarray) -> np.ndarray:
     if ref.ndim != 2 or mov.ndim != 2 or ref.shape[1] != mov.shape[1]:
         raise MotifError("alignment needs 2-d inputs of equal dimension")
     _check_finite(ref, mov)
-
-    def thin(arr: np.ndarray) -> np.ndarray:
-        if arr.shape[0] <= _ALIGN_POINTS:
-            return arr
-        # the stride (n - 1) / (_ALIGN_POINTS - 1) exceeds 1, so the
-        # truncated indices are already strictly increasing
-        return arr[np.linspace(0, arr.shape[0] - 1, _ALIGN_POINTS).astype(np.int64)]
-
-    ra, mo = thin(ref), thin(mov)
+    ra, mo = _thin(ref, _ALIGN_POINTS), _thin(mov, _ALIGN_POINTS)
     # every squared distance the fit forms is at most (|a| + |b|)**2
     with np.errstate(over="ignore"):
         reach = float(np.hypot.reduce(ra, axis=1).max() + np.hypot.reduce(mo, axis=1).max())
@@ -694,14 +611,24 @@ def cluster_motifs(
     tree is cut into ``n_motifs`` clusters when that is given, else through
     the largest gap between consecutive merge heights.  Labels are
     renumbered in order of first appearance, so any relabeling of the input
-    subgraphs permutes the output labels accordingly.
+    subgraphs permutes the output labels accordingly.  An empty, non-square,
+    asymmetric or non-finite matrix, and ``n_motifs`` below 1, are refused
+    by name.
     """
+    if n_motifs is not None and n_motifs < 1:
+        raise MotifError(f"n_motifs must be >= 1, got {n_motifs}")
     if isinstance(dissimilarity, DissimilarityMatrix):
         dissimilarity = dissimilarity.statistics
     mat = np.asarray(dissimilarity, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise MotifError(
+            f"dissimilarity matrix must be square and non-empty, got shape {mat.shape}"
+        )
     r = mat.shape[0]
-    if mat.shape != (r, r) or not np.allclose(mat, mat.T, atol=1e-12):
-        raise MotifError("dissimilarity matrix must be square and symmetric")
+    if not np.isfinite(mat).all():
+        raise MotifError("dissimilarity matrix must be finite")
+    if not np.allclose(mat, mat.T, atol=1e-12):
+        raise MotifError("dissimilarity matrix must be symmetric")
     if r == 1:
         return MotifAssignment(labels=np.zeros(1, dtype=np.int64), merges=[], n_motifs=1)
     from scipy.cluster import hierarchy

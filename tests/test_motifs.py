@@ -140,6 +140,10 @@ class TestMmdStatistic:
         x, y = gaussian_pair(9, 13, seed=5)
         k = KernelConfig(bandwidth=1.3)
         assert hm.mmd_statistic(x, y, k) == hm.mmd_statistic(y, x, k)
+        # above 600 pooled rows the median heuristic reads a stride sample,
+        # which depends on the order of the pooled rows
+        x, y = gaussian_pair(700, 500, shift=0.3, seed=6)
+        assert hm.mmd_statistic(x, y) == hm.mmd_statistic(y, x)
 
     def test_joint_rotation_invariance(self):
         x, y = gaussian_pair(20, 25, d=3, shift=0.5, seed=2)
@@ -255,18 +259,20 @@ class TestOneKernelAtATime:
         for x, y in self.pairs():
             pooled = np.vstack([x, y])
             got = KernelConfig().resolve(pooled)
-            assert np.float64(got).tobytes() == np.float64(numpy_bandwidth(pooled)).tobytes()
+            expected = numpy_bandwidth(median_rows(pooled))
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_zero_median_falls_back_to_mean_in_original_order(self):
         rng = np.random.default_rng(9)
-        for size in (10, 57, 400):
+        for size in (10, 57, 400, 600, 601, 1450):
             pooled = rng.normal(size=(size, 3)) * 1e3
             pooled[: int(0.8 * size)] = rng.normal(size=3)  # 80% of rows identical
             pooled = pooled[rng.permutation(size)]
-            dists = pdist(pooled)
+            dists = pdist(median_rows(pooled))
             assert np.median(dists) == 0.0
             expected = np.mean(dists)
-            assert expected != np.mean(np.sort(dists))  # the summation order shows
+            if size < 600:  # the summation order shows on these draws
+                assert expected != np.mean(np.sort(dists))
             got = KernelConfig().resolve(pooled)
             assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
@@ -278,14 +284,15 @@ class TestOneKernelAtATime:
         assert peak <= 1.25 * one_kernel, peak / one_kernel
 
     def test_resolve_peak_is_the_distances(self):
-        # the median is selected from row blocks: the N(N-1)/2 distances,
-        # twice the statistic's smallest possible largest kernel block, are
-        # never formed, and the peak stays under that kernel block
-        for n in (1000, 1600, 3000):
+        # the median is taken over at most 600 stride rows, so the peak is
+        # their 179,700 distances (1.4 MB) whatever N, never the N(N-1)/2
+        distances = 600 * 599 // 2 * 8
+        peaks = []
+        for n in (1000, 3000, 32000):
             pooled = np.random.default_rng(5).normal(size=(n, 3))
-            kernel_block = (n // 2) ** 2 * 8
-            peak = traced_peak(lambda: KernelConfig().resolve(pooled))
-            assert peak <= kernel_block, (n, peak / kernel_block)
+            peaks.append(traced_peak(lambda: KernelConfig().resolve(pooled)))
+        assert max(peaks) <= 1.1 * distances, [p / distances for p in peaks]
+        assert max(peaks) - min(peaks) <= 0.01 * distances, peaks
 
     def test_pair_test_peak_is_one_kernel_block(self):
         # a 1522/1478 split, as at the root of the three-level CLI benchmark
@@ -409,6 +416,17 @@ def numpy_bandwidth(pooled):
     return expected
 
 
+def median_rows(pooled):
+    """The rows the median heuristic reads: all of them up to 600, else 600
+    by an even stride that keeps the first and the last."""
+    n = pooled.shape[0]
+    if n <= 600:
+        return pooled
+    idx = np.linspace(0, n - 1, 600).astype(np.int64)
+    assert idx[0] == 0 and idx[-1] == n - 1 and (np.diff(idx) > 0).all()
+    return pooled[idx]
+
+
 def assert_same_float(got, expected):
     if np.isnan(expected):
         assert np.isnan(got)
@@ -416,15 +434,24 @@ def assert_same_float(got, expected):
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
-class TestBlockedMedian:
-    """The median heuristic from row blocks equals ``np.median(pdist)`` and
-    the one-array reference, bit for bit, on every route through it."""
+def assert_median_heuristic(pooled):
+    """``resolve`` equals ``np.median(pdist)`` and the one-array reference,
+    bit for bit, on the rows it reads."""
+    got = KernelConfig().resolve(pooled)
+    rows = median_rows(pooled)
+    assert_same_float(got, numpy_bandwidth(rows))
+    assert_same_float(got, median_bandwidth_pdist(rows))
 
-    # 127 | 128 rows: pdist whole | sampled bracket; 1449 | 1450 rows: the
-    # block is (N/2)**2 / 2 | 2**18 distances; pair counts are even for
-    # N = 0, 1 (mod 4) and odd for N = 2, 3 (mod 4)
-    SIZES = [2, 3, 5, 127, 128, 129, 130, 300, 725, 1001, 1447, 1448, 1449, 1450, 1451,
-             2048, 2999, 3000]
+
+class TestBlockedMedian:
+    """The median heuristic equals ``np.median(pdist)`` and the one-array
+    reference, bit for bit: on every row up to 600 rows, and on 600 stride
+    rows above that."""
+
+    # pair counts are even for N = 0, 1 (mod 4) and odd for N = 2, 3
+    # (mod 4); 600 | 601 rows: every row | a stride sample
+    SIZES = [2, 3, 5, 127, 128, 129, 130, 300, 599, 600, 601, 725, 1001, 1447, 1448, 1449,
+             1450, 1451, 2048, 2999, 3000]
 
     @pytest.mark.parametrize("n", SIZES)
     def test_random_clouds(self, n):
@@ -432,10 +459,7 @@ class TestBlockedMedian:
         d = 1 + n % 5
         pooled = np.vstack([rng.normal(size=(n // 2, d)),
                             rng.normal(size=(n - n // 2, d)) * 3 + 1])
-        expected = numpy_bandwidth(pooled)
-        got = KernelConfig().resolve(pooled)
-        assert_same_float(got, expected)
-        assert_same_float(got, median_bandwidth_pdist(pooled))
+        assert_median_heuristic(pooled)
 
     @pytest.mark.parametrize("n", [128, 131, 600, 1450, 2001])
     @pytest.mark.parametrize("distinct", [2, 3, 7, 40])
@@ -444,46 +468,26 @@ class TestBlockedMedian:
         rng = np.random.default_rng(n + distinct)
         points = rng.normal(size=(distinct, 2))
         pooled = points[rng.integers(0, distinct, size=n)]
-        assert_same_float(KernelConfig().resolve(pooled), numpy_bandwidth(pooled))
+        assert_median_heuristic(pooled)
 
     @pytest.mark.parametrize("n", [50, 300, 1450])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "two inf"])
     def test_non_finite_rows(self, n, bad):
         pooled = np.random.default_rng(n).normal(size=(n, 3))
+        # rows the stride sample reads, so the bad values reach the median
+        read = np.linspace(0, n - 1, min(n, 600)).astype(np.int64)
         if bad == "two inf":  # inf - inf: a NaN distance
-            pooled[[3, n - 1], 1] = np.inf
+            pooled[[read[3], n - 1], 1] = np.inf
         else:
-            pooled[n // 3] = bad
-        expected = numpy_bandwidth(pooled)
-        assert_same_float(KernelConfig().resolve(pooled), expected)
-        assert_same_float(KernelConfig().resolve(pooled), median_bandwidth_pdist(pooled))
+            pooled[read[len(read) // 3]] = bad
+        assert_median_heuristic(pooled)
+        makes_nan = isinstance(bad, str) or np.isnan(bad)
+        assert np.isnan(KernelConfig().resolve(pooled)) == makes_nan
 
     def test_integer_rows(self):
-        pooled = np.random.default_rng(4).integers(0, 5, size=(400, 2))
-        assert_same_float(KernelConfig().resolve(pooled), numpy_bandwidth(pooled))
-
-    @pytest.mark.parametrize("side", ["low", "high", "both"])
-    @pytest.mark.parametrize("n", [300, 1001])
-    def test_bracket_miss_rescans(self, monkeypatch, side, n):
-        # the first scans get a bracket that misses the middle ranks; the
-        # margin widens fourfold per miss until the scan holds them
-        scan = motifs._scan_squared_distances
-        calls = []
-
-        def missing(pooled, lo, hi):
-            calls.append((lo, hi))
-            if len(calls) <= 3:
-                miss = side if side != "both" else ("low" if len(calls) % 2 else "high")
-                # every distance below the bracket, or every one above it
-                lo = hi = np.inf if miss == "low" else -1.0
-            return scan(pooled, lo, hi)
-
-        monkeypatch.setattr(motifs, "_scan_squared_distances", missing)
-        pooled = np.random.default_rng(n).normal(size=(n, 2))
-        assert_same_float(KernelConfig().resolve(pooled), numpy_bandwidth(pooled))
-        assert len(calls) == 4
-        widths = [hi - lo for lo, hi in calls]
-        assert widths == sorted(widths) and widths[0] < widths[-1]
+        for n in (400, 1450):
+            pooled = np.random.default_rng(4).integers(0, 5, size=(n, 2))
+            assert_median_heuristic(pooled)
 
 
 class TestBootstrapPvalue:
@@ -1043,6 +1047,32 @@ class TestClusterMotifs:
         motifs = hm.cluster_motifs(s, n_motifs=3)
         assert len(motifs.merges) == 6  # r - 1 merges
         assert all(set(m) == {"left", "right", "height"} for m in motifs.merges)
+
+    @pytest.mark.parametrize("case, message", [
+        ("empty", r"^dissimilarity matrix must be square and non-empty, got shape \(0, 0\)$"),
+        ("inf", "^dissimilarity matrix must be finite$"),
+        ("nan", "^dissimilarity matrix must be finite$"),
+        ("zero motifs", "^n_motifs must be >= 1, got 0$"),
+    ])
+    def test_bad_input_refused_by_name(self, case, message):
+        s, _ = self.ideal_matrix()
+        n_motifs = None
+        if case == "empty":
+            s = np.zeros((0, 0))
+        elif case == "zero motifs":
+            n_motifs = 0
+        else:
+            s[1, 2] = s[2, 1] = np.inf if case == "inf" else np.nan
+        with pytest.raises(MotifError, match=message):
+            hm.cluster_motifs(s, n_motifs=n_motifs)
+
+    def test_non_square_and_asymmetric_refused(self):
+        with pytest.raises(MotifError, match=r"must be square and non-empty, got shape \(2, 3\)"):
+            hm.cluster_motifs(np.zeros((2, 3)))
+        s, _ = self.ideal_matrix()
+        s[0, 1] += 0.5
+        with pytest.raises(MotifError, match="^dissimilarity matrix must be symmetric$"):
+            hm.cluster_motifs(s)
 
 
 def test_matrix_csv(tmp_path):
