@@ -10,14 +10,13 @@ Usage: python scripts/benchmark_study.py [OUT_DIR] [--seed S]
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 import hsbm_motif as hm
-from hsbm_motif.clustering import phi_curve_to_csv
+from hsbm_motif.cli import _write_csv, _write_json
 from hsbm_motif.pipeline import hierarchy_report
 from hsbm_motif.seeding import derive_rng
 
@@ -37,10 +36,7 @@ def main() -> int:
 
     print("scree (top 30 magnitudes)")
     mags = hm.ase(graph, 30).magnitudes
-    with open(out / "scree.csv", "w") as fh:
-        fh.write("index,magnitude\n")
-        for i, v in enumerate(mags, start=1):
-            fh.write(f"{i},{float(v)!r}\n")
+    _write_csv(out / "scree.csv", "index,magnitude", enumerate(mags.tolist(), start=1))
     drops = mags[:-1] / mags[1:]
     print(f"  largest relative drop after index {int(np.argmax(drops)) + 1}"
           f" (model rank is 24; weak contrast directions sink below the noise floor)")
@@ -51,7 +47,7 @@ def main() -> int:
     emb = hm.ase(graph, d_hat)
     est = hm.estimate_num_subgraphs(emb.positions, 12, args.mc,
                                     derive_rng(args.seed, "study-phi"))
-    phi_curve_to_csv(est, out / "phi_curve.csv")
+    _write_csv(out / "phi_curve.csv", "k,phi", zip(est.k_values.tolist(), est.phi.tolist()))
     jump = int(est.k_values[:-1][int(np.argmax(np.diff(est.phi)))])
     print(f"  maximal increment between k={jump} and k={jump + 1}; "
           f"estimated subgraph count {est.n_subgraphs}")
@@ -60,8 +56,7 @@ def main() -> int:
     cfg = hm.PipelineConfig(top_dim=d_hat, sub_dim=3, n_subgraphs=8, n_motifs=3,
                             min_cluster_size=1000, max_depth=1, seed=args.seed)
     tree = hm.detect_hierarchy(graph, cfg)
-    with open(out / "hierarchy.json", "w") as fh:
-        json.dump(hierarchy_report(tree, cfg), fh, indent=2)
+    _write_json(out / "hierarchy.json", hierarchy_report(tree, cfg))
     truth = hm.VertexPartition(latents.top_level_labels(), 8)
     pred = np.zeros(graph.n_vertices, dtype=np.int64)
     for j, child in enumerate(tree.children):

@@ -11,13 +11,13 @@ Usage: python scripts/connectome_study.py EDGE_LIST [OUT_DIR] [--seed S]
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 import hsbm_motif as hm
+from hsbm_motif.cli import _write_json
 from hsbm_motif.pipeline import hierarchy_report
 from hsbm_motif.seeding import derive_rng
 
@@ -57,8 +57,7 @@ def main() -> int:
         seed=args.seed,
     )
     tree = hm.detect_hierarchy(lcc, cfg)
-    with open(out / "hierarchy.json", "w") as fh:
-        json.dump(hierarchy_report(tree, cfg), fh, indent=2)
+    _write_json(out / "hierarchy.json", hierarchy_report(tree, cfg))
     if tree.children and tree.dissimilarity.p_values is not None:
         p = tree.dissimilarity.p_values
         iu = np.triu_indices(p.shape[0], k=1)

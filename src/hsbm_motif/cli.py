@@ -1,11 +1,14 @@
 """Batch command-line front end.
 
 Every subcommand reads plain files, writes CSV/JSON artifacts into an output
-directory, and records a manifest (config echo, seed, input digests, output
-paths, wall-clock per stage).  All randomness flows from ``--seed`` through
-named generator streams, so reruns with identical inputs produce
-byte-identical primary outputs; the manifest's timings are the only
-run-dependent bytes.
+directory, and records a manifest (tool version, config echo, seed, input
+digests, output paths, wall-clock per stage, warnings).  Every CSV artifact
+but the embedding goes through :func:`_write_csv` (a header line, then
+comma-joined rows), and every JSON one through :func:`_write_json`.  All
+randomness flows from ``--seed`` through generator streams named in the
+code (``seeding.derive_rng``), so the manifest's tool and seed reproduce
+every stream, and reruns with identical inputs produce byte-identical
+primary outputs; the manifest's timings are the only run-dependent bytes.
 """
 
 from __future__ import annotations
@@ -24,17 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipeline
-from .clustering import phi_curve_to_csv
 from .embedding import EmbedError, embedding_from_csv, embedding_to_csv
 from .generate import builtin_spec_path, load_spec, sample_hsbm
 from .graph import (
     largest_connected_component,
     load_edge_list,
     open_text,
-    partition_to_csv,
     save_edge_list,
 )
-from .motifs import KernelConfig, matrix_to_csv, pair_test
+from .motifs import KernelConfig, pair_test
 from .pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -42,7 +43,7 @@ from .pipeline import (
     hierarchy_report,
     vertex_assignments,
 )
-from .seeding import derive_rng, seed_record
+from .seeding import derive_rng
 
 
 def _sha256(path: str) -> str:
@@ -61,6 +62,16 @@ def _write_json(path, data) -> None:
         fh.write(text)
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """``header``, then one comma-joined line per row of ``rows``.  Rows
+    come from ``.tolist()``, so their numbers are Python ints and floats,
+    and ``str`` of a float is its shortest round-trip ``repr``."""
+    with open_text(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 class Manifest:
     def __init__(self, command: str, args: argparse.Namespace):
         self.out_dir = Path(args.out_dir)
@@ -73,7 +84,6 @@ class Manifest:
             "outputs": [],
             "timings_s": {},
             "warnings": [],
-            "seed_streams": [],
         }
         self._t0 = time.time()
         self._stage_t = self._t0
@@ -108,9 +118,6 @@ class Manifest:
         self.data["timings_s"][name] = round(now - self._stage_t, 3)
         self._stage_t = now
 
-    def record_seed(self, *labels) -> None:
-        self.data["seed_streams"].append(seed_record(self.data["seed"], *labels))
-
     def write(self) -> None:
         self.data["timings_s"]["total"] = round(time.time() - self._t0, 3)
         _write_json(self.out_dir / "manifest.json", self.data)
@@ -136,20 +143,16 @@ def cmd_generate(args) -> int:
     spec_path = builtin_spec_path(args.spec[len("builtin:") :]) if args.spec.startswith("builtin:") else args.spec
     manifest.add_input(spec_path)
     spec = load_spec(spec_path)
-    manifest.record_seed("generate")
     graph, latents = sample_hsbm(spec, derive_rng(args.seed, "generate"))
     manifest.stage("sample")
 
     edges_path = manifest.output("edges.txt")
     save_edge_list(graph, edges_path)
 
-    labels_path = manifest.output("labels.csv")
-    with open_text(labels_path, "w") as fh:
-        fh.write("vertex_id,subgraph,block,path\n")
-        top = latents.top_level_labels()
-        for v in range(latents.n_vertices):
-            path = "/".join(str(int(p)) for p in latents.paths[v] if p >= 0)
-            fh.write(f"{v},{int(top[v])},{int(latents.block_labels[v])},{path}\n")
+    paths = ["/".join(str(p) for p in row if p >= 0) for row in latents.paths.tolist()]
+    _write_csv(manifest.output("labels.csv"), "vertex_id,subgraph,block,path",
+               zip(range(latents.n_vertices), latents.top_level_labels().tolist(),
+                   latents.block_labels.tolist(), paths))
     manifest.stage("write")
     manifest.write()
     print(f"generated {graph.n_vertices} vertices, {graph.n_edges} edges -> {edges_path}")
@@ -197,10 +200,8 @@ def cmd_embed(args) -> int:
     with manifest.capture_warnings():
         solve, dim = pipeline._named("root", pipeline._solve, cfg, graph, 0)
         emb = pipeline._named("root", pipeline._embedding, cfg, solve, dim)
-    with open_text(manifest.output("scree.csv"), "w") as fh:
-        fh.write("index,magnitude\n")
-        for i, v in enumerate(solve.magnitudes, start=1):
-            fh.write(f"{i},{repr(float(v))}\n")
+    _write_csv(manifest.output("scree.csv"), "index,magnitude",
+               enumerate(solve.magnitudes.tolist(), start=1))
     manifest.stage("scree")
 
     emb_path = manifest.output("embedding.csv")
@@ -224,16 +225,15 @@ def cmd_cluster(args) -> int:
     with manifest.capture_warnings():
         r = cfg.n_subgraphs
         if r == "auto":
-            manifest.record_seed("count", root.key)
             est = pipeline._estimate_count(cfg, emb.positions, root)
             r = manifest.data["config"]["n_subgraphs_used"] = est.n_subgraphs
-            phi_curve_to_csv(est, manifest.output("phi_curve.csv"))
+            _write_csv(manifest.output("phi_curve.csv"), "k,phi",
+                       zip(est.k_values.tolist(), est.phi.tolist()))
         manifest.stage("estimate")
 
-        manifest.record_seed("cluster", root.key)
         part, seeds = pipeline._sweep(cfg, emb.positions, r, root)
     part_path = manifest.output("partition.csv")
-    partition_to_csv(part, ids, part_path)
+    _write_csv(part_path, "vertex_id,cluster", zip(ids, part.labels.tolist()))
     # one seed has no pair, and no max_pair_dot (NaN): written as null
     manifest.data["config"]["max_pair_dot"] = None if seeds.size < 2 else seeds.max_pair_dot
     manifest.stage("cluster")
@@ -252,7 +252,6 @@ def cmd_test(args) -> int:
     y = embedding_from_csv(args.embedding_b)[0].positions
     manifest.stage("load")
 
-    manifest.record_seed("test")
     t_value, sigma, p_value = pair_test(
         x, y, KernelConfig(bandwidth=cfg.bandwidth), cfg.n_bootstrap, derive_rng(cfg.seed, "test")
     )
@@ -285,20 +284,18 @@ def cmd_detect(args) -> int:
     tree_path = manifest.output("hierarchy.json")
     _write_json(tree_path, report)
 
-    with open_text(manifest.output("assignments.csv"), "w") as fh:
-        fh.write("vertex_id,path\n")
-        for vid, path in vertex_assignments(root, graph):
-            fh.write(f"{vid},{path}\n")
+    _write_csv(manifest.output("assignments.csv"), "vertex_id,path",
+               vertex_assignments(root, graph))
 
     for node in root.walk():
         if not node.children:
             continue
         key = f"node_{node.key.replace('/', '-')}" if node.path else "root"
-        matrix_to_csv(node.dissimilarity.statistics, manifest.output(f"{key}_dissimilarity.csv"),
-                      header="pairwise statistics")
+        _write_csv(manifest.output(f"{key}_dissimilarity.csv"), "# pairwise statistics",
+                   node.dissimilarity.statistics.tolist())
         if node.dissimilarity.p_values is not None:
-            matrix_to_csv(node.dissimilarity.p_values, manifest.output(f"{key}_pvalues.csv"),
-                          header="permutation p-values")
+            _write_csv(manifest.output(f"{key}_pvalues.csv"), "# permutation p-values",
+                       node.dissimilarity.p_values.tolist())
     degenerate = [n for n in root.walk() if n.degenerate]
     for node in degenerate:
         manifest.warn(f"degenerate branch: {node.error}")

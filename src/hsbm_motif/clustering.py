@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import profile_likelihood_elbow
-from .graph import VertexPartition, open_text
+from .graph import VertexPartition
 
 
 class ClusterError(ValueError):
@@ -193,10 +193,3 @@ def estimate_num_subgraphs(
     return SubgraphCountEstimate(
         n_subgraphs=int(jump_ks.min()), k_values=ks, phi=phi
     )
-
-
-def phi_curve_to_csv(est: SubgraphCountEstimate, sink) -> None:
-    with open_text(sink, "w") as fh:
-        fh.write("k,phi\n")
-        for k, value in zip(est.k_values, est.phi):
-            fh.write(f"{int(k)},{repr(float(value))}\n")

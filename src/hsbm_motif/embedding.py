@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -25,23 +24,15 @@ class EmbedError(ValueError):
 
 class _ImportOnFirstUse:
     """Stands for the module ``name`` and imports it on the first attribute
-    access, so that importing this package does not load it.
-
-    The first import runs under a lock: threads that make it at once wait
-    for one fully executed module.
-    """
+    access, so that importing this package does not load it.  Threads that
+    make the first import at once wait on importlib's per-module lock for
+    one fully executed module; later accesses find it in ``sys.modules``."""
 
     def __init__(self, name: str):
         self._name = name
-        self._module = None
-        self._lock = threading.Lock()
 
     def __getattr__(self, attr: str):
-        if self._module is None:
-            with self._lock:
-                if self._module is None:
-                    self._module = importlib.import_module(self._name)
-        return getattr(self._module, attr)
+        return getattr(importlib.import_module(self._name), attr)
 
 
 # ARPACK: ~0.1 s of imports (scipy.linalg with it) that only a solve needs

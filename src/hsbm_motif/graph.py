@@ -620,11 +620,3 @@ def block_density(g: SparseGraph, part: VertexPartition) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         dens = np.where(pairs > 0, counts / pairs, np.nan)
     return dens
-
-
-def partition_to_csv(part: VertexPartition, ids: Iterable[str], sink: IO[str] | str | os.PathLike) -> None:
-    """Write ``vertex_id,cluster`` rows with a header line."""
-    with open_text(sink, "w") as fh:
-        fh.write("vertex_id,cluster\n")
-        for label, cluster in zip(ids, part.labels):
-            fh.write(f"{label},{int(cluster)}\n")

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import Embedding
-from .graph import open_text
 
 # scipy.spatial and scipy.cluster are imported where they are used: together
 # they add ~0.2 s to every process that imports this package, and only a pair
@@ -659,11 +658,3 @@ def cluster_motifs(
         for row in z
     ]
     return MotifAssignment(labels=labels, merges=merges, n_motifs=len(remap))
-
-
-def matrix_to_csv(matrix: np.ndarray, sink, header: str | None = None) -> None:
-    with open_text(sink, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

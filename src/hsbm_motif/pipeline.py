@@ -298,7 +298,9 @@ def detect_hierarchy(g: SparseGraph, cfg: PipelineConfig) -> HierarchyNode:
 
     The run is a deterministic function of the graph and ``cfg.seed``.
     """
-    return _detect_node(g, np.arange(g.n_vertices, dtype=np.int64), cfg, path=())
+    root = HierarchyNode(vertex_indices=np.arange(g.n_vertices, dtype=np.int64))
+    _detect_node(g, root, cfg)
+    return root
 
 
 # data errors that mark a branch degenerate; anything else is a bug
@@ -314,28 +316,25 @@ _BRANCH_ERRORS = (
 
 def _detect_node(
     sub: SparseGraph,
-    vertex_indices: np.ndarray,
+    node: HierarchyNode,
     cfg: PipelineConfig,
-    path: tuple[int, ...],
     solved: tuple[Embedding, int] | None = None,
-) -> HierarchyNode:
-    """Node for ``sub``, the subgraph on ``vertex_indices``.  ``solved`` is
-    its ``(solve, dim)`` from :func:`_solve`, which the parent has already
-    made for every node but the root; no node is embedded twice."""
-    node = HierarchyNode(vertex_indices=vertex_indices, path=path)
+) -> None:
+    """Fill ``node`` from ``sub``, the subgraph on its vertices.  ``solved``
+    is its ``(solve, dim)`` from :func:`_solve`, which the parent has
+    already made for every node but the root; no node is embedded twice."""
     n = sub.n_vertices
     try:
         if solved is None:
             # a fixed dimension decides whether the root stops before any solve
             if cfg.top_dim != "auto" and not _splits(cfg, n, min(int(cfg.top_dim), n - 1), 0):
-                return node
+                return
             solved = _named(node.name, _solve, cfg, sub, node.depth)
         solve, dim = solved
         if _splits(cfg, n, dim, node.depth):
             _split_node(sub, node, cfg, solve, dim)
     except _BRANCH_ERRORS as exc:
         node.error = f"node {node.name}: {exc}"
-    return node
 
 
 def _split_node(
@@ -358,11 +357,12 @@ def _split_node(
     block_matrix, block_weights = estimate_block_matrix(sub, part)
 
     members = [part.members(c) for c in range(part.n_clusters)]
+    children = [HierarchyNode(vertex_indices=node.vertex_indices[m], path=node.path + (c,))
+                for c, m in enumerate(members)]
     child_graphs = [induced_subgraph(sub, m) for m in members]
-    child_names = ["/".join(map(str, node.path + (c,))) for c in range(part.n_clusters)]
     # each child's one solve; a child too small to embed fails here
-    child_solves = [_named(name, _solve, cfg, c, node.depth + 1)
-                    for name, c in zip(child_names, child_graphs)]
+    child_solves = [_named(child.name, _solve, cfg, g, child.depth)
+                    for child, g in zip(children, child_graphs)]
     # children must share an embedding dimension for the pairwise tests;
     # take the largest per-child dimension so none is under-embedded.  Only
     # those leading columns are kept: a representative's own dimension is
@@ -370,8 +370,8 @@ def _split_node(
     shared_dim = max(d for _, d in child_solves)
     child_solves = [(s.leading(min(shared_dim, s.dim)), d) for s, d in child_solves]
     usable = min(s.dim for s, _ in child_solves)
-    child_mats = [_named(name, _embedding, cfg, s, usable).positions
-                  for name, (s, _) in zip(child_names, child_solves)]
+    child_mats = [_named(child.name, _embedding, cfg, s, usable).positions
+                  for child, (s, _) in zip(children, child_solves)]
 
     dissimilarity = dissimilarity_matrix(
         child_mats,
@@ -381,21 +381,12 @@ def _split_node(
         threads=cfg.threads,
     )
     motifs = cluster_motifs(dissimilarity, n_motifs=cfg.n_motifs)
-    child_indices = [node.vertex_indices[m] for m in members]
-    reps = representative_subgraph(child_indices, motifs)
-
-    children: list[HierarchyNode] = []
-    for c, idx in enumerate(child_indices):
-        child_path = node.path + (c,)
+    reps = representative_subgraph([c.vertex_indices for c in children], motifs)
+    for c, child in enumerate(children):
         if c in reps.values():
-            child = _detect_node(child_graphs[c], idx, cfg, child_path, child_solves[c])
+            _detect_node(child_graphs[c], child, cfg, child_solves[c])
         else:
-            child = HierarchyNode(
-                vertex_indices=idx,
-                path=child_path,
-                structure_from=reps[int(motifs.labels[c])],
-            )
-        children.append(child)
+            child.structure_from = reps[int(motifs.labels[c])]
     # set only now, so a node whose split failed keeps no split fields
     node.child_partition = part
     node.block_matrix, node.block_weights = block_matrix, block_weights

@@ -34,12 +34,3 @@ def seed_sequence(root_seed: int, *labels: str | int) -> np.random.SeedSequence:
 def derive_rng(root_seed: int, *labels: str | int) -> np.random.Generator:
     """Generator for the stage identified by ``labels`` under ``root_seed``."""
     return np.random.default_rng(seed_sequence(root_seed, *labels))
-
-
-def seed_record(root_seed: int, *labels: str | int) -> dict:
-    """Manifest entry describing how a stage seed was derived."""
-    return {
-        "root_seed": int(root_seed),
-        "labels": [str(lab) for lab in labels],
-        "entropy": [int(root_seed)] + [label_key(lab) for lab in labels],
-    }

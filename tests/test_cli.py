@@ -192,6 +192,53 @@ def test_generate_writes_golden_bytes(tmp_path, name):
     assert digests == GOLDEN_GENERATE[name]
 
 
+# SHA-256 of every artifact but the manifest that each later command writes
+# on the seed-1 three-level graph of GOLDEN_GENERATE, keyed by the command's
+# output directory ("sphere" is embed --sphere); a change to how any of them
+# is laid out, or to what a seeded stage computes, must show up here
+GOLDEN_STAGES = {
+    "embed/embedding.csv": "03566fb88a597a29fb90c127718f927532879ced812f200f6bf318093687a5b4",
+    "embed/scree.csv": "dc1851db030262188c384b412b612241522b9080d28b52c7d9bffadf2572d5ad",
+    "sphere/embedding.csv": "d2333252d14ac5fd94ca34847b7836e6398a3a9f2f9ac26cc6ef0b4d62d2c925",
+    "sphere/scree.csv": "dc1851db030262188c384b412b612241522b9080d28b52c7d9bffadf2572d5ad",
+    "cluster/partition.csv": "d198ebdb362c3eb134f249926ce473ce6b00eb0aa2c8f1850be127aa69b0d25d",
+    "cluster/phi_curve.csv": "f7d4452000e0730f54cec78748d14f9a55207a347cfaf89a83ae36093cd2048d",
+    "test/test.json": "d8710cc430de07a75f783910ca50ceda662984550bb9a64ceb2a4260f4c9b339",
+    "detect/assignments.csv": "d077e8ae14b4fe672645e02ac720ba4fe73a90127bd829275119dab49f1ad142",
+    "detect/hierarchy.json": "0c098530a9722c440732de2de8bba3bc63bc63ac17d7d2e1065045540c34c4a9",
+    "detect/node_0_dissimilarity.csv": "609fa313fff8fe443aecbf3171ecdf1646476112bd3341ab4f6a20dae5b1fec6",
+    "detect/node_0_pvalues.csv": "57500c3340ef9a2b3120ad9d5f1da4e6f7d97b1487cd6b0d6f7565d573b5bcb2",
+    "detect/node_1_dissimilarity.csv": "8462982af63138605082cca3b0019b2d0bd54276e5e59fbf2ee12c52e52da0a0",
+    "detect/node_1_pvalues.csv": "57500c3340ef9a2b3120ad9d5f1da4e6f7d97b1487cd6b0d6f7565d573b5bcb2",
+    "detect/report.html": "f68eaa5d36e867d79299a1e99c86e6e78ea18cbb9d19527246e7c98f90f657dd",
+    "detect/root_dissimilarity.csv": "81730797e07de481a0e5da6172d671ec73db6c0f05db9f06425ef80a5402b7ee",
+    "detect/root_pvalues.csv": "bc6b5e861f30d72c2f2015cf55a005e89b2ec4b5070cb657d81cf6ffb4c02f59",
+}
+
+
+def test_stages_write_golden_bytes(tmp_path):
+    spec = tmp_path / "three_level.json"
+    spec.write_text(json.dumps({"n": 600, "rho": 1.0, "tree": three_level_tree()}))
+    edges = str(tmp_path / "generate" / "edges.txt")
+    embedding = str(tmp_path / "embed" / "embedding.csv")
+    runs = {
+        "generate": ["generate", str(spec)],
+        "embed": ["embed", edges],
+        "sphere": ["embed", edges, "--sphere"],
+        "cluster": ["cluster", embedding, "--num-subgraphs", "auto"],
+        "test": ["test", embedding, str(tmp_path / "sphere" / "embedding.csv"),
+                 "--bootstrap", "20"],
+        "detect": ["detect", edges, "--bootstrap", "20"],
+    }
+    for out, argv in runs.items():
+        assert main(argv + ["--out-dir", str(tmp_path / out), "--seed", "1"]) == 0
+    assert main(["report", str(tmp_path / "detect")]) == 0
+    digests = {f"{out}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+               for out in list(runs)[1:] for f in (tmp_path / out).iterdir()
+               if f.name != "manifest.json"}
+    assert digests == GOLDEN_STAGES
+
+
 @pytest.fixture()
 def small_edges(tmp_path, small_spec):
     gen = tmp_path / "gen"
@@ -379,6 +426,28 @@ def test_single_subgraph_manifest_is_strict_json(tmp_path, small_edges):
                  "--out-dir", str(out)]) == 0
     manifest = _strict_json((out / "manifest.json").read_text())
     assert manifest["config"]["max_pair_dot"] is None
+
+
+def test_write_csv_partition_rows(tmp_path):
+    # partition.csv's layout: the header line, then vertex_id,cluster rows
+    part = hsbm_motif.VertexPartition(np.array([0, 1, 1, 2]), 3)
+    path = tmp_path / "partition.csv"
+    cli._write_csv(path, "vertex_id,cluster", zip(["a", "b", "c", "d"], part.labels.tolist()))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "vertex_id,cluster"
+    assert len(lines) == 5
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows == [["a", "0"], ["b", "1"], ["c", "1"], ["d", "2"]]
+
+
+def test_write_csv_matrix_rows(tmp_path):
+    # the per-node matrix files: a comment header, then floats by repr
+    path = tmp_path / "m.csv"
+    matrix = np.array([[0.0, 1.5], [1.5, 0.1 + 0.2]])
+    cli._write_csv(path, "# stats", matrix.tolist())
+    lines = path.read_text().splitlines()
+    assert lines == ["# stats", "0.0,1.5", "1.5,0.30000000000000004"]
+    assert np.array_equal(np.loadtxt(path, delimiter=","), matrix)
 
 
 def test_json_artifacts_refuse_non_finite(tmp_path):

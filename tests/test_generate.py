@@ -334,7 +334,7 @@ class TestSamplerMatchesEdgeOracle:
         return None
 
     @pytest.mark.parametrize("n", [2, 511, 512, 513, 1024, 1025, 1300])
-    def test_up_front_check_matches_full_gram(self, n):
+    def test_per_chunk_check_matches_full_gram(self, n):
         # the check runs per 512-row chunk: each chunk's probabilities are
         # checked before they are compared, and the largest over the chunks
         # is the full Gram's, so positions scaled to either side of
@@ -355,7 +355,7 @@ class TestSamplerMatchesEdgeOracle:
                             assert refusal.startswith("edge probability out of [0, 1]: range [")
                             assert refusal.endswith(f", {top}]")
 
-    def test_up_front_check_peak_at_n_4096(self):
+    def test_per_chunk_check_peak_at_n_4096(self):
         # raw positions and latents take the same route: chunk by chunk,
         # never the 134 MB Gram matrix (35.7 MB here)
         spec = single_leaf_spec(np.array([[0.6, 0.35], [0.35, 0.6]]), 4096)

@@ -15,7 +15,6 @@ from hsbm_motif import graph as graph_module
 from hsbm_motif.graph import (
     EdgeListParseError,
     GraphError,
-    partition_to_csv,
 )
 from hsbm_motif.oracle import (
     block_density_one_hot,
@@ -955,15 +954,3 @@ class TestBlockDensity:
         g = load("0 1")
         with pytest.raises(GraphError):
             hm.block_density(g, hm.VertexPartition(np.array([0]), 1))
-
-
-class TestPartitionCsv:
-    def test_round_trip(self):
-        part = hm.VertexPartition(np.array([0, 1, 1, 2]), 3)
-        buf = io.StringIO()
-        partition_to_csv(part, ["a", "b", "c", "d"], buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "vertex_id,cluster"
-        assert len(lines) == 5
-        rows = [line.split(",") for line in lines[1:]]
-        assert rows == [["a", "0"], ["b", "1"], ["c", "1"], ["d", "2"]]

@@ -21,7 +21,6 @@ from hsbm_motif.motifs import (
     _permutation_statistics,
     _rbf,
     _sinkhorn_plan,
-    matrix_to_csv,
 )
 from hsbm_motif.oracle import (
     align_embeddings_all_starts,
@@ -1073,11 +1072,3 @@ class TestClusterMotifs:
         s[0, 1] += 0.5
         with pytest.raises(MotifError, match="^dissimilarity matrix must be symmetric$"):
             hm.cluster_motifs(s)
-
-
-def test_matrix_csv(tmp_path):
-    out = tmp_path / "m.csv"
-    matrix_to_csv(np.array([[0.0, 1.5], [1.5, 0.0]]), out, header="stats")
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# stats"
-    assert lines[1] == "0.0,1.5"
