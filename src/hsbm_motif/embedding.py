@@ -168,8 +168,6 @@ def profile_likelihood_elbow(values: np.ndarray, n_elbows: int = 1) -> int:
         raise EmbedError(f"n_elbows must be >= 1, got {n_elbows}")
     elbow = 0
     for _ in range(n_elbows):
-        if vals.size == 0:
-            break
         if vals.size == 1:
             elbow += 1
             break

@@ -254,16 +254,11 @@ def _psd_sqrt(b: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _count_internal(node: ModelNode) -> int:
-    if isinstance(node, LeafNode):
-        return 0
-    return 1 + sum(_count_internal(c) for c in node.children)
-
-
-def _count_leaf_columns(node: ModelNode) -> int:
+def _columns(node: ModelNode) -> int:
+    """Latent columns of ``node``: a leaf's blocks, or its children's plus one."""
     if isinstance(node, LeafNode):
         return node.n_blocks
-    return sum(_count_leaf_columns(c) for c in node.children)
+    return 1 + sum(_columns(c) for c in node.children)
 
 
 def _draw_counts(
@@ -308,7 +303,7 @@ def build_latent_positions(spec: HsbmSpec, rng: np.random.Generator) -> LatentPo
 
     n = spec.n_vertices
     depth = spec.n_levels - 1
-    dim = _count_leaf_columns(spec.tree) + _count_internal(spec.tree)
+    dim = _columns(spec.tree)
     positions = np.zeros((n, dim), dtype=np.float64)
     block_labels = np.zeros(n, dtype=np.int64)
     paths = np.full((n, depth), -1, dtype=np.int64)

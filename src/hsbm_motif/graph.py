@@ -20,7 +20,7 @@ import scipy.sparse as sp
 _WRITE_CHUNK_ROWS = 1 << 16
 
 # bytes of the canonical edge-list format (see load_edge_list)
-_NL, _SP, _HASH, _ZERO, _NINE = b"\n #09"
+_NL, _SP, _ZERO, _NINE = b"\n 09"
 # any 18-digit integer fits in int64
 _MAX_DIGITS = 18
 # bytes per piece of the canonical-format scan, which cuts pieces at newlines
@@ -265,12 +265,12 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> SparseGraph:
     but contribute no edge.
 
     A file given by path that is in the canonical integer format loads in
-    bulk: ASCII text with newline line ends (no carriage return), every
-    line either a comment with ``#`` in column 0 or exactly ``<int> <int>``
-    with one space, where each token is digits only, with no sign, no
-    leading zero and at most 18 digits.  That is what
-    :func:`save_edge_list` writes for integer ids.  Any other file, and any
-    text stream, goes through the per-line parser; both give the same graph.
+    bulk: ASCII comment lines with ``#`` in column 0 and no carriage return
+    first, then only lines of exactly ``<int> <int>`` with one space and a
+    newline end, each token digits only, with no sign, no leading zero and
+    at most 18 digits, as :func:`save_edge_list` writes integer ids.  Any
+    other file, such as one with a comment after an edge line, and any text
+    stream go through the per-line parser; both give the same graph.
 
     The bulk path parses the tokens as int64 and narrows them to int32
     when the largest id and the token count fit.  It orders the ids by first
@@ -365,34 +365,25 @@ def _canonical_tokens(fh: IO[bytes]) -> np.ndarray | None:
     """The vertex tokens of a canonical edge list (see :func:`load_edge_list`)
     as int64, in file order, or ``None`` when the binary file ``fh`` is not one.
 
-    A file that is not canonical from its first edge line on (tabs, CRLF,
-    string ids) is refused after reading only its head.
+    Only the header, the lines before the first edge line, may hold
+    comments.  A file that is not canonical from its first edge line on
+    (tabs, CRLF, string ids) is refused after reading only its head.
     """
     line = fh.readline()
     while line.startswith(b"#"):
         line = fh.readline()
     if not _canonical_lines(line):
         return None
-    # Read from byte 0 and cut the header with the other comments: reading
-    # from the first edge line left the adjacency higher in glibc's heap, and
-    # CLI detect's peak RSS on 1.2M edges rose from 230 to 240 MB.
+    head = fh.tell() - len(line)
+    # Read from byte 0 and cut the header from the buffer: reading from the
+    # first edge line left the adjacency higher in glibc's heap, and CLI
+    # detect's peak RSS on 1.2M edges rose from 230 to 240 MB.
     fh.seek(0)
     data = fh.read()
-    if b"#" in data:
-        # the per-line parser decodes a comment as UTF-8 and ends it at a
-        # carriage return, so a comment cut out here must hold neither
-        if not data.isascii() or b"\r" in data:
-            return None
-        marks = np.frombuffer(data, dtype=np.uint8)
-        hashes = np.flatnonzero(marks == _HASH)
-        heads = hashes[(hashes == 0) | (marks[hashes - 1] == _NL)].tolist()
-        del marks, hashes
-        pieces, done = [], 0
-        for head in heads:
-            pieces.append(data[done:head])
-            done = data.find(b"\n", head) + 1 or len(data)
-        data = b"".join([*pieces, memoryview(data)[done:]])
-    if not _canonical_lines(data):
+    header, data = data[:head], data[head:]
+    # the per-line parser decodes a comment as UTF-8 and ends it at a
+    # carriage return, so a header cut here must hold neither
+    if not header.isascii() or b"\r" in header or not _canonical_lines(data):
         return None
     # only now: on malformed text numpy only warns and returns a partial array
     return np.fromstring(data, dtype=np.int64, sep=" ")
@@ -450,7 +441,8 @@ def save_edge_list(g: SparseGraph, sink: IO[str] | str | os.PathLike) -> None:
 
     A block of ``v v`` self-loop lines precedes the edges.  Loading drops the
     loops but registers the vertices, so vertex order and isolated vertices
-    survive a round trip.
+    survive a round trip.  A label may not start with ``#``: its lines
+    would load as comments.
 
     Lines are laid out from a byte table: each label's UTF-8 bytes once,
     padded to a multiple of 8, with its length beside it.  A chunk of lines
@@ -458,6 +450,9 @@ def save_edge_list(g: SparseGraph, sink: IO[str] | str | os.PathLike) -> None:
     length mask keeps the real bytes.
     """
     ids = g.vertex_ids or tuple(map(str, range(g.n_vertices)))
+    for label in ids:
+        if label.startswith("#"):
+            raise GraphError(f"vertex label {label!r} starts with '#' and would load as a comment")
     encoded = [label.encode("utf-8") for label in ids]
     lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
     width = max(8, -(-int(lengths.max(initial=0)) // 8) * 8)

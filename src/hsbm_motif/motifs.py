@@ -567,6 +567,9 @@ def dissimilarity_matrix(
         return pair_test(mats[i], mats[j], kernel, n_boot, np.random.default_rng(int(seed)))
 
     jobs = list(zip(pairs, pair_seeds))
+    # threads=1 stays off the pool: glibc gives a worker thread its own malloc
+    # arena, and a one-worker pool raised CLI detect's peak RSS on seed-1
+    # three_level_3k_cli from 117.1-117.4 to 122.6-122.9 MB (six runs each)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_pair, jobs))

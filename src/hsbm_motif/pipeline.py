@@ -454,13 +454,9 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def vertex_assignments(root: HierarchyNode, graph: SparseGraph) -> list[tuple[str, str]]:
-    """(vertex id, deepest node path) rows for the sidecar CSV; ``graph`` is
-    the graph ``root`` was detected on."""
-    ids = graph.ids_for(root.vertex_indices)
-    id_of = {int(v): ids[k] for k, v in enumerate(root.vertex_indices)}
-    deepest: dict[int, str] = {int(v): "" for v in root.vertex_indices}
+    """(vertex id, deepest node path) rows for the sidecar CSV, in vertex
+    order; ``root`` is :func:`detect_hierarchy`'s result on ``graph``."""
+    deepest = np.full(graph.n_vertices, "", dtype=object)
     for node in root.walk():
-        key = node.key
-        for v in node.vertex_indices:
-            deepest[int(v)] = key
-    return [(id_of[v], deepest[v]) for v in sorted(deepest)]
+        deepest[node.vertex_indices] = node.key
+    return list(zip(graph.ids_for(range(graph.n_vertices)), deepest.tolist()))

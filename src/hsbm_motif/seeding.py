@@ -16,21 +16,14 @@ import numpy as np
 _MASK32 = 0xFFFFFFFF
 
 
-def label_key(label: str | int) -> int:
-    """Stable 32-bit key for a stage label; integer labels pass through."""
-    if isinstance(label, (int, np.integer)):
-        return int(label) & _MASK32
-    return zlib.crc32(str(label).encode("utf-8")) & _MASK32
-
-
-def seed_sequence(root_seed: int, *labels: str | int) -> np.random.SeedSequence:
-    """SeedSequence for a named stage, decorrelated from all other stages."""
+def derive_rng(root_seed: int, *labels: str | int) -> np.random.Generator:
+    """Generator for the stage identified by ``labels`` under ``root_seed``.
+    Each label keys the stream by 32 bits: an integer's low bits, or the
+    CRC-32 of any other label's UTF-8 text."""
     if root_seed < 0:
         raise ValueError(f"root seed must be non-negative, got {root_seed}")
-    entropy = [int(root_seed)] + [label_key(lab) for lab in labels]
-    return np.random.SeedSequence(entropy)
-
-
-def derive_rng(root_seed: int, *labels: str | int) -> np.random.Generator:
-    """Generator for the stage identified by ``labels`` under ``root_seed``."""
-    return np.random.default_rng(seed_sequence(root_seed, *labels))
+    entropy = [int(root_seed)]
+    for label in labels:
+        integer = isinstance(label, (int, np.integer))
+        entropy.append(int(label) & _MASK32 if integer else zlib.crc32(str(label).encode("utf-8")))
+    return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -158,7 +158,12 @@ class TestBulkLoaderMatchesLines:
         with BulkSpy() as spy:
             bulk = hm.load_edge_list(path)
             stream = hm.load_edge_list(io.StringIO(data.decode("ascii")))
-        assert spy.accepted == [True]  # the text stream never reaches the gate
+        # comments are cut only before the first edge line; the text stream
+        # never reaches the gate
+        lines = data.split(b"\n")
+        first_edge = next(k for k, line in enumerate(lines) if not line.startswith(b"#"))
+        header_only = not any(line.startswith(b"#") for line in lines[first_edge:])
+        assert spy.accepted == [header_only]
         assert_same_graph(bulk, load_parent_way(path))
         assert_same_graph(stream, bulk)
 
@@ -180,6 +185,7 @@ class TestBulkLoaderMatchesLines:
         b"# caf\xe9\n1 2\n",
         b"1 2\n# caf\xe9\n2 3\n",
         b"1 2\n# note\r3 4\n",
+        b"1 2\n# note\n3 4\n",  # a comment after the first edge line
         b"# caf\xc3\xa9\n1 2\n",
         b"1\xff 2\n",
         b"1 2\n\n2 3\n",
@@ -416,6 +422,15 @@ class TestSaveRoundTrip:
         hm.save_edge_list(g, buf)
         again = load(buf.getvalue())
         assert again == g
+
+    def test_label_starting_with_hash_is_refused(self, tmp_path):
+        # its "v v" line would load as a comment: "#b" has no edge, so it
+        # would vanish, and the loaded graph would have two vertices
+        g = hm.graph_from_edges(3, np.array([0]), np.array([2]), vertex_ids=("a", "#b", "c"))
+        path = tmp_path / "edges.txt"
+        with pytest.raises(GraphError, match="'#b'"):
+            hm.save_edge_list(g, path)
+        assert not path.exists()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 12), st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11))))
