@@ -4,7 +4,7 @@ Every subcommand reads plain files, writes CSV/JSON artifacts into an output
 directory, and records a manifest (tool version, config echo, seed, input
 digests, output paths, wall-clock per stage, warnings).  Every CSV artifact
 but the embedding goes through :func:`_write_csv` (a header line, then
-comma-joined rows), and every JSON one through :func:`_write_json`.  All
+RFC 4180 rows), and every JSON one through :func:`_write_json`.  All
 randomness flows from ``--seed`` through generator streams named in the
 code (``seeding.derive_rng``), so the manifest's tool and seed reproduce
 every stream, and reruns with identical inputs produce byte-identical
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import json
@@ -63,13 +64,12 @@ def _write_json(path, data) -> None:
 
 
 def _write_csv(path, header: str, rows) -> None:
-    """``header``, then one comma-joined line per row of ``rows``.  Rows
-    come from ``.tolist()``, so their numbers are Python ints and floats,
-    and ``str`` of a float is its shortest round-trip ``repr``."""
+    """``header``, then one RFC 4180 line per row of ``rows`` (a field with
+    ``,`` or ``"`` is quoted).  Rows come from ``.tolist()``, so a float is
+    written as its shortest round-trip ``repr``."""
     with open_text(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 class Manifest:
@@ -197,9 +197,11 @@ def cmd_embed(args) -> int:
     if cfg.top_dim != "auto" and cfg.top_dim >= n:
         raise EmbedError(f"embedding dimension must satisfy 1 <= d < n, got d={cfg.top_dim}, n={n}")
 
+    root = pipeline.HierarchyNode(vertex_indices=np.arange(n))
     with manifest.capture_warnings():
-        solve, dim = pipeline._named("root", pipeline._solve, cfg, graph, 0)
-        emb = pipeline._named("root", pipeline._embedding, cfg, solve, dim)
+        solve, dim = pipeline._named(root, pipeline._solve, cfg, graph, root.depth)
+        emb = pipeline._named(root, pipeline._embedding, cfg, solve, dim)
+        pipeline._issue(root)
     _write_csv(manifest.output("scree.csv"), "index,magnitude",
                enumerate(solve.magnitudes.tolist(), start=1))
     manifest.stage("scree")
@@ -232,6 +234,7 @@ def cmd_cluster(args) -> int:
         manifest.stage("estimate")
 
         part, seeds = pipeline._sweep(cfg, emb.positions, r, root)
+        pipeline._issue(root)
     part_path = manifest.output("partition.csv")
     _write_csv(part_path, "vertex_id,cluster", zip(ids, part.labels.tolist()))
     # one seed has no pair, and no max_pair_dot (NaN): written as null

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import importlib
 import warnings
 from dataclasses import dataclass
@@ -220,12 +221,12 @@ def project_to_sphere(e: Embedding) -> Embedding:
 
 
 def embedding_to_csv(e: Embedding, ids, sink) -> None:
-    """CSV export: a comment line with the eigenvalues, then one row per vertex."""
+    """CSV export: a comment line with the eigenvalues, then one RFC 4180 row per vertex."""
     with open_text(sink, "w") as fh:
         fh.write("# eigenvalues: " + ",".join(repr(float(v)) for v in e.eigenvalues) + "\n")
         fh.write("vertex_id," + ",".join(f"x{j}" for j in range(e.dim)) + "\n")
-        for label, row in zip(ids, e.positions):
-            fh.write(str(label) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(
+            [label, *row] for label, row in zip(ids, e.positions.tolist()))
 
 
 def _floats(tokens: list[str], where: str) -> list[float]:
@@ -242,18 +243,17 @@ def embedding_from_csv(source) -> tuple[Embedding, tuple[str, ...]]:
     column count raises ``EmbedError`` naming its line."""
     eigenvalues, width, ids, rows = None, None, [], []
     with open_text(source) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            where = f"embedding CSV line {lineno}"
-            if line.startswith("# eigenvalues:"):
-                tokens = [tok for tok in line.split(":", 1)[1].split(",") if tok.strip()]
-                eigenvalues, eigen_where = _floats(tokens, where), where
-            elif line:
-                parts = line.split(",")
+        reader = csv.reader(raw.strip() for raw in fh)
+        for parts in reader:
+            where = f"embedding CSV line {reader.line_num}"
+            if parts and parts[0].startswith("# eigenvalues:"):
+                parts[0] = parts[0].split(":", 1)[1]
+                eigenvalues, eigen_where = _floats([t for t in parts if t.strip()], where), where
+            elif parts:
                 width = len(parts) - 1 if width is None else width
                 if len(parts) - 1 != width:
                     raise EmbedError(f"{where}: {len(parts) - 1} values, expected {width}")
-                if not line.startswith("vertex_id,"):
+                if parts[0] != "vertex_id":
                     ids.append(parts[0])
                     rows.append(_floats(parts[1:], where))
     if not rows:

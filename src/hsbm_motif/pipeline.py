@@ -140,13 +140,16 @@ class HierarchyNode:
     node was split, ``children`` partition its vertex set, ``motifs`` groups
     the children, and ``dissimilarity`` holds the pairwise statistics between
     them.  The six split fields (those three, ``child_partition``,
-    ``block_matrix`` and ``block_weights``) are set together, so a node is
-    split exactly when ``children`` is non-empty.  ``depth`` is the length
-    of ``path``.  A node that is not its motif's representative carries the
-    representative's child index in ``structure_from`` instead of its own
-    subtree.  A degenerate node (``error`` set by one of the data errors
-    listed in the module docstring) has no children and no split fields;
-    it keeps ``dim_used`` and ``eigenvalues`` when its embedding succeeded.
+    ``block_matrix`` and ``block_weights``) are set together.  ``depth`` is
+    the length of ``path``.  ``stop`` is why the node ended: ``"split"``
+    exactly when ``children`` is non-empty; ``"size"`` or ``"depth"``;
+    ``"one_subgraph"`` (a count below 2); ``"collapsed"`` (the sweep left
+    one cluster); ``"represented"`` exactly when ``structure_from`` holds
+    its motif's representative child, whose subtree stands for its own; or
+    ``"error"`` exactly when ``error`` holds a data error (see the module
+    docstring).  A degenerate node keeps no split fields, only ``dim_used``
+    and ``eigenvalues`` when its embedding succeeded.  ``warnings`` holds
+    the ``(category, message)`` pairs its steps raised, for :func:`_issue`.
     """
 
     vertex_indices: np.ndarray
@@ -161,6 +164,8 @@ class HierarchyNode:
     block_weights: np.ndarray | None = None
     structure_from: int | None = None
     error: str | None = None
+    stop: str | None = None
+    warnings: list[tuple[type[Warning], str]] = field(default_factory=list)
 
     @property
     def n_vertices(self) -> int:
@@ -236,9 +241,10 @@ def _solve(cfg: PipelineConfig, g: SparseGraph, depth: int) -> tuple[Embedding, 
     return solve, select_dimension(solve.magnitudes)
 
 
-def _splits(cfg: PipelineConfig, n: int, dim: int, depth: int) -> bool:
+def _stop(cfg: PipelineConfig, n: int, dim: int, depth: int) -> str | None:
+    """Why a node stops before splitting ("size" first), or None."""
     threshold = 100 * dim if cfg.min_cluster_size is None else cfg.min_cluster_size
-    return n > threshold and depth < cfg.max_depth
+    return "size" if n <= threshold else "depth" if depth >= cfg.max_depth else None
 
 
 def _embedding(cfg: PipelineConfig, solve: Embedding, dim: int) -> Embedding:
@@ -248,22 +254,26 @@ def _embedding(cfg: PipelineConfig, solve: Embedding, dim: int) -> Embedding:
     return emb
 
 
-def _named(name: str, step, *args):
-    """``step(*args)``, its warnings re-issued as ``node <name>: ...``; steps
-    do not nest, so no message gets two prefixes."""
+def _named(node: HierarchyNode, step, *args):
+    """``step(*args)``, with the warnings it raises kept for :func:`_issue`."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = step(*args)
-    for w in caught:
-        warnings.warn(f"node {name}: {w.message}", w.category)
+    node.warnings += [(w.category, str(w.message)) for w in caught]
     return out
+
+
+def _issue(node: HierarchyNode) -> None:
+    """Warn each message ``node`` kept as ``node <name>: <message>``."""
+    for category, message in node.warnings:
+        warnings.warn(f"node {node.name}: {message}", category)
 
 
 def _estimate_count(
     cfg: PipelineConfig, positions: np.ndarray, node: HierarchyNode
 ) -> SubgraphCountEstimate:
     """The automatic subgraph count of ``node``'s rows, over k = 2..max(columns, 2)."""
-    return _named(node.name, estimate_num_subgraphs, positions, max(positions.shape[1], 2),
+    return _named(node, estimate_num_subgraphs, positions, max(positions.shape[1], 2),
                   _COUNT_REPEATS, derive_rng(cfg.seed, "count", node.key))
 
 
@@ -271,7 +281,7 @@ def _sweep(
     cfg: PipelineConfig, positions: np.ndarray, r: int, node: HierarchyNode
 ) -> tuple[VertexPartition, SeedSet]:
     """The seeded sweep of ``node``'s rows into ``r`` clusters, less the
-    empty ones; a sweep that leaves fewer than two is warned about."""
+    empty ones; a sweep that leaves fewer than two adds a warning to ``node``."""
     part, seeds = seeded_subspace_cluster(positions, r, derive_rng(cfg.seed, "cluster", node.key))
     sizes = part.sizes()
     if sizes.min() == 0:
@@ -279,8 +289,8 @@ def _sweep(
         index = np.cumsum(sizes > 0) - 1
         part = VertexPartition(labels=index[part.labels], n_clusters=int(index[-1]) + 1)
         if part.n_clusters < 2:
-            warnings.warn(f"node {node.name}: seeded sweep collapsed, requested R={r}, "
-                          f"cluster sizes {sizes.tolist()}; the node stays an unsplit leaf")
+            node.warnings.append((UserWarning, f"seeded sweep collapsed, requested R={r}, cluster "
+                                  f"sizes {sizes.tolist()}; the node stays an unsplit leaf"))
     return part, seeds
 
 
@@ -292,14 +302,17 @@ def detect_hierarchy(g: SparseGraph, cfg: PipelineConfig) -> HierarchyNode:
     its embedding into subgraphs; extract and embed every subgraph once;
     fill the pairwise dissimilarity matrix at the shared recursion
     dimension; group subgraphs into motifs; recurse on the largest subgraph
-    of each motif with the embedding already made for it.  A
-    data error marks only that node degenerate (with the node path in the
-    message); other exceptions propagate.
+    of each motif with the embedding already made for it.  A data error
+    marks only that node degenerate (with the node path in the message);
+    other exceptions propagate.  The nodes' warnings are issued once, named,
+    in ``walk()`` order after the tree is built.
 
     The run is a deterministic function of the graph and ``cfg.seed``.
     """
     root = HierarchyNode(vertex_indices=np.arange(g.n_vertices, dtype=np.int64))
     _detect_node(g, root, cfg)
+    for node in root.walk():
+        _issue(node)
     return root
 
 
@@ -320,48 +333,51 @@ def _detect_node(
     cfg: PipelineConfig,
     solved: tuple[Embedding, int] | None = None,
 ) -> None:
-    """Fill ``node`` from ``sub``, the subgraph on its vertices.  ``solved``
-    is its ``(solve, dim)`` from :func:`_solve`, which the parent has
-    already made for every node but the root; no node is embedded twice."""
-    n = sub.n_vertices
+    """Fill ``node`` from ``sub``, the subgraph on its vertices, and set its
+    ``stop``.  ``solved`` is its ``(solve, dim)`` from :func:`_solve`, which
+    the parent has made for every node but the root; no node is embedded twice."""
     try:
-        if solved is None:
-            # a fixed dimension decides whether the root stops before any solve
-            if cfg.top_dim != "auto" and not _splits(cfg, n, min(int(cfg.top_dim), n - 1), 0):
-                return
-            solved = _named(node.name, _solve, cfg, sub, node.depth)
-        solve, dim = solved
-        if _splits(cfg, n, dim, node.depth):
-            _split_node(sub, node, cfg, solve, dim)
+        node.stop = _grow(sub, node, cfg, solved)
     except _BRANCH_ERRORS as exc:
-        node.error = f"node {node.name}: {exc}"
+        node.warnings += [(category, f"child {child.key}: {message}")
+                          for child in node.children for category, message in child.warnings]
+        node.children, node.stop, node.error = [], "error", f"node {node.name}: {exc}"
 
 
-def _split_node(
-    sub: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, solve: Embedding, dim: int
-) -> None:
-    emb = _named(node.name, _embedding, cfg, solve, dim)
-    node.dim_used = dim
-    node.eigenvalues = emb.eigenvalues
+def _grow(sub: SparseGraph, node: HierarchyNode, cfg: PipelineConfig, solved) -> str:
+    """Split ``node`` and recurse on its representatives; returns its ``stop``."""
+    n = sub.n_vertices
+    if solved is None:
+        # a fixed dimension decides whether the root stops before any solve
+        if cfg.top_dim != "auto" and (stop := _stop(cfg, n, min(int(cfg.top_dim), n - 1), 0)):
+            return stop
+        solved = _named(node, _solve, cfg, sub, node.depth)
+    solve, dim = solved
+    if stop := _stop(cfg, n, dim, node.depth):
+        return stop
+    emb = _named(node, _embedding, cfg, solve, dim)
+    node.dim_used, node.eigenvalues = dim, emb.eigenvalues
 
     if cfg.n_subgraphs == "auto":
         r = _estimate_count(cfg, emb.positions, node).n_subgraphs
     else:
-        r = min(int(cfg.n_subgraphs), sub.n_vertices)
+        r = min(int(cfg.n_subgraphs), n)
     if r < 2:
-        return  # nothing to split
+        return "one_subgraph"
 
     part, _ = _sweep(cfg, emb.positions, r, node)
     if part.n_clusters < 2:
-        return  # the sweep collapsed
+        return "collapsed"
     block_matrix, block_weights = estimate_block_matrix(sub, part)
 
     members = [part.members(c) for c in range(part.n_clusters)]
-    children = [HierarchyNode(vertex_indices=node.vertex_indices[m], path=node.path + (c,))
-                for c, m in enumerate(members)]
+    # attached now, so that a failed split keeps what its children warned
+    node.children = children = [
+        HierarchyNode(vertex_indices=node.vertex_indices[m], path=node.path + (c,))
+        for c, m in enumerate(members)]
     child_graphs = [induced_subgraph(sub, m) for m in members]
     # each child's one solve; a child too small to embed fails here
-    child_solves = [_named(child.name, _solve, cfg, g, child.depth)
+    child_solves = [_named(child, _solve, cfg, g, child.depth)
                     for child, g in zip(children, child_graphs)]
     # children must share an embedding dimension for the pairwise tests;
     # take the largest per-child dimension so none is under-embedded.  Only
@@ -370,7 +386,7 @@ def _split_node(
     shared_dim = max(d for _, d in child_solves)
     child_solves = [(s.leading(min(shared_dim, s.dim)), d) for s, d in child_solves]
     usable = min(s.dim for s, _ in child_solves)
-    child_mats = [_named(child.name, _embedding, cfg, s, usable).positions
+    child_mats = [_named(child, _embedding, cfg, s, usable).positions
                   for child, (s, _) in zip(children, child_solves)]
 
     dissimilarity = dissimilarity_matrix(
@@ -386,13 +402,13 @@ def _split_node(
         if c in reps.values():
             _detect_node(child_graphs[c], child, cfg, child_solves[c])
         else:
-            child.structure_from = reps[int(motifs.labels[c])]
+            child.stop, child.structure_from = "represented", reps[int(motifs.labels[c])]
     # set only now, so a node whose split failed keeps no split fields
     node.child_partition = part
     node.block_matrix, node.block_weights = block_matrix, block_weights
     node.dissimilarity = dissimilarity
     node.motifs = motifs
-    node.children = children
+    return "split"
 
 
 # ---------------------------------------------------------------------------

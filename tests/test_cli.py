@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -851,6 +852,47 @@ def test_detect_outputs_independent_of_rerun_and_threads(tmp_path):
     two = json.loads((runs["c"] / "hierarchy.json").read_text())
     assert two["tree"] == one["tree"]
     assert two["config"] == {**one["config"], "threads": 2}
+
+
+def test_detect_manifest_warnings_independent_of_threads(tmp_path):
+    # a random bipartite graph splits into its two edgeless sides; the
+    # manifest lists every node's warnings in tree order at any thread count
+    mask = np.random.default_rng(0).random((300, 300)) < 0.5
+    u, v = np.nonzero(mask)
+    edges = tmp_path / "edges.txt"
+    hsbm_motif.save_edge_list(hsbm_motif.graph_from_edges(600, u, v + 300), edges)
+    found = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["detect", str(edges), "--D", "2", "--d", "2", "--min-cluster-size", "10",
+                     "--threads", threads, "--out-dir", str(out), "--seed", "0"]) == 0
+        found[threads] = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert found["1"] == found["2"]
+    assert [w.split(":")[0] for w in found["1"]] == [
+        "node root", "node 0", "node 0", "node 0", "node 1"]
+
+
+def test_ids_with_comma_and_quote_round_trip(tmp_path):
+    # edge-list tokens may hold "," and '"': every CSV artifact quotes them
+    edges = tmp_path / "edges.txt"
+    edges.write_text('a,b c\nc x"y\nx"y a,b\nx"y e\ne c\n')
+    ids = {"a,b", "c", 'x"y', "e"}
+
+    def rows(path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    assert main(["embed", str(edges), "--dim", "1", "--out-dir", str(tmp_path / "emb")]) == 0
+    embedding = tmp_path / "emb" / "embedding.csv"
+    assert embedding_from_csv(embedding)[1] == ("a,b", "c", 'x"y', "e")
+    assert main(["cluster", str(embedding), "--num-subgraphs", "2",
+                 "--out-dir", str(tmp_path / "clu")]) == 0
+    partition = rows(tmp_path / "clu" / "partition.csv")
+    assert partition[0] == ["vertex_id", "cluster"]
+    assert {row[0] for row in partition[1:]} == ids and all(len(r) == 2 for r in partition)
+    assert main(["detect", str(edges), "--out-dir", str(tmp_path / "det")]) == 0
+    assert rows(tmp_path / "det" / "assignments.csv") == [
+        ["vertex_id", "path"], ["a,b", ""], ["c", ""], ['x"y', ""], ["e", ""]]
 
 
 def test_detect_outputs_independent_of_edge_list_parser(tmp_path, monkeypatch):

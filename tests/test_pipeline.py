@@ -31,6 +31,26 @@ def two_group_graph(n=400, p_in=0.7, cross=0.01, seed=0):
     return hm.sample_hsbm(spec, derive_rng(seed, "2g"))
 
 
+def bipartite_graph():
+    """A random bipartite graph: it splits into its two sides, both edgeless."""
+    mask = np.random.default_rng(0).random((300, 300)) < 0.5
+    u, v = np.nonzero(mask)
+    return hm.graph_from_edges(600, u, v + 300)
+
+
+STOPS = {"split", "size", "depth", "one_subgraph", "collapsed", "error", "represented"}
+
+
+def assert_stops(root):
+    """Every node has one of the seven stops, and each stop that a field
+    shows agrees with it."""
+    for node in root.walk():
+        assert node.stop in STOPS, (node.name, node.stop)
+        assert (node.stop == "split") == bool(node.children), node.name
+        assert (node.stop == "error") == (node.error is not None), node.name
+        assert (node.stop == "represented") == (node.structure_from is not None), node.name
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(PipelineError):
@@ -147,6 +167,7 @@ class TestDetectHierarchy:
         root = hm.detect_hierarchy(g, cfg)
         assert root.children == []
         assert not root.degenerate
+        assert root.stop == "size"
 
     def test_two_group_split(self):
         g, lat = two_group_graph(400)
@@ -174,6 +195,7 @@ class TestDetectHierarchy:
                                 min_cluster_size=10, max_depth=1, seed=0)
         root = hm.detect_hierarchy(g, cfg)
         assert all(c.children == [] for c in root.children)
+        assert root.stop == "split" and [c.stop for c in root.children] == ["depth", "depth"]
 
     def test_representative_recursion_only(self):
         # force both children into one motif: only the larger recurses
@@ -193,6 +215,7 @@ class TestDetectHierarchy:
         assert reps[0].n_vertices >= others[0].n_vertices
         assert others[0].structure_from == root.children.index(reps[0])
         assert others[0].children == []
+        assert others[0].stop == "represented"
 
     def test_whole_pipeline_deterministic(self):
         g, _ = two_group_graph(300)
@@ -229,6 +252,8 @@ class TestDetectHierarchy:
         assert root.dissimilarity is None and root.motifs is None
         tree = hierarchy_report(root, cfg)["tree"]
         assert "block_matrix" not in tree and "error" in tree
+        assert root.stop == "error"
+        assert_stops(root)
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -257,6 +282,7 @@ class TestDetectHierarchy:
         root = self.detect_with_failing_solver(monkeypatch, ArpackError(-9999))
         assert root.degenerate and root.children == []
         assert root.error == "node root: ARPACK error -9999: Unknown error"
+        assert root.stop == "error"
 
     def test_other_solver_error_propagates(self, monkeypatch):
         with pytest.raises(ValueError, match="solver bug") as info:
@@ -318,6 +344,7 @@ class TestDetectHierarchy:
         child = root.children[0]
         assert child.is_representative and child.n_vertices == 356
         assert child.children == [] and child.error is None and child.dim_used == 2
+        assert child.stop == "collapsed"
 
     @pytest.mark.parametrize("labels, n_clusters", [
         ([0, 2, 2, 0, 5], 6), ([3, 3, 1], 4), ([1, 0, 1], 5), ([4, 0, 2, 2, 4], 5),
@@ -383,15 +410,91 @@ class TestDetectHierarchy:
         single = "phi curve has a single point; returning k=2"
         assert f"node root: {single}" in found and f"node 0: {single}" in found
 
-        # a random bipartite graph splits into its two sides, both edgeless:
-        # under detect's "default" capture each child's solve still warns
-        mask = np.random.default_rng(0).random((300, 300)) < 0.5
-        u, v = np.nonzero(mask)
-        g = hm.graph_from_edges(600, u, v + 300)
+        # under detect's "default" capture each edgeless child's solve still warns
+        g = bipartite_graph()
         cfg = hm.PipelineConfig(top_dim=2, sub_dim=2, n_subgraphs=2, min_cluster_size=10, seed=0)
         found = messages(g, cfg, "default")
         edgeless = "embedding an edgeless graph: returning all-zero positions"
         assert f"node 0: {edgeless}" in found and f"node 1: {edgeless}" in found
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_warnings_come_in_tree_order(self, threads):
+        # node 1's solve runs before node 0's count and sweep, but every
+        # message of node 0 comes first, at any thread count
+        cfg = hm.PipelineConfig(top_dim=2, sub_dim=2, n_subgraphs="auto", min_cluster_size=10,
+                                seed=0, threads=threads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            root = hm.detect_hierarchy(bipartite_graph(), cfg)
+        single = "phi curve has a single point; returning k=2"
+        edgeless = "embedding an edgeless graph: returning all-zero positions"
+        assert [str(w.message) for w in caught] == [
+            f"node root: {single}",
+            f"node 0: {edgeless}",
+            f"node 0: {single}",
+            "node 0: seeded sweep collapsed, requested R=2, cluster sizes [300, 0]; "
+            "the node stays an unsplit leaf",
+            f"node 1: {edgeless}",
+        ]
+        assert [(n.name, n.stop) for n in root.walk()] == [
+            ("root", "split"), ("0", "collapsed"), ("1", "represented")]
+        assert root.children[0].warnings == [
+            (UserWarning, edgeless), (UserWarning, single),
+            (UserWarning, "seeded sweep collapsed, requested R=2, cluster sizes [300, 0]; "
+                          "the node stays an unsplit leaf")]
+
+    def test_one_subgraph_stop(self):
+        g, _ = two_group_graph(400)
+        cfg = hm.PipelineConfig(top_dim=2, sub_dim=2, n_subgraphs=1,
+                                min_cluster_size=100, max_depth=3, seed=0)
+        root = hm.detect_hierarchy(g, cfg)
+        assert root.stop == "one_subgraph"
+        assert root.children == [] and root.dim_used == 2 and not root.degenerate
+
+    def test_failed_split_keeps_its_childrens_warnings(self):
+        # node 2 splits, solves its children 2/0 and 2/1 (both edgeless),
+        # then fails on a one-vertex child: the children go, their messages stay
+        g, _ = two_group_graph(200, seed=0)
+        cfg = hm.PipelineConfig(top_dim=3, sub_dim=2, n_subgraphs=20, n_motifs=2,
+                                sphere_projection=True, min_cluster_size=4, max_depth=2, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            root = hm.detect_hierarchy(g, cfg)
+        failed = root.children[2]
+        assert failed.stop == "error" and "n=1" in failed.error and failed.children == []
+        edgeless = "embedding an edgeless graph: returning all-zero positions"
+        found = [str(w.message) for w in caught]
+        assert f"node 2: child 2/0: {edgeless}" in found
+        assert f"node 2: child 2/1: {edgeless}" in found
+        assert_stops(root)
+
+    def test_every_stop_agrees_with_the_tree(self, bench_sample):
+        # the benchmark's fixed config (one level of eight subgraphs) and the
+        # three-level recovery config (two levels of two)
+        graph, _ = bench_sample
+        cfg = hm.PipelineConfig(top_dim=12, sub_dim=3, n_subgraphs=8, n_motifs=3,
+                                min_cluster_size=1000, max_depth=1, seed=0)
+        root = hm.detect_hierarchy(graph, cfg)
+        assert_stops(root)
+        assert {n.stop for n in root.walk()} == {"split", "size", "represented"}
+
+        def leaf(b):
+            return hm.LeafNode(block_matrix=np.array(b), weights=np.array([0.5, 0.5]))
+
+        def pair(a, b):
+            return hm.InternalNode(children=(a, b), weights=np.array([0.5, 0.5]), cross_dot=0.2)
+
+        tree = hm.InternalNode(children=(
+            pair(leaf([[0.6, 0.35], [0.35, 0.6]]), leaf([[0.75, 0.4], [0.4, 0.5]])),
+            pair(leaf([[0.45, 0.35], [0.35, 0.65]]), leaf([[0.55, 0.38], [0.38, 0.7]])),
+        ), weights=np.array([0.5, 0.5]), cross_dot=0.05)
+        graph, _ = hm.sample_hsbm(hm.HsbmSpec(tree=tree, n_vertices=1200), derive_rng(2, "3l"))
+        cfg = hm.PipelineConfig(top_dim=8, sub_dim=4, n_subgraphs=2, n_motifs=2,
+                                min_cluster_size=376, max_depth=2, seed=2)
+        root = hm.detect_hierarchy(graph, cfg)
+        assert_stops(root)
+        assert [n.stop for n in root.walk()] == ["split", "split", "size", "size",
+                                                 "split", "size", "size"]
 
     def test_auto_dimensions_smoke(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_SCREE_COLUMNS", 8)
