@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-import importlib
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SparseGraph, open_text
+from .graph import SparseGraph, _ImportOnFirstUse, open_text
 
 # fixed start-vector seed so the iterative eigensolver is run-to-run deterministic
 _SOLVER_SEED = 7
@@ -21,19 +20,6 @@ _NORM_LOG_C = np.log(np.sqrt(2 * np.pi))
 
 class EmbedError(ValueError):
     """Raised for invalid embedding requests or solver failures."""
-
-
-class _ImportOnFirstUse:
-    """Stands for the module ``name`` and imports it on the first attribute
-    access, so that importing this package does not load it.  Threads that
-    make the first import at once wait on importlib's per-module lock for
-    one fully executed module; later accesses find it in ``sys.modules``."""
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        return getattr(importlib.import_module(self._name), attr)
 
 
 # ARPACK: ~0.1 s of imports (scipy.linalg with it) that only a solve needs

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import IO, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import SparseGraph, index_dtype, open_text
 
@@ -372,8 +371,10 @@ def sample_rdpg(
     probabilities only from its own diagonal on, and keeps the
     strictly-upper hits.  Those come out of ``nonzero`` row-major with
     sorted columns, so per-row counts and the columns are the
-    strictly-upper CSR as they are; the adjacency is that CSR plus its
-    transpose, with no edge arrays, COO or index sort in between.  Each
+    strictly-upper CSR as they are, with no edge arrays, COO or index sort
+    in between.  The graph keeps that CSR; its adjacency, the CSR plus its
+    transpose, is formed the first time it is read, so a graph that is only
+    counted and written never loads ``scipy.sparse``.  Each
     chunk's probabilities are checked by :func:`_check_probabilities` before
     they are compared, so positions with a pair out of range are refused at
     the first chunk that holds it.
@@ -425,14 +426,11 @@ def sample_rdpg(
         state = bits.state
         state["has_uint32"], state["uinteger"] = half["has_uint32"], half["uinteger"]
         bits.state = state
-    nnz = int(counts.sum())
-    index = index_dtype(n, 2 * nnz)
+    # the index type of the symmetric adjacency the graph forms on first read
+    index = index_dtype(n, 2 * int(counts.sum()))
     indices = np.concatenate(cols, dtype=index)
     del cols
-    upper = sp.csr_array(
-        (np.ones(nnz, dtype=np.uint8), indices, np.cumsum(counts, dtype=index)), shape=(n, n)
-    )
-    return SparseGraph._trusted(upper + upper.T)
+    return SparseGraph._from_upper(np.cumsum(counts, dtype=index), indices)
 
 
 def sample_hsbm(

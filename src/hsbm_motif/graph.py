@@ -8,13 +8,32 @@ so graphs are safe to share across threads.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import operator
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
-import scipy.sparse as sp
+
+
+class _ImportOnFirstUse:
+    """Stands for the module ``name`` and imports it on the first attribute
+    access, so that importing this package does not load it.  Threads that
+    make the first import at once wait on importlib's per-module lock for
+    one fully executed module; later accesses find it in ``sys.modules``."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# ~0.25 s of imports, most of it scipy cloning numpy's namespace, that a
+# sampled graph written as an edge list never needs
+sp = _ImportOnFirstUse("scipy.sparse")
 
 # edges formatted per write by save_edge_list: bounds the text held in memory
 _WRITE_CHUNK_ROWS = 1 << 16
@@ -27,6 +46,10 @@ _MAX_DIGITS = 18
 _SCAN_CHUNK = 1 << 18
 # CSR indices and indptr are int32 while vertex and entry counts stay below this
 _INT32_LIMIT = int(np.iinfo(np.int32).max) + 1
+# a graph held as its strictly-upper CSR forms its adjacency under this lock
+_SYMMETRISE = threading.Lock()
+# nine digits stay below 2**31; numpy's int32 text parse wraps larger values
+_INT32_DIGITS = 9
 # stored entries per block of block_density's count, which bounds its
 # temporaries at two 8 MB int64 arrays.  Blocks of 2**18 raised detect's peak
 # RSS on the shipped 4100-vertex graph (825k entries, one block here) by
@@ -70,7 +93,11 @@ class SparseGraph:
     ----------
     adjacency
         ``n x n`` CSR matrix with uint8 entries in {0, 1}, symmetric and with
-        an empty diagonal.
+        an empty diagonal.  A sampled graph keeps the strictly-upper CSR
+        its sampler found and forms this from it, as that CSR plus its
+        transpose, the first time it is read, once, under a lock.  Its
+        vertex and edge counts, edge array and written edge list read the
+        upper CSR, so they never load ``scipy.sparse``.
     vertex_ids
         Original vertex labels, preserved through subgraph extraction.  May
         be ``None`` for graphs built directly from index arrays.
@@ -81,6 +108,8 @@ class SparseGraph:
     adjacency: sp.csr_array
     vertex_ids: tuple[str, ...] | None = None
     n_loops_dropped: int = field(default=0, compare=False)
+    # (indptr, indices) of the strictly-upper CSR, on a sampled graph
+    _upper = None
 
     def __post_init__(self) -> None:
         self._check_shape()
@@ -126,13 +155,42 @@ class SparseGraph:
         g._check_shape()
         return g
 
+    @classmethod
+    def _from_upper(cls, indptr: np.ndarray, indices: np.ndarray) -> "SparseGraph":
+        """A graph given by the CSR ``indptr`` and ``indices`` of its strictly
+        upper triangle, sorted in each row; its adjacency is formed on first
+        read."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "_upper", (indptr, indices))
+        object.__setattr__(g, "n_loops_dropped", 0)
+        return g
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set: on a graph held as
+        # its strictly-upper CSR, the adjacency before its first read
+        if name != "adjacency" or self._upper is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _SYMMETRISE:
+            if "adjacency" not in vars(self):
+                indptr, indices = self._upper
+                n = indptr.size - 1
+                upper = sp.csr_array(
+                    (np.ones(indices.size, dtype=np.uint8), indices, indptr), shape=(n, n)
+                )
+                object.__setattr__(self, "adjacency", upper + upper.T)
+        return vars(self)["adjacency"]
+
     @property
     def n_vertices(self) -> int:
-        return self.adjacency.shape[0]
+        if self._upper is None:
+            return self.adjacency.shape[0]
+        return self._upper[0].size - 1
 
     @property
     def n_edges(self) -> int:
-        return self.adjacency.nnz // 2
+        if self._upper is None:
+            return self.adjacency.nnz // 2
+        return self._upper[1].size
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) array with u < v, sorted lexicographically."""
@@ -141,6 +199,10 @@ class SparseGraph:
     def _upper_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``u`` and ``v`` columns of :meth:`edge_array`, in the CSR's
         index type."""
+        if self._upper is not None:
+            indptr, indices = self._upper
+            rows = np.repeat(np.arange(indptr.size - 1, dtype=indices.dtype), np.diff(indptr))
+            return rows, indices
         adj = self.adjacency
         if not adj.has_sorted_indices:
             adj = adj.sorted_indices()
@@ -272,8 +334,10 @@ def load_edge_list(source: IO[str] | str | os.PathLike) -> SparseGraph:
     other file, such as one with a comment after an edge line, and any text
     stream go through the per-line parser; both give the same graph.
 
-    The bulk path parses the tokens as int64 and narrows them to int32
-    when the largest id and the token count fit.  It orders the ids by first
+    The bulk path parses the tokens straight to int32 when none has more
+    than nine digits, which the format scan measures; longer ones it parses
+    as int64 and narrows to int32 when the largest id and the token count
+    fit.  It orders the ids by first
     appearance in linear time with a table indexed by id, when the largest
     id is below the token count (ids ``0..n-1``, as :func:`save_edge_list`
     writes them): the table is then no larger than the tokens, and besides
@@ -363,7 +427,8 @@ def _load_lines(source: IO[str]) -> SparseGraph:
 
 def _canonical_tokens(fh: IO[bytes]) -> np.ndarray | None:
     """The vertex tokens of a canonical edge list (see :func:`load_edge_list`)
-    as int64, in file order, or ``None`` when the binary file ``fh`` is not one.
+    in file order, or ``None`` when the binary file ``fh`` is not one: int32
+    when no token has more than ``_INT32_DIGITS`` digits, else int64.
 
     Only the header, the lines before the first edge line, may hold
     comments.  A file that is not canonical from its first edge line on
@@ -383,57 +448,64 @@ def _canonical_tokens(fh: IO[bytes]) -> np.ndarray | None:
     header, data = data[:head], data[head:]
     # the per-line parser decodes a comment as UTF-8 and ends it at a
     # carriage return, so a header cut here must hold neither
-    if not header.isascii() or b"\r" in header or not _canonical_lines(data):
+    width = _canonical_lines(data)
+    if not header.isascii() or b"\r" in header or not width:
         return None
     # only now: on malformed text numpy only warns and returns a partial array
-    return np.fromstring(data, dtype=np.int64, sep=" ")
+    return np.fromstring(data, dtype=np.int32 if width <= _INT32_DIGITS else np.int64, sep=" ")
 
 
-def _canonical_lines(data: bytes) -> bool:
-    """Whether every line of ``data`` is exactly ``<int> <int>``, the last one
-    with or without its newline, by a vectorised byte scan.
+def _canonical_lines(data: bytes) -> int:
+    """The digit count of the widest token when every line of ``data`` is
+    exactly ``<int> <int>``, the last one with or without its newline, else
+    0, by a vectorised byte scan.
 
     Every rule is one line's, so the scan runs over pieces of whole lines,
     each cut at the first newline ``_SCAN_CHUNK - 1`` or more bytes past its
     start: the index arrays are the size of a piece, not of the buffer.
     ``oracle.canonical_lines_whole`` scans the whole buffer at once, with the
-    same verdict.
+    same result.
     """
     # one space per line: a count refuses most other files before any array
     if data.count(b" ") != data.count(b"\n") + (not data.endswith(b"\n")):
-        return False
+        return 0
     body = np.frombuffer(data, dtype=np.uint8)
     if body.max() > _NINE:
-        return False
-    start = 0
+        return 0
+    start = width = 0
     while start < body.size:
         stop = data.find(b"\n", start + _SCAN_CHUNK - 1) + 1 or body.size
         piece = body[start:stop]
         if piece[-1] != _NL:
             piece = np.append(piece, np.uint8(_NL))  # the last line, without its newline
-        if not _canonical_piece(piece):
-            return False
+        piece_width = _canonical_piece(piece)
+        if not piece_width:
+            return 0
+        width = max(width, piece_width)
         start = stop
-    return True
+    return width
 
 
-def _canonical_piece(body: np.ndarray) -> bool:
-    """Whether the bytes ``body``, whole lines with no byte above ``9`` and a
-    newline at the end, are all ``<int> <int>`` lines."""
+def _canonical_piece(body: np.ndarray) -> int:
+    """The digit count of the widest token when the bytes ``body``, whole
+    lines with no byte above ``9`` and a newline at the end, are all
+    ``<int> <int>`` lines, else 0."""
     # every byte below '0'; in "<int> <int>\n" lines these alternate space,
     # newline (so no other byte occurs) and every gap holds one token
     sep = np.flatnonzero(body < _ZERO)
     if not (np.all(body[sep[0::2]] == _SP) and np.all(body[sep[1::2]] == _NL)):
-        return False
+        return 0
     gap = np.diff(sep)
-    if not (1 <= sep[0] <= _MAX_DIGITS and 2 <= gap.min() and gap.max() <= _MAX_DIGITS + 1):
-        return False
+    # the first token ends at the first separator, every other one fills a gap
+    width = max(int(sep[0]), int(gap.max()) - 1)
+    if not (1 <= sep[0] and 2 <= gap.min() and width <= _MAX_DIGITS):
+        return 0
     del gap
     # a leading zero: a token starts with 0 and a digit follows it
     starts = np.concatenate(([0], sep[:-1] + 1))
     zero = starts[body[starts] == _ZERO]
     del sep, starts
-    return not np.any(body[zero + 1] >= _ZERO)
+    return 0 if np.any(body[zero + 1] >= _ZERO) else width
 
 
 def save_edge_list(g: SparseGraph, sink: IO[str] | str | os.PathLike) -> None:

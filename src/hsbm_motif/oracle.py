@@ -8,16 +8,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .embedding import Embedding, _fix_signs, _order_by_magnitude
 from .generate import GeneratorError, LatentPositions, _check_probabilities
 from . import graph as _graph
-from .graph import _MAX_DIGITS, _NINE, _NL, _SP, _ZERO, GraphError, SparseGraph, VertexPartition, graph_from_edges
+from .graph import (
+    _MAX_DIGITS, _NINE, _NL, _SP, _ZERO, GraphError, SparseGraph, VertexPartition,
+    _ImportOnFirstUse, graph_from_edges,
+)
 from . import motifs as _motifs
 from .motifs import _median
 
 _DENSE_LIMIT = 2000
+
+sp = _ImportOnFirstUse("scipy.sparse")
 
 
 class OracleError(ValueError):
@@ -293,31 +297,32 @@ def first_appearance_unique(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.argsort(order)[inverse], values[order]
 
 
-def canonical_lines_whole(data: bytes) -> bool:
-    """Whether every line of ``data`` is exactly ``<int> <int>``, the last one
-    with or without its newline, by one vectorised scan of the whole buffer."""
+def canonical_lines_whole(data: bytes) -> int:
+    """The digit count of the widest token when every line of ``data`` is
+    exactly ``<int> <int>``, the last one with or without its newline, else
+    0, by one vectorised scan of the whole buffer."""
     if not data.endswith(b"\n"):
         data += b"\n"
     # one space per line: a count refuses most other files before any array
     if data.count(b" ") != data.count(b"\n"):
-        return False
+        return 0
     body = np.frombuffer(data, dtype=np.uint8)
     if body.max() > _NINE:
-        return False
+        return 0
     # every byte below '0'; in "<int> <int>\n" lines these alternate space,
     # newline (so no other byte occurs) and every gap holds one token
     sep = np.flatnonzero(body < _ZERO)
     if not (np.all(body[sep[0::2]] == _SP) and np.all(body[sep[1::2]] == _NL)):
-        return False
+        return 0
     gap = np.diff(sep)
     if not (1 <= sep[0] <= _MAX_DIGITS and 2 <= gap.min() and gap.max() <= _MAX_DIGITS + 1):
-        return False
-    del gap
+        return 0
     # a leading zero: a token starts with 0 and a digit follows it
     starts = np.concatenate(([0], sep[:-1] + 1))
-    zero = starts[body[starts] == _ZERO]
-    del sep, starts
-    return not np.any(body[zero + 1] >= _ZERO)
+    if np.any(body[starts[body[starts] == _ZERO] + 1] >= _ZERO):
+        return 0
+    # every token lies between a line start or a space and the next separator
+    return int((sep - starts).max())
 
 
 def largest_component_bfs(g: SparseGraph) -> np.ndarray:

@@ -1,3 +1,6 @@
+import io
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -260,10 +263,30 @@ def csr_parts(g):
     return [a.indptr, a.indices, a.data]
 
 
+def saved_bytes(g):
+    buf = io.StringIO()
+    hm.save_edge_list(g, buf)
+    return buf.getvalue().encode("utf-8")
+
+
+def assert_same_arrays(mine, theirs):
+    assert mine.dtype == theirs.dtype
+    assert mine.tobytes() == theirs.tobytes()
+
+
 def assert_same_graph(ours, ref):
-    for mine, theirs in zip(csr_parts(ours), csr_parts(ref)):
-        assert mine.dtype == theirs.dtype
-        assert np.array_equal(mine, theirs)
+    """``ours``, fresh from the sampler, is ``ref`` bit for bit both before
+    and after its adjacency is first read: its counts, edge array and
+    written edge list, then (``==`` being the first read) its CSR arrays."""
+    # the sampler leaves the adjacency unformed until it is read
+    assert "adjacency" not in vars(ours)
+    for _ in range(2):
+        assert (ours.n_vertices, ours.n_edges) == (ref.n_vertices, ref.n_edges)
+        assert_same_arrays(ours.edge_array(), ref.edge_array())
+        assert saved_bytes(ours) == saved_bytes(ref)
+        assert ours == ref
+        for mine, theirs in zip(csr_parts(ours), csr_parts(ref)):
+            assert_same_arrays(mine, theirs)
     assert ours.n_loops_dropped == ref.n_loops_dropped == 0
 
 
@@ -271,7 +294,7 @@ class TestSamplerMatchesEdgeOracle:
     """The half-band sampler gives the graph of the edge-array sampler in
     ``oracle``, from the same generator state, bit for bit."""
 
-    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025, 1500])
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025, 1300, 1500])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_random_latents(self, n, d):
         local = np.random.default_rng(10 * n + d)
@@ -279,13 +302,48 @@ class TestSamplerMatchesEdgeOracle:
         spread /= np.sqrt((spread @ spread.T).max())
         # all dot products close to 1: a near-complete graph
         tight = (1 - 0.01 * local.random((n, d))) / np.sqrt(d)
-        for x, sparsity in ((spread, 1e-4), (spread, 0.6), (tight, 1.0)):
+        # all zero: an edgeless graph
+        for x, sparsity in ((spread, 1e-4), (spread, 0.6), (tight, 1.0), (0 * spread, 1.0)):
             for latents in (x, as_latents(x)):
                 ours = hm.sample_rdpg(latents, sparsity, derive_rng(n, "band"))
                 ref = sample_rdpg_via_edges(latents, sparsity, derive_rng(n, "band"))
                 assert_same_graph(ours, ref)
+        assert ref.n_edges == 0
+        # a bit generator that draws the skipped uniforms instead of advancing
+        ours = hm.sample_rdpg(tight, 1.0, np.random.Generator(np.random.SFC64(n)))
+        ref = sample_rdpg_via_edges(tight, 1.0, np.random.Generator(np.random.SFC64(n)))
+        assert_same_graph(ours, ref)
         if n > 1:
             assert ref.n_edges / (n * (n - 1) / 2) > 0.97
+
+    def test_adjacency_first_read_from_threads(self):
+        # more threads than cores, switching often, all at the first read
+        x = np.random.default_rng(3).random((1300, 3))
+        x /= np.sqrt((x @ x.T).max())
+        ours = hm.sample_rdpg(x, 0.6, derive_rng(3, "band"))
+        ref = sample_rdpg_via_edges(x, 0.6, derive_rng(3, "band"))
+        barrier = threading.Barrier(4, timeout=60)  # a failed thread breaks it, not hangs
+        read = [None] * 4
+
+        def run(i):
+            barrier.wait()
+            read[i] = ours.adjacency
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # formed once: every thread holds the one matrix
+        assert all(a is ours.adjacency for a in read)
+        for mine, theirs in zip(csr_parts(ours), csr_parts(ref)):
+            assert_same_arrays(mine, theirs)
 
     def test_benchmark_spec(self, bench_spec):
         lat = hm.build_latent_positions(bench_spec, derive_rng(1, "generate"))

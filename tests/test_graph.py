@@ -86,10 +86,12 @@ def assert_same_graph(a: hm.SparseGraph, b: hm.SparseGraph) -> None:
 
 
 class BulkSpy:
-    """Wraps the format gate and records whether it accepted each input."""
+    """Wraps the format gate and records whether it accepted each input,
+    and the dtype of the tokens it parsed."""
 
     def __init__(self):
         self.accepted: list[bool] = []
+        self.dtypes: list = []
 
     def __enter__(self):
         real = graph_module._canonical_tokens
@@ -97,6 +99,7 @@ class BulkSpy:
         def gate(data):
             tokens = real(data)
             self.accepted.append(tokens is not None)
+            self.dtypes.append(None if tokens is None else tokens.dtype)
             return tokens
 
         self._patch = mock.patch.object(graph_module, "_canonical_tokens", gate)
@@ -388,17 +391,24 @@ class TestFirstAppearance:
 
 class TestInt32Ids:
     @pytest.mark.parametrize("big, int32", [
+        (999_999_999, True),
+        (10**9, True),
         (INT32_MAX, True),
         (INT32_MAX + 1, False),
         (10**18 - 1, False),
     ])
     def test_ids_at_the_int32_limit_load_as_lines(self, tmp_path, big, int32):
         data = f"{big} 0\n3 {big}\n0 3\n{big - 1} {big}\n5 5\n".encode("ascii")
+        assert graph_module._canonical_lines(data) == len(str(big))
         path = write_bytes(tmp_path, data)
         with mock.patch.object(graph_module, "_first_appearance",
                                wraps=graph_module._first_appearance) as remap, BulkSpy() as spy:
             got = hm.load_edge_list(path)
         assert spy.accepted == [True]
+        # nine digits parse straight to int32; numpy's int32 text parse wraps
+        # 2147483648 to -2147483648 without a word, so longer ids parse as
+        # int64 and are narrowed after
+        assert spy.dtypes == [np.int32 if big < 10**9 else np.int64]
         assert (remap.call_args.args[0].dtype == np.int32) == int32
         assert_same_graph(got, load_parent_way(path))
         assert got.vertex_ids == (str(big), "0", "3", str(big - 1), "5")

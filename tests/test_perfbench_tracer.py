@@ -68,7 +68,8 @@ def test_traced_detect_reports_every_layer(tmp_path):
     for name in ("motifs.bootstrap_pvalue_s", "motifs.mmd_statistic_s",
                  "motifs.kernel_bandwidth_s", "motifs.permutation_replicates",
                  "graph.load_edge_list_s", "graph.largest_connected_component_s",
-                 "motifs.align_embeddings_s"):
+                 "motifs.align_embeddings_s", "generate.sample_hsbm_s", "generate.edges",
+                 "graph.save_edge_list_s"):
         assert metrics.get(name, 0) > 0, name
     # two children, so one pair, per detect: B replicates for it in the
     # library call (6) and in the CLI call (4), and one alignment
