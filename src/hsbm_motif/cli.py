@@ -246,7 +246,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_test(args) -> int:
-    """Detect's pair step on two embeddings: align, then test."""
+    """Detect's pair step on two embeddings: the statistic, and with
+    --bootstrap above 0 the aligned permutation test's bandwidth and p-value."""
     manifest = Manifest("test", args)
     cfg = _config(args, manifest)
     manifest.add_input(args.embedding_a)
@@ -428,11 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("test", help="detect's pair step: align two embeddings, then test")
+    p = sub.add_parser("test", help="detect's pair step: statistic, then a permutation test")
     p.add_argument("embedding_a")
     p.add_argument("embedding_b", help="embedding rotated onto embedding_a before the test")
     p.add_argument("--sigma", dest="bandwidth", type=_sigma, default="median",
-                   help="bandwidth: kernel width, float or 'median'")
+                   help="bandwidth: the permutation test's kernel width, float or 'median'")
     p.add_argument("--bootstrap", dest="n_bootstrap", type=int, default=200,
                    help="n_bootstrap: permutation replicates (0: no p-value)")
     common(p)
@@ -446,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", dest="n_subgraphs", type=_int_or_auto, help="n_subgraphs: count or 'auto'")
     p.add_argument("--M", dest="n_motifs", type=int,
                    help="n_motifs: motifs per split (default: cut at the largest gap)")
-    p.add_argument("--sigma", dest="bandwidth", type=_sigma, help="bandwidth: float or 'median'")
+    p.add_argument("--sigma", dest="bandwidth", type=_sigma,
+                   help="bandwidth: the permutation tests' kernel width, float or 'median'")
     p.add_argument("--bootstrap", dest="n_bootstrap", type=int,
                    help="n_bootstrap: permutation replicates per pair (0: no p-values)")
     p.add_argument("--min-cluster-size", type=int,

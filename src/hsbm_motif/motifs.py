@@ -1,10 +1,14 @@
-"""Kernel two-sample testing between embedded subgraphs and motif clustering.
+"""Pairwise dissimilarity and two-sample testing between embedded subgraphs,
+and motif clustering.
 
 Two subgraphs belong to the same motif when their latent distributions agree
-up to an orthogonal transformation.  The statistic below is the unbiased
-Gaussian-kernel maximum mean discrepancy between the two embeddings;
-permutation re-splits of the pooled rows supply p-values, and agglomerative
-clustering of the pairwise statistic matrix groups subgraphs into motifs.
+up to an orthogonal transformation.  The pairwise statistic is the 1-D
+Wasserstein distance between the two embeddings' Gram entries, which no
+rotation changes; average-linkage clustering of the statistic matrix groups
+subgraphs into motifs.  A p-value, when one is asked for, comes from the
+unbiased Gaussian-kernel maximum mean discrepancy between the embeddings
+after an orthogonal alignment, with permutation re-splits of the pooled rows
+as its null.
 """
 
 from __future__ import annotations
@@ -18,15 +22,17 @@ import numpy as np
 
 from .embedding import Embedding
 
-# scipy.spatial and scipy.cluster are imported where they are used: together
-# they add ~0.2 s to every process that imports this package, and only a pair
-# test or a motif clustering needs them.  Every pair-task import names
-# scipy.spatial.distance, so pool threads that make the first one at once
-# take the import locks in one order.
+# scipy.spatial is imported where it is used: it adds ~0.1 s to every process
+# that imports this package, and only a permutation test needs it.  Every
+# pair-task import names scipy.spatial.distance, so pool threads that make the
+# first one at once take the import locks in one order.
 
 
 # values per row block of the pair test's kernels (2 MiB)
 _SCAN_BLOCK = 1 << 18
+# most rows of each embedding whose Gram entries form its profile (larger
+# embeddings are thinned by an even stride): 300 rows give 44,850 entries
+_PROFILE_ROWS = 300
 # most pooled rows the median-heuristic bandwidth reads (by an even stride)
 _MEDIAN_ROWS = 600
 # alignment: most rows of each cloud fitted (larger clouds are thinned by an
@@ -125,6 +131,60 @@ def _check_finite(*samples: np.ndarray) -> None:
     # a NaN or inf row has a NaN kernel entry with itself
     if not all(np.isfinite(a).all() for a in samples):
         raise MotifError("samples must be finite")
+
+
+def _gram_profile(x: np.ndarray) -> np.ndarray:
+    """The sorted Gram entries ``x_i . x_j``, i < j, of at most
+    ``_PROFILE_ROWS`` rows of ``x`` taken by :func:`_thin`'s even stride.
+
+    The entries estimate the sample's edge probabilities, and an orthogonal
+    transform of the rows leaves them unchanged, so two embeddings of one
+    latent distribution give close profiles whatever their rotation.  Every
+    entry is at most the largest squared row norm in magnitude, and the
+    gap between two profiles at most the sum of two such; rows whose largest
+    norm, doubled, has a square that overflows are refused by name before
+    the product is formed.
+    """
+    rows = _thin(np.asarray(x, dtype=np.float64), _PROFILE_ROWS)
+    with np.errstate(over="ignore"):
+        reach = 2.0 * float(np.hypot.reduce(rows, axis=1).max())
+    if not reach * reach < math.inf:
+        raise MotifError(
+            "profile needs finite Gram entries: twice the largest row norm is "
+            f"{reach!r}, whose square overflows"
+        )
+    # a boolean mask of i < j reads the entries in np.triu_indices' row order
+    # without its two int64 index arrays
+    k = rows.shape[0]
+    entries = (rows @ rows.T)[np.arange(k)[:, None] < np.arange(k)]
+    entries.sort()
+    return entries
+
+
+def _profile_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """The 1-D Wasserstein-1 distance between the samples whose sorted values
+    are ``p`` and ``q``: the integral over t in (0, 1] of the gap between
+    their quantile functions, ``|p[ceil(t n) - 1] - q[ceil(t m) - 1]|``.
+
+    At equal sizes, as for any two children of at least ``_PROFILE_ROWS``
+    rows, both functions step at every ``k / n`` and the integral is the
+    mean of ``|p - q|``.  Otherwise both are constant between the cuts
+    ``k / (n m)`` for k a multiple of m or of n, so the integral is a dot
+    product of the cut widths with the gaps at the cuts; a cut that is a
+    multiple of both appears twice, once with width 0, which adds an exact
+    0.0.  Swapping the arguments gives the same cuts, widths and
+    ``|a - b|`` gaps, so ``_profile_distance(p, q) == _profile_distance(q,
+    p)`` bit for bit.  ``scipy.stats.wasserstein_distance`` of the same
+    values agrees within rounding.
+    """
+    n, m = p.size, q.size
+    if n == m:
+        return float(np.abs(p - q).mean())
+    cuts = np.concatenate([np.arange(m, n * m + 1, m), np.arange(n, n * m + 1, n)])
+    cuts.sort(kind="stable")
+    widths = np.diff(cuts, prepend=0) / (n * m)
+    cuts -= 1
+    return float(np.dot(widths, np.abs(p[cuts // m] - q[cuts // n])))
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -277,38 +337,53 @@ def bootstrap_pvalue(
     return (1 + np.count_nonzero(null >= t_obs)) / (n_boot + 1)
 
 
+def _permutation_test(
+    x: np.ndarray,
+    y: np.ndarray,
+    kernel: KernelConfig,
+    n_boot: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Bandwidth and permutation p-value of one checked pair, ``n_boot > 0``.
+
+    ``y`` is rotated onto ``x`` with :func:`align_embeddings` (the kernel
+    statistic, unlike the profile distance, sees the orthogonal
+    indeterminacy of each embedding), then the bandwidth is resolved once on
+    the pooled rows (the median heuristic reads at most 600 of them, see
+    :meth:`KernelConfig.resolve`) and frozen, and the permutation null of
+    :func:`bootstrap_pvalue` runs at that bandwidth with draws from ``rng``.
+    Its kernel is built in blocks of at most 2**18 values, so the memory is
+    linear in the pooled rows.
+    """
+    # each step is called by its module-level name, which the benchmark's
+    # tracer wraps to time it
+    y = y @ align_embeddings(x, y)
+    sigma = kernel.resolve(np.vstack([x, y]))
+    p = bootstrap_pvalue(x, y, KernelConfig(bandwidth=sigma), n_boot=n_boot, rng=rng)
+    return sigma, p
+
+
 def pair_test(
     x: np.ndarray,
     y: np.ndarray,
     kernel: KernelConfig,
     n_boot: int,
     rng: np.random.Generator,
-) -> tuple[float, float, float | None]:
-    """The two-sample test of one pair, the step :func:`dissimilarity_matrix`
-    runs for each pair: statistic, bandwidth and p-value.
+) -> tuple[float, float | None, float | None]:
+    """The statistic, bandwidth and p-value of one pair, as
+    :func:`dissimilarity_matrix` fills them.
 
-    The pair is checked first, then ``y`` is rotated onto ``x`` with
-    :func:`align_embeddings`, then the bandwidth is resolved once on the
-    pooled rows (the median heuristic reads at most 600 of them, see
-    :meth:`KernelConfig.resolve`) and frozen; the statistic is
-    :func:`mmd_statistic` at that bandwidth, and with ``n_boot > 0`` the
-    permutation null of :func:`bootstrap_pvalue` runs at the same bandwidth
-    with draws from ``rng``.  With ``n_boot = 0`` there is no null and the
-    p-value is ``None``.  Both build their kernels in blocks of at most
-    2**18 values, so the memory is linear in the pooled rows; with
-    ``n_boot > 0`` the kernel is built twice, once for each.
+    The pair is checked first.  The statistic is the distance between the
+    two Gram profiles (:func:`_gram_profile`, :func:`_profile_distance`),
+    which needs no alignment and no kernel.  With ``n_boot > 0`` the
+    aligned permutation test of :func:`_permutation_test` gives the
+    bandwidth and the p-value; with ``n_boot = 0`` both are ``None``.
     """
     x, y = _check_pair(x, y)
-    # each step is called by its module-level name, which the benchmark's
-    # tracer wraps to time it
-    y = y @ align_embeddings(x, y)
-    sigma = kernel.resolve(np.vstack([x, y]))
-    fixed = KernelConfig(bandwidth=sigma)
-    t = mmd_statistic(x, y, fixed)
-    p = None
-    if n_boot > 0:
-        p = bootstrap_pvalue(x, y, fixed, n_boot=n_boot, rng=rng)
-    return t, sigma, p
+    t = _profile_distance(_gram_profile(x), _gram_profile(y))
+    if n_boot <= 0:
+        return t, None, None
+    return (t, *_permutation_test(x, y, kernel, n_boot, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +582,18 @@ def align_embeddings(reference: np.ndarray, moving: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DissimilarityMatrix:
-    """Pairwise two-sample statistics between recovered subgraphs.
+    """Pairwise statistics between recovered subgraphs.
 
-    ``statistics`` is symmetric with a zero diagonal; negative raw values
-    (possible for the unbiased estimator) are floored at zero so the matrix
-    is a valid dissimilarity.  ``p_values`` is filled when bootstrapping was
-    requested (diagonal 1), and ``bandwidths`` records the kernel width used
-    for each pair.
+    ``statistics`` is symmetric and non-negative with a zero diagonal: the
+    distance between two subgraphs' Gram profiles (see :func:`pair_test`).
+    ``p_values`` (diagonal 1) and ``bandwidths``, the kernel width of each
+    pair's permutation test, are filled when bootstrapping was requested,
+    and ``None`` otherwise.
     """
 
     statistics: np.ndarray
     p_values: np.ndarray | None
-    bandwidths: np.ndarray
+    bandwidths: np.ndarray | None
 
     @property
     def n_subgraphs(self) -> int:
@@ -532,22 +607,26 @@ def dissimilarity_matrix(
     rng: np.random.Generator | None = None,
     threads: int = 1,
 ) -> DissimilarityMatrix:
-    """All pairwise two-sample statistics between subgraph embeddings.
+    """All pairwise statistics, and with ``n_boot > 0`` p-values, between
+    subgraph embeddings: for each pair ``(i, j)``, i < j, what
+    :func:`pair_test` gives.
 
-    All embeddings must share a dimension.  Each pair ``(i, j)``, i < j,
-    runs :func:`pair_test`: embedding j is rotated onto embedding i (the
-    raw statistic is otherwise sensitive to the per-graph orthogonal
-    indeterminacy at finite sizes), the bandwidth is frozen on the pooled
-    rows, the statistic computed, and with ``n_boot > 0`` the batched
-    permutation null drawn from the pair's own generator.  Those generators
-    are seeded from ``rng`` before any pair runs, so ``threads`` (pairs
-    tested in parallel) never changes the output.  A negative ``n_boot``,
-    embeddings of different dimensions and a non-finite value are refused
-    before any pair is aligned.
+    All embeddings must share a dimension.  Each embedding's Gram profile
+    is built once, and every statistic is the distance between two of
+    them.  With ``n_boot > 0`` each pair then runs
+    :func:`_permutation_test` (embedding j rotated onto embedding i, the
+    bandwidth frozen on the pooled rows, the batched permutation null drawn
+    from the pair's own generator); those generators are seeded from
+    ``rng`` before any pair runs, so ``threads`` (pairs tested in parallel)
+    never changes the output.  With ``n_boot = 0`` no pair is aligned and no
+    pool starts.  A negative ``n_boot``, embeddings of different dimensions
+    and a non-finite value are refused before any profile is built, and
+    rows whose Gram entries could overflow before any pair is tested.
     """
     kernel = kernel or KernelConfig()
     _check_test(n_boot, 0)
-    mats = [e.positions if isinstance(e, Embedding) else np.asarray(e) for e in embeddings]
+    mats = [np.asarray(e.positions if isinstance(e, Embedding) else e, dtype=np.float64)
+            for e in embeddings]
     if not mats:
         raise MotifError("need at least one embedding")
     dims = {m.shape[1] for m in mats}
@@ -555,16 +634,23 @@ def dissimilarity_matrix(
         raise MotifError(f"embeddings disagree on dimension: {sorted(dims)}")
     _check_finite(*mats)
     r = len(mats)
-    rng = rng or np.random.default_rng()
-    stats = np.zeros((r, r))
-    pvals = np.ones((r, r)) if n_boot > 0 else None
-    bands = np.zeros((r, r))
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    if pairs and min(m.shape[0] for m in mats) < 2:
+        raise MotifError("both samples need at least two rows")
+    profiles = [_gram_profile(m) for m in mats] if pairs else []
+    stats = np.zeros((r, r))
+    for i, j in pairs:
+        stats[i, j] = stats[j, i] = _profile_distance(profiles[i], profiles[j])
+    if n_boot == 0:
+        return DissimilarityMatrix(statistics=stats, p_values=None, bandwidths=None)
+
+    rng = rng or np.random.default_rng()
     pair_seeds = rng.integers(0, 2**63 - 1, size=max(len(pairs), 1))
 
-    def run_pair(args) -> tuple[float, float, float | None]:
+    def run_pair(args) -> tuple[float, float]:
         (i, j), seed = args
-        return pair_test(mats[i], mats[j], kernel, n_boot, np.random.default_rng(int(seed)))
+        return _permutation_test(mats[i], mats[j], kernel, n_boot,
+                                 np.random.default_rng(int(seed)))
 
     jobs = list(zip(pairs, pair_seeds))
     # threads=1 stays off the pool: glibc gives a worker thread its own malloc
@@ -575,11 +661,11 @@ def dissimilarity_matrix(
             results = list(pool.map(run_pair, jobs))
     else:
         results = [run_pair(job) for job in jobs]
-    for (i, j), (t, sigma, p) in zip(pairs, results):
-        stats[i, j] = stats[j, i] = max(t, 0.0)
+    pvals = np.ones((r, r))
+    bands = np.zeros((r, r))
+    for (i, j), (sigma, p) in zip(pairs, results):
         bands[i, j] = bands[j, i] = sigma
-        if p is not None:
-            pvals[i, j] = pvals[j, i] = p
+        pvals[i, j] = pvals[j, i] = p
     return DissimilarityMatrix(statistics=stats, p_values=pvals, bandwidths=bands)
 
 
@@ -603,6 +689,62 @@ class MotifAssignment:
         return np.bincount(self.labels, minlength=self.n_motifs)
 
 
+def _root(parent: list[int], node: int) -> int:
+    while parent[node] != node:
+        node = parent[node]
+    return node
+
+
+def _average_linkage(work: np.ndarray) -> np.ndarray:
+    """The average-linkage tree of the symmetric, hollow, non-negative
+    matrix ``work``, with the bits of scipy's
+    ``linkage(squareform(work), method="average")``.
+
+    A port of scipy's nearest-neighbour chain: the chain grows from the
+    lowest live cluster to its nearest neighbour (the previous link wins
+    ties, then the lowest index) until two clusters are each other's
+    nearest, which merge at their distance into the higher slot, with
+    distances to it updated as ``(nx d_xi + ny d_yi) / (nx + ny)``.  The
+    merges are then stably sorted by height, and a union-find names each
+    merge's two clusters by their latest merge ids (leaves below r, merge k
+    as r + k), lower id first, with the merged size in the fourth column.
+    ``oracle.cluster_motifs_scipy`` calls scipy itself.
+    """
+    r = work.shape[0]
+    dist = work.tolist()
+    size = [1] * r
+    chain: list[int] = []
+    z = np.empty((r - 1, 4))
+    for k in range(r - 1):
+        if not chain:
+            chain.append(next(i for i in range(r) if size[i]))
+        while True:
+            x = chain[-1]
+            y, best = (chain[-2], dist[x][chain[-2]]) if len(chain) > 1 else (x, math.inf)
+            for i in range(r):
+                if size[i] and i != x and dist[x][i] < best:
+                    y, best = i, dist[x][i]
+            if len(chain) > 1 and y == chain[-2]:
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        z[k] = x, y, best, nx + ny
+        size[x], size[y] = 0, nx + ny
+        for i in range(r):
+            if size[i] and i != y:
+                dist[i][y] = dist[y][i] = (nx * dist[i][x] + ny * dist[i][y]) / (nx + ny)
+    z = z[np.argsort(z[:, 2], kind="mergesort")]
+    parent = list(range(2 * r - 1))
+    for k, row in enumerate(z):
+        a, b = sorted(_root(parent, int(c)) for c in row[:2])
+        parent[a] = parent[b] = r + k
+        row[:2] = a, b
+        row[3] = sum(1.0 if c < r else z[c - r, 3] for c in (a, b))
+    return z
+
+
 def cluster_motifs(
     dissimilarity: DissimilarityMatrix | np.ndarray,
     n_motifs: int | None = None,
@@ -610,8 +752,10 @@ def cluster_motifs(
     """Average-linkage agglomerative clustering of subgraphs into motifs.
 
     A :class:`DissimilarityMatrix` is clustered on its statistics.  The
-    tree is cut into ``n_motifs`` clusters when that is given, else through
-    the largest gap between consecutive merge heights.  Labels are
+    tree (:func:`_average_linkage`) is cut as scipy's ``fcluster`` cuts it:
+    into at most ``n_motifs`` clusters when that is given, else through the
+    largest gap between consecutive merge heights; both cuts give scipy's
+    partitions (``oracle.cluster_motifs_scipy``).  Labels are
     renumbered in order of first appearance, so any relabeling of the input
     subgraphs permutes the output labels accordingly.  An empty, non-square,
     asymmetric or non-finite matrix, and ``n_motifs`` below 1, are refused
@@ -633,14 +777,16 @@ def cluster_motifs(
         raise MotifError("dissimilarity matrix must be symmetric")
     if r == 1:
         return MotifAssignment(labels=np.zeros(1, dtype=np.int64), merges=[], n_motifs=1)
-    from scipy.cluster import hierarchy
-    from scipy.spatial.distance import squareform
-
     work = np.maximum((mat + mat.T) / 2.0, 0.0)
     np.fill_diagonal(work, 0.0)
-    z = hierarchy.linkage(squareform(work, checks=False), method="average")
+    z = _average_linkage(work)
+    # scipy's fcluster cuts on each merge's highest height in its subtree
+    tallest = np.empty(r - 1)
+    for k, row in enumerate(z):
+        tallest[k] = max([row[2]] + [tallest[int(c) - r] for c in row[:2] if c >= r])
     if n_motifs is not None:
-        raw = hierarchy.fcluster(z, t=n_motifs, criterion="maxclust")
+        # the lowest cut that leaves at most n_motifs clusters
+        cut = tallest[r - n_motifs - 1] if n_motifs < r else -math.inf
     else:
         heights = z[:, 2]
         if len(heights) == 1:
@@ -649,13 +795,14 @@ def cluster_motifs(
             gaps = np.diff(heights)
             at = int(np.argmax(gaps))
             cut = (heights[at] + heights[at + 1]) / 2.0
-        raw = hierarchy.fcluster(z, t=cut, criterion="distance")
+    parent = list(range(2 * r - 1))
+    for k, row in enumerate(z):
+        if tallest[k] <= cut:
+            parent[int(row[0])] = parent[int(row[1])] = r + k
     labels = np.zeros(r, dtype=np.int64)
     remap: dict[int, int] = {}
-    for idx, lab in enumerate(raw):
-        if lab not in remap:
-            remap[lab] = len(remap)
-        labels[idx] = remap[lab]
+    for idx in range(r):
+        labels[idx] = remap.setdefault(_root(parent, idx), len(remap))
     merges = [
         {"left": int(row[0]), "right": int(row[1]), "height": float(row[2])}
         for row in z

@@ -146,6 +146,47 @@ def median_bandwidth_pdist(pooled: np.ndarray) -> float:
     return sigma
 
 
+def gram_profile_loop(x: np.ndarray) -> np.ndarray:
+    """Sorted Gram entries of the profile's stride rows, by a double loop over i < j."""
+    thinned = _motifs._thin(np.asarray(x, dtype=np.float64), _motifs._PROFILE_ROWS)
+    entries = [float(thinned[i] @ thinned[j])
+               for i in range(thinned.shape[0]) for j in range(i + 1, thinned.shape[0])]
+    return np.sort(np.array(entries))
+
+
+def cluster_motifs_scipy(
+    dissimilarity: np.ndarray, n_motifs: int | None = None
+) -> tuple[np.ndarray, _motifs.MotifAssignment]:
+    """scipy's linkage matrix and the motifs cut from it: average linkage of
+    the symmetrised, floored, hollow matrix, then ``fcluster`` at
+    ``n_motifs`` clusters or at the midpoint of the largest gap between
+    consecutive merge heights, relabelled in order of first appearance.
+    Takes a valid matrix of at least two rows."""
+    from scipy.cluster import hierarchy
+    from scipy.spatial.distance import squareform
+
+    mat = np.asarray(dissimilarity, dtype=np.float64)
+    work = np.maximum((mat + mat.T) / 2.0, 0.0)
+    np.fill_diagonal(work, 0.0)
+    z = hierarchy.linkage(squareform(work, checks=False), method="average")
+    if n_motifs is not None:
+        raw = hierarchy.fcluster(z, t=n_motifs, criterion="maxclust")
+    else:
+        heights = z[:, 2]
+        if len(heights) == 1:
+            cut = heights[0] / 2.0
+        else:
+            gaps = np.diff(heights)
+            at = int(np.argmax(gaps))
+            cut = (heights[at] + heights[at + 1]) / 2.0
+        raw = hierarchy.fcluster(z, t=cut, criterion="distance")
+    remap: dict[int, int] = {}
+    labels = np.array([remap.setdefault(lab, len(remap)) for lab in raw], dtype=np.int64)
+    merges = [{"left": int(row[0]), "right": int(row[1]), "height": float(row[2])}
+              for row in z]
+    return z, _motifs.MotifAssignment(labels=labels, merges=merges, n_motifs=len(remap))
+
+
 def permutation_statistics_loop(
     kern: np.ndarray, n: int, perms
 ) -> tuple[float, np.ndarray]:

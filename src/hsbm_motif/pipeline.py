@@ -2,8 +2,8 @@
 
 Each round splits the current subgraph into communities with the seeded
 subspace sweep on its embedding, extracts and embeds every community once,
-fills the pairwise two-sample dissimilarity matrix at a shared lower
-dimension, groups communities into motifs, and recurses on one representative
+fills the pairwise dissimilarity matrix (and with permutation replicates,
+the p-values) at a shared lower dimension, groups communities into motifs, and recurses on one representative
 per motif, handing it the subgraph and embedding already computed for it.
 Every graph gets one eigensolve: an automatic dimension is read from the
 magnitudes of that same solve, and a lower-dimensional embedding is its
@@ -66,9 +66,10 @@ class PipelineConfig:
     the dimension used for community re-embeds and every deeper level;
     either may be ``"auto"`` for selection from a 50-column scree.
     ``n_subgraphs`` (R) is the community count per round, or ``"auto"`` for
-    the seed-overlap estimate.  ``bandwidth`` is the pair tests' kernel
-    width, as :class:`~hsbm_motif.motifs.KernelConfig` takes it, and
-    ``n_bootstrap`` the permutation replicates behind each pair's p-value.
+    the seed-overlap estimate.  ``n_bootstrap`` is the permutation
+    replicates behind each pair's p-value (0: no p-values), and
+    ``bandwidth`` those tests' kernel width, as
+    :class:`~hsbm_motif.motifs.KernelConfig` takes it.
     Motifs are cut from the average-linkage tree of the pairwise
     statistics.  Recursion stops when a subgraph has at most
     ``min_cluster_size`` vertices (default: 100x the embedding dimension of
@@ -440,7 +441,7 @@ def hierarchy_report(root: HierarchyNode, cfg: PipelineConfig) -> dict:
             out["dissimilarity"] = node.dissimilarity.statistics.tolist()
             if node.dissimilarity.p_values is not None:
                 out["p_values"] = node.dissimilarity.p_values.tolist()
-            out["bandwidths"] = node.dissimilarity.bandwidths.tolist()
+                out["bandwidths"] = node.dissimilarity.bandwidths.tolist()
             out["block_matrix"] = [
                 [None if np.isnan(v) else float(v) for v in row]
                 for row in node.block_matrix

@@ -17,9 +17,10 @@ from hsbm_motif.cli import _int_or_auto, main
 from hsbm_motif.embedding import Embedding, embedding_from_csv, embedding_to_csv
 from hsbm_motif.motifs import (
     KernelConfig,
+    _gram_profile,
+    _profile_distance,
     align_embeddings,
     bootstrap_pvalue,
-    mmd_statistic,
 )
 from hsbm_motif.pipeline import PipelineConfig, config_from_dict
 from hsbm_motif.seeding import derive_rng
@@ -204,15 +205,15 @@ GOLDEN_STAGES = {
     "sphere/scree.csv": "dc1851db030262188c384b412b612241522b9080d28b52c7d9bffadf2572d5ad",
     "cluster/partition.csv": "d198ebdb362c3eb134f249926ce473ce6b00eb0aa2c8f1850be127aa69b0d25d",
     "cluster/phi_curve.csv": "f7d4452000e0730f54cec78748d14f9a55207a347cfaf89a83ae36093cd2048d",
-    "test/test.json": "d8710cc430de07a75f783910ca50ceda662984550bb9a64ceb2a4260f4c9b339",
+    "test/test.json": "86bc36742f6f3867f8e6cb819800a437a82fec5471dec639c84e2c443e5bbc7a",
     "detect/assignments.csv": "d077e8ae14b4fe672645e02ac720ba4fe73a90127bd829275119dab49f1ad142",
-    "detect/hierarchy.json": "0c098530a9722c440732de2de8bba3bc63bc63ac17d7d2e1065045540c34c4a9",
-    "detect/node_0_dissimilarity.csv": "609fa313fff8fe443aecbf3171ecdf1646476112bd3341ab4f6a20dae5b1fec6",
+    "detect/hierarchy.json": "11bfeee8a43d209c028ff57a521ef7ca4f5c76136b136ecfe72574d2d6823927",
+    "detect/node_0_dissimilarity.csv": "d9c3a22c71252b9c08145e5ebfc7585613a20d28d911c0beffb24ab81dfc16c1",
     "detect/node_0_pvalues.csv": "57500c3340ef9a2b3120ad9d5f1da4e6f7d97b1487cd6b0d6f7565d573b5bcb2",
-    "detect/node_1_dissimilarity.csv": "8462982af63138605082cca3b0019b2d0bd54276e5e59fbf2ee12c52e52da0a0",
+    "detect/node_1_dissimilarity.csv": "d047dc989d653ecc2b78fdd3a840439b35d3fb9353cb77bcd535eff0e76f795a",
     "detect/node_1_pvalues.csv": "57500c3340ef9a2b3120ad9d5f1da4e6f7d97b1487cd6b0d6f7565d573b5bcb2",
-    "detect/report.html": "f68eaa5d36e867d79299a1e99c86e6e78ea18cbb9d19527246e7c98f90f657dd",
-    "detect/root_dissimilarity.csv": "81730797e07de481a0e5da6172d671ec73db6c0f05db9f06425ef80a5402b7ee",
+    "detect/report.html": "dd2d2b8882bdbd48ca7ed2b31e985441f6c1ade63212d9d7712559846cd8a707",
+    "detect/root_dissimilarity.csv": "1cfc8049ca7bdb7063d117a324c33755ffe6eae62a1edb768f60d4892f9755af",
     "detect/root_pvalues.csv": "bc6b5e861f30d72c2f2015cf55a005e89b2ec4b5070cb657d81cf6ffb4c02f59",
 }
 
@@ -533,18 +534,17 @@ def test_test_json_matches_inline_recipe(tmp_path, n_boot):
                  "--out-dir", str(out), "--seed", "9"]) == 0
     got = json.loads((out / "test.json").read_text())
 
-    # the pair recipe written out: resolve and freeze the bandwidth, the
-    # statistic, then the null from the same generator
+    # the pair recipe written out: the profile distance, then with replicates
+    # the alignment, the frozen bandwidth and the null from the seed's generator
     x = embedding_from_csv(paths[0])[0].positions
     y = embedding_from_csv(paths[1])[0].positions
-    y = y @ align_embeddings(x, y)
-    sigma = KernelConfig().resolve(np.vstack([x, y]))
-    fixed = KernelConfig(bandwidth=sigma)
-    draw = derive_rng(9, "test")
-    t = mmd_statistic(x, y, fixed)
-    p = None
+    t = _profile_distance(_gram_profile(x), _gram_profile(y))
+    sigma = p = None
     if n_boot:
-        p = bootstrap_pvalue(x, y, fixed, n_boot=n_boot, rng=draw)
+        y = y @ align_embeddings(x, y)
+        sigma = KernelConfig().resolve(np.vstack([x, y]))
+        p = bootstrap_pvalue(x, y, KernelConfig(bandwidth=sigma), n_boot=n_boot,
+                             rng=derive_rng(9, "test"))
     assert got == {"statistic": t, "p_value": p, "bandwidth": sigma, "n": 60, "m": 47}
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert (config["bandwidth"], config["n_bootstrap"], config["seed"]) == ("median", n_boot, 9)
@@ -552,8 +552,8 @@ def test_test_json_matches_inline_recipe(tmp_path, n_boot):
 
 
 def test_test_squared_distance_overflow_is_named(tmp_path, capsys):
-    # finite rows whose squared distances overflow: the alignment refuses
-    # them by name, with no RuntimeWarning and no LinAlgError
+    # finite rows whose squared norms overflow: the profile refuses them by
+    # name before any alignment, with no RuntimeWarning and no LinAlgError
     rng = np.random.default_rng(5)
     paths = []
     for k, rows in enumerate((30, 25)):
@@ -566,7 +566,7 @@ def test_test_squared_distance_overflow_is_named(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["test", *paths, "--bootstrap", "10", "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: alignment needs finite squared distances: the largest row norms")
+    assert err.startswith("error: profile needs finite Gram entries: twice the largest row norm")
     assert err.endswith(", whose square overflows\n")
     assert not out.exists()
 
@@ -731,7 +731,8 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize(tmp_path, small_spec):
     # scipy.stats alone added ~0.6 s and ~30 MB to every CLI process, and
     # scipy.sparse ~0.25 s; every scipy module is loaded on first use, so
     # the bare import, generate (whose graph never forms its adjacency),
-    # report and --version start without scipy at all
+    # report and --version start without scipy at all, and detect and test
+    # with no permutation replicates without scipy.spatial or scipy.cluster
     gen, det = tmp_path / "gen", tmp_path / "det"
     assert main(["generate", str(small_spec), "--out-dir", str(gen), "--seed", "5"]) == 0
     assert main(["detect", str(gen / "edges.txt"), "--D", "2", "--d", "1", "--R", "2",
@@ -748,17 +749,35 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize(tmp_path, small_spec):
 
     # a detect that makes every first-use import gives the in-process bytes
     fresh = tmp_path / "det_fresh"
-    _fresh_python(_CLI_THEN_MODULES, "detect", str(gen / "edges.txt"), "--D", "2", "--d", "1",
-                  "--R", "2", "--M", "2", "--min-cluster-size", "40", "--max-depth", "1",
-                  "--out-dir", str(fresh), "--seed", "5")
+    done = _fresh_python(_CLI_THEN_MODULES, "detect", str(gen / "edges.txt"), "--D", "2",
+                         "--d", "1", "--R", "2", "--M", "2", "--min-cluster-size", "40",
+                         "--max-depth", "1", "--out-dir", str(fresh), "--seed", "5")
     names = sorted(p.name for p in det.iterdir() if p.name not in ("manifest.json", "report.html"))
     assert sorted(p.name for p in fresh.iterdir() if p.name != "manifest.json") == names
     for name in names:
         assert (fresh / name).read_bytes() == (det / name).read_bytes(), name
 
+    def kernel_modules(modules):
+        return [m for m in modules if m.split(".")[:2] in (["scipy", "spatial"],
+                                                            ["scipy", "cluster"])]
+
+    assert kernel_modules(json.loads(done.stdout.splitlines()[-1])) == []
+    embs = []
+    for seed in ("5", "6"):
+        out = tmp_path / f"emb{seed}"
+        assert main(["embed", str(gen / "edges.txt"), "--dim", "2", "--out-dir", str(out),
+                     "--seed", seed]) == 0
+        embs.append(str(out / "embedding.csv"))
+    for n_boot, loaded in (("0", False), ("5", True)):
+        done = _fresh_python(_CLI_THEN_MODULES, "test", *embs, "--bootstrap", n_boot,
+                             "--out-dir", str(tmp_path / f"test{n_boot}"))
+        assert bool(kernel_modules(json.loads(done.stdout.splitlines()[-1]))) == loaded
+
 
 def test_first_use_imports_are_safe_from_two_threads():
-    # both threads reach ARPACK's, then scipy.spatial's, first import at once
+    # two threads reach ARPACK's first import at once; then the two pool
+    # threads of a permutation-tested dissimilarity matrix reach
+    # scipy.spatial's, which only a test with replicates makes
     script = """
 import sys, threading
 import numpy as np
@@ -768,23 +787,25 @@ assert "scipy.spatial" not in sys.modules
 rng = np.random.default_rng(0)
 mask = np.triu(rng.random((60, 60)) < 0.25, k=1)
 g = hm.graph_from_edges(60, *np.nonzero(mask))
-x, y = rng.normal(size=(50, 3)), rng.normal(size=(40, 3))
+mats = [rng.normal(size=(50 - 5 * k, 3)) for k in range(3)]
 barrier = threading.Barrier(2, timeout=60)  # a failed thread breaks it, not hangs
 out = [None, None]
 def run(i):
     barrier.wait()
-    emb = hm.ase(g, 3)
-    barrier.wait()
-    out[i] = (emb, hm.mmd_statistic(x, y))
+    out[i] = hm.ase(g, 3)
 threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
 for t in threads:
     t.start()
 for t in threads:
     t.join()
 again = hm.ase(g, 3)
-for emb, t_value in out:
+for emb in out:
     assert np.array_equal(emb.positions, again.positions)
-    assert t_value == hm.mmd_statistic(x, y)
+assert "scipy.spatial" not in sys.modules
+pooled, serial = (hm.dissimilarity_matrix(mats, n_boot=5, rng=np.random.default_rng(1),
+                                          threads=threads) for threads in (2, 1))
+for field in ("statistics", "p_values", "bandwidths"):
+    assert getattr(pooled, field).tobytes() == getattr(serial, field).tobytes()
 print("ok")
 """
     assert _fresh_python(script).stdout.strip() == "ok"

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
-from scipy.stats import ortho_group
+from scipy.stats import ortho_group, wasserstein_distance
 
 import hsbm_motif as hm
 from hsbm_motif import motifs
@@ -16,14 +16,18 @@ from hsbm_motif.motifs import (
     KernelConfig,
     MotifError,
     _kernel_sum,
+    _gram_profile,
     _median,
     _ot_procrustes,
     _permutation_statistics,
+    _profile_distance,
     _rbf,
     _sinkhorn_plan,
 )
 from hsbm_motif.oracle import (
     align_embeddings_all_starts,
+    cluster_motifs_scipy,
+    gram_profile_loop,
     median_bandwidth_pdist,
     mmd_from_kernel,
     ot_procrustes_loop,
@@ -38,6 +42,10 @@ from conftest import B1, B2, B3, single_leaf_spec, traced_peak
 def gaussian_pair(n, m, d=2, shift=0.0, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, d)), rng.normal(size=(m, d)) + shift
+
+
+def invariant_statistic(x, y):
+    return _profile_distance(_gram_profile(x), _gram_profile(y))
 
 
 class TestKernelConfig:
@@ -94,7 +102,7 @@ class TestUnitDiagonal:
             warnings.simplefilter("error")
             result = motifs.pair_test(x, y, KernelConfig(bandwidth=1e-160), 10,
                                       derive_rng(0, "tiny"))
-        assert result == (0.0, 1e-160, 1.0)
+        assert result == (invariant_statistic(x, y), 1e-160, 1.0)
 
     def test_accepted_range_ends(self):
         low, high = self.BANDWIDTHS[0], self.BANDWIDTHS[-1]
@@ -190,6 +198,76 @@ def three_kernel_statistic(x, y, bandwidth):
         return np.exp(-cdist(a, b, "sqeuclidean") / bandwidth**2)
 
     return mmd_from_kernel(kern(x, x), kern(x, y), kern(y, y))
+
+
+class TestGramProfile:
+    """The statistic: the 1-D Wasserstein distance between two embeddings'
+    sorted Gram entries, from at most 300 stride rows of each."""
+
+    @pytest.mark.parametrize("rows", [2, 3, 17, 299, 300, 301, 750])
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_matches_double_loop(self, rows, d):
+        x = np.random.default_rng(rows * 10 + d).normal(size=(rows, d))
+        fast, slow = _gram_profile(x), gram_profile_loop(x)
+        kept = min(rows, 300)
+        assert fast.shape == (kept * (kept - 1) // 2,)
+        # the product and the loop may round a d-term dot product differently
+        assert np.allclose(fast, slow, rtol=0, atol=1e-13 * np.abs(slow).max())
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 300), (3, 5), (40, 300), (299, 300),
+                                      (300, 300), (750, 137), (1000, 2)])
+    def test_distance_matches_scipy(self, n, m):
+        rng = np.random.default_rng(n + m)
+        p = _gram_profile(rng.normal(size=(n, 3)))
+        q = _gram_profile(rng.normal(size=(m, 3)) * 1.2 + 0.1)
+        expected = wasserstein_distance(p, q)
+        assert _profile_distance(p, q) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_equal_sizes_are_the_mean_gap(self):
+        rng = np.random.default_rng(4)
+        p = np.sort(rng.normal(size=44850))
+        q = np.sort(rng.normal(size=44850) + 0.3)
+        assert _profile_distance(p, q) == pytest.approx(np.abs(p - q).mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(2, 40), (60, 45), (300, 300), (900, 700)])
+    def test_rotation_invariant(self, n, m):
+        x, y = gaussian_pair(n, m, d=4, shift=0.2, seed=n)
+        base = invariant_statistic(x, y)
+        for seed in range(3):
+            q = ortho_group.rvs(4, random_state=seed)
+            assert invariant_statistic(x @ q, y) == pytest.approx(base, rel=1e-12, abs=0)
+            assert invariant_statistic(x @ q, y @ q.T) == pytest.approx(base, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 7), (50, 40), (300, 301), (800, 650)])
+    def test_bitwise_symmetric(self, n, m):
+        x, y = gaussian_pair(n, m, d=3, shift=0.5, seed=m)
+        assert invariant_statistic(x, y) == invariant_statistic(y, x)
+        stats = hm.dissimilarity_matrix([x, y, x[: n // 2 + 2]]).statistics
+        assert stats.tobytes() == stats.T.tobytes()
+        for a, b in ((x, y), (y, x)):
+            t, sigma, p = motifs.pair_test(a, b, KernelConfig(), 0, derive_rng(0, "sym"))
+            assert (t, sigma, p) == (invariant_statistic(x, y), None, None)
+
+    def test_two_row_children(self):
+        # one Gram entry each: the distance is the gap between them
+        x = np.array([[1.0, 2.0], [3.0, -1.0]])
+        y = np.array([[0.5, 0.5], [2.0, 2.0]])
+        assert _gram_profile(x).tolist() == [1.0] and _gram_profile(y).tolist() == [2.0]
+        assert invariant_statistic(x, y) == 1.0
+        z = np.random.default_rng(3).normal(size=(120, 2))
+        assert invariant_statistic(x, z) == pytest.approx(
+            wasserstein_distance([1.0], _gram_profile(z)), rel=1e-12)
+
+    def test_overflow_refused_by_name_and_largest_reach_accepted(self):
+        x, y = gaussian_pair(40, 30)
+        x /= np.hypot.reduce(x, axis=1).max()
+        y /= np.hypot.reduce(y, axis=1).max()
+        scale = 0.49 * np.sqrt(np.finfo(np.float64).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(invariant_statistic(x * scale, y * scale))
+            with pytest.raises(MotifError, match=PROFILE_OVERFLOW):
+                invariant_statistic(x * scale, y * (1.1 * scale))
 
 
 class TestOneKernelAtATime:
@@ -621,6 +699,8 @@ class TestBatchedPermutationNull:
 
 OVERFLOW = ("^alignment needs finite squared distances: the largest row norms sum to "
             r"\S+, whose square overflows$")
+PROFILE_OVERFLOW = ("^profile needs finite Gram entries: twice the largest row norm is "
+                    r"\S+, whose square overflows$")
 
 
 class TestPairTestArguments:
@@ -673,13 +753,13 @@ class TestPairTestArguments:
     @pytest.mark.parametrize("n_boot", [0, 5])
     def test_pair_test_refuses_bandwidths_outside_the_range(self, n_boot):
         # a fixed bandwidth whose square is 0 or inf; rows whose median
-        # distance is inf are refused earlier, by the alignment
+        # distance is inf are refused earlier, by the profile
         x, y = gaussian_pair(10, 12)
         for bandwidth in (1e-170, 1e155):
             with pytest.raises(MotifError, match="bandwidth must be positive"):
                 motifs.pair_test(x, y, KernelConfig(bandwidth=bandwidth), n_boot,
                                  derive_rng(0, "range"))
-        with pytest.raises(MotifError, match=OVERFLOW):
+        with pytest.raises(MotifError, match=PROFILE_OVERFLOW):
             motifs.pair_test(x * 1e155, y * 1e155, KernelConfig(), n_boot, derive_rng(0, "range"))
 
     def test_median_bandwidth_of_inf_refused(self):
@@ -693,20 +773,22 @@ class TestPairTestArguments:
     @pytest.mark.parametrize("scaled", ["both", "moving"])
     def test_squared_distance_overflow_is_named(self, scaled):
         # finite rows whose squared distances overflow: refused before any
-        # transport plan is built, with no RuntimeWarning or LinAlgError
+        # transport plan or profile is built, with no RuntimeWarning or
+        # LinAlgError; the pair steps build the profiles first
         x, y = gaussian_pair(40, 30)
         x = x * 1e155 if scaled == "both" else x
         y = y * 1e155
         calls = {
-            "align_embeddings": lambda: hm.align_embeddings(x, y),
-            "pair_test": lambda: motifs.pair_test(x, y, KernelConfig(), 5, derive_rng(0, "o")),
-            "dissimilarity_matrix": lambda: hm.dissimilarity_matrix(
-                [x, y], n_boot=5, rng=derive_rng(0, "o"), threads=2),
+            "align_embeddings": (OVERFLOW, lambda: hm.align_embeddings(x, y)),
+            "pair_test": (PROFILE_OVERFLOW, lambda: motifs.pair_test(
+                x, y, KernelConfig(), 5, derive_rng(0, "o"))),
+            "dissimilarity_matrix": (PROFILE_OVERFLOW, lambda: hm.dissimilarity_matrix(
+                [x, y], n_boot=5, rng=derive_rng(0, "o"), threads=2)),
         }
-        for name, call in calls.items():
+        for name, (message, call) in calls.items():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(MotifError, match=OVERFLOW):
+                with pytest.raises(MotifError, match=message):
                     call()
                     pytest.fail(name)
 
@@ -724,8 +806,9 @@ class TestPairTestArguments:
             hm.align_embeddings(x * scale, y * (2.1 * scale))
 
     def test_pair_test_aligns_the_second_sample(self, monkeypatch):
-        # one alignment, through the module's name, then the test of the
-        # rotated rows at the bandwidth resolved on them
+        # with a null to draw: one alignment, through the module's name, then
+        # the test of the rotated rows at the bandwidth resolved on them; the
+        # statistic needs no alignment
         x, y = gaussian_pair(50, 40, d=3)
         calls = []
 
@@ -739,7 +822,7 @@ class TestPairTestArguments:
         rotated = y @ hm.align_embeddings(x, y)
         expected_sigma = KernelConfig().resolve(np.vstack([x, rotated]))
         fixed = KernelConfig(bandwidth=expected_sigma)
-        assert (t, sigma) == (hm.mmd_statistic(x, rotated, fixed), expected_sigma)
+        assert (t, sigma) == (invariant_statistic(x, y), expected_sigma)
         assert p == hm.bootstrap_pvalue(x, rotated, fixed, n_boot=20, rng=derive_rng(3, "align"))
 
 
@@ -980,17 +1063,62 @@ class TestDissimilarityMatrix:
 
     def test_threads_identical_on_aligned_clouds(self):
         # at 600 rows every kernel is above 2**18 values and summed in row
-        # blocks; the statistics are also those of a run with no null
+        # blocks; the statistics are also those of runs with no null, which
+        # record no bandwidths
         for rows in (300, 600):
             rng = np.random.default_rng(8)
             mats = [rng.normal(size=(rows + 17 * k, 3)) * (1.0 + 0.1 * k) for k in range(4)]
             runs = [hm.dissimilarity_matrix(mats, n_boot=n_boot, rng=derive_rng(9, "d"),
                                             threads=threads)
-                    for threads, n_boot in ((1, 20), (2, 20), (1, 0))]
-            for field in ("statistics", "p_values", "bandwidths"):
+                    for threads, n_boot in ((1, 20), (2, 20), (1, 0), (2, 0))]
+            for field in ("p_values", "bandwidths"):
                 assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
-            for field in ("statistics", "bandwidths"):
-                assert getattr(runs[0], field).tobytes() == getattr(runs[2], field).tobytes()
+                assert getattr(runs[2], field) is None and getattr(runs[3], field) is None
+            for run in runs[1:]:
+                assert run.statistics.tobytes() == runs[0].statistics.tobytes()
+
+
+def oracle_matrices():
+    """Random, rounded-tie and all-zero symmetric matrices, r = 2..12."""
+    rng = np.random.default_rng(11)
+    for r in range(2, 13):
+        for seed in range(4):
+            for kind in ("random", "tied", "zero"):
+                a = rng.uniform(size=(r, r))
+                if kind == "tied":
+                    a = np.round(a * 3) / 3
+                elif kind == "zero":
+                    a = np.zeros((r, r))
+                yield (a + a.T) / 2
+
+
+class TestAverageLinkagePort:
+    """cluster_motifs ports scipy's average linkage and flat cuts; the
+    oracle calls scipy itself."""
+
+    def test_linkage_matrix_equals_scipy(self):
+        for mat in oracle_matrices():
+            work = mat.copy()
+            np.fill_diagonal(work, 0.0)
+            z, _ = cluster_motifs_scipy(mat)
+            assert motifs._average_linkage(work).tobytes() == z.tobytes()
+
+    def test_every_cut_equals_scipy(self):
+        for mat in oracle_matrices():
+            r = mat.shape[0]
+            for n_motifs in (None, *range(1, r + 2)):
+                got = hm.cluster_motifs(mat, n_motifs=n_motifs)
+                _, want = cluster_motifs_scipy(mat, n_motifs)
+                assert got.labels.tobytes() == want.labels.tobytes(), (r, n_motifs)
+                assert got.merges == want.merges and got.n_motifs == want.n_motifs
+                assert [np.float64(m["height"]).tobytes() for m in got.merges] == [
+                    np.float64(m["height"]).tobytes() for m in want.merges]
+
+    def test_one_subgraph(self):
+        for mat in (np.zeros((1, 1)), np.ones((1, 1))):
+            for n_motifs in (None, 1, 2):
+                got = hm.cluster_motifs(mat, n_motifs=n_motifs)
+                assert got.labels.tolist() == [0] and got.merges == [] and got.n_motifs == 1
 
 
 class TestClusterMotifs:

@@ -65,14 +65,18 @@ def test_traced_detect_reports_every_layer(tmp_path):
         env=env, check=True, capture_output=True, text=True,
     )
     metrics = json.loads(done.stdout.splitlines()[-1])
-    for name in ("motifs.bootstrap_pvalue_s", "motifs.mmd_statistic_s",
+    for name in ("motifs.bootstrap_pvalue_s",
                  "motifs.kernel_bandwidth_s", "motifs.permutation_replicates",
                  "graph.load_edge_list_s", "graph.largest_connected_component_s",
                  "motifs.align_embeddings_s", "generate.sample_hsbm_s", "generate.edges",
                  "graph.save_edge_list_s"):
         assert metrics.get(name, 0) > 0, name
+    # the statistic is the Gram profiles' distance: detect never calls the
+    # kernel statistic
+    assert metrics.get("motifs.mmd_statistic_s", 0) == 0
     # two children, so one pair, per detect: B replicates for it in the
-    # library call (6) and in the CLI call (4), and one alignment
+    # library call (6) and in the CLI call (4), and one alignment for each
+    # of those permutation tests
     assert metrics["motifs.pairs"] == 2
     assert metrics["motifs.align_calls"] == 2
     assert metrics["motifs.permutation_replicates"] == 6 + 4
